@@ -7,13 +7,14 @@
 #   make vet     go vet over every package
 #   make lint    bbslint, the project's own analyzers (see ARCHITECTURE.md)
 #   make bench   quick paper-figure benchmarks
+#   make bench-module  vet + test the nested bench/ module (bbsperf)
 #   make fuzz    run every fuzz target briefly (FUZZTIME to adjust)
-#   make check   what the driver gates on: build + vet + lint + test + race
+#   make check   what the driver gates on: build + vet + lint + test + bench-module + race
 
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race vet lint lint-fix-scope bench fuzz check
+.PHONY: all build test race vet lint lint-fix-scope bench bench-module fuzz check
 
 all: build
 
@@ -53,6 +54,12 @@ lint-fix-scope:
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
+## bench-module: bench/ is its own Go module (the frozen benchmark, bbsperf),
+## so the ./... patterns above never compile it; vet and test it from inside
+## so a change to a package it imports cannot break it unnoticed
+bench-module:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
 ## fuzz: run each fuzz target for FUZZTIME (go fuzzing accepts one target
 ## per invocation, hence the one-per-line form)
 fuzz:
@@ -62,5 +69,6 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime $(FUZZTIME) ./internal/txdb
 	$(GO) test -run '^$$' -fuzz '^FuzzSetWords$$' -fuzztime $(FUZZTIME) ./internal/bitvec
 
-## check: everything the driver gates on — build, vet, lint, tests, race
-check: build vet lint test race
+## check: everything the driver gates on — build, vet, lint, tests (root
+## module and bench/), race
+check: build vet lint test bench-module race

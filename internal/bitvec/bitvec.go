@@ -32,7 +32,8 @@ type Vector struct {
 	n     int // logical length in bits
 
 	// Sparse mode (see sparse.go): summary holds one bit per backing word,
-	// set iff the word is nonzero; nil means the summary is not maintained.
+	// set iff the word is nonzero; empty means the summary is not maintained
+	// (dropSummary truncates rather than frees, keeping the capacity).
 	// nz counts the nonzero words while the summary is live.
 	summary []uint64
 	nz      int
@@ -66,7 +67,7 @@ func (v *Vector) Len() int { return v.n }
 func (v *Vector) Set(i int) {
 	v.bounds(i)
 	wi := i >> wordShift
-	if v.summary != nil && v.words[wi] == 0 {
+	if len(v.summary) != 0 && v.words[wi] == 0 {
 		v.summary[wi>>wordShift] |= 1 << uint(wi&wordMask)
 		v.nz++
 	}
@@ -79,7 +80,7 @@ func (v *Vector) Clear(i int) {
 	wi := i >> wordShift
 	was := v.words[wi]
 	v.words[wi] &^= 1 << uint(i&wordMask)
-	if v.summary != nil && was != 0 && v.words[wi] == 0 {
+	if len(v.summary) != 0 && was != 0 && v.words[wi] == 0 {
 		v.summary[wi>>wordShift] &^= 1 << uint(wi&wordMask)
 		v.nz--
 	}
@@ -200,7 +201,7 @@ func (v *Vector) And(other *Vector) {
 //lint:hotpath
 func (v *Vector) AndCount(other *Vector) int {
 	v.sameLen(other)
-	if v.summary != nil {
+	if len(v.summary) != 0 {
 		return v.andCountSparse(other)
 	}
 	return v.andCountDense(other)

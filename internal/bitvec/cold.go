@@ -18,20 +18,26 @@ import (
 //	EncSparse — ones × uint32 set-bit positions, strictly ascending
 //	EncRLE    — pairs × (start uint32, length uint32)
 //
-// All values are 4- or 8-byte aligned and the page size divides by 8, so
-// no value ever straddles a page: the AND kernels stream the payload one
-// page at a time — pin, scan, release — touching each page exactly once
-// and never materializing the slice. The kernels produce bit-identical
-// results to their resident counterparts; tiering moves bytes, never bits.
+// A payload is an extent of a packed page file: it starts at an 8-byte
+// aligned offset inside its first page — sharing that page with its
+// neighbours — and, when it does not fit, runs on from byte 0 of the pages
+// after it. All values are 4- or 8-byte aligned and the page size divides
+// by 8, so no value ever straddles a page: the AND kernels stream the
+// payload one page window at a time — pin, scan, release — and never
+// materialize the slice. Each window is cut from the page once, so the
+// loops inside it run without per-value bounds checks. The kernels produce
+// bit-identical results to their resident counterparts; tiering moves
+// bytes, never bits.
 
-// PageSource serves a cold payload's pages. Page k covers payload bytes
-// [k*PageSize, (k+1)*PageSize); the returned slice is read-only and valid
-// until Release(k). Implementations surface I/O failure by panicking with
-// a wrapped error: the cold file is derived data whose loss mid-kernel has
-// no local recovery, and threading errors through the AND chain would tax
-// the resident fast path (see sigfile's adapter for the policy).
+// PageSource serves the pages a cold payload's extent lies on: page 0 is
+// the one holding the payload's first byte. The returned slice is
+// read-only and valid until Release(k). Implementations surface I/O
+// failure by panicking with a wrapped error: the cold file is derived data
+// whose loss mid-kernel has no local recovery, and threading errors through
+// the AND chain would tax the resident fast path (see sigfile's adapter for
+// the policy).
 type PageSource interface {
-	// Page pins payload page k and returns its bytes.
+	// Page pins extent page k and returns its bytes.
 	Page(k int) []byte
 	// Release unpins page k.
 	Release(k int)
@@ -43,15 +49,35 @@ type PageSource interface {
 // coldPayload locates a slice's payload in cold storage.
 type coldPayload struct {
 	src   PageSource
-	bytes int // payload length in bytes (before page padding)
+	off   int // offset of the first payload byte inside page 0; a multiple of 8
+	bytes int // payload length in bytes
 }
 
 // NewColdSlice builds a slice header whose payload of payloadBytes bytes
-// lives behind src in the cold format for enc. The header carries the
-// logical length and popcount, so ordering, budgeting, and persistence
-// metadata never fault a page.
-func NewColdSlice(enc Encoding, n, ones int, src PageSource, payloadBytes int) *Slice {
-	return &Slice{enc: enc, n: n, ones: ones, cold: &coldPayload{src: src, bytes: payloadBytes}}
+// lives behind src in the cold format for enc, starting off bytes into
+// src's page 0. The header carries the logical length and popcount, so
+// ordering, budgeting, and persistence metadata never fault a page.
+func NewColdSlice(enc Encoding, n, ones int, src PageSource, off, payloadBytes int) *Slice {
+	if off < 0 || off >= src.PageSize() || off&7 != 0 {
+		panic(fmt.Sprintf("bitvec: cold payload offset %d not 8-byte aligned inside a %d-byte page", off, src.PageSize()))
+	}
+	return &Slice{enc: enc, n: n, ones: ones, cold: &coldPayload{src: src, off: off, bytes: payloadBytes}}
+}
+
+// window pins extent page k and returns the part of it that holds payload,
+// given that done payload bytes lie on the pages before it. The caller
+// releases page k.
+func (c *coldPayload) window(k, done int) []byte {
+	pg := c.src.Page(k)
+	start := 0
+	if k == 0 {
+		start = c.off
+	}
+	end := start + c.bytes - done
+	if end > len(pg) {
+		end = len(pg)
+	}
+	return pg[start:end]
 }
 
 // IsCold reports whether the payload lives in cold storage.
@@ -102,14 +128,8 @@ func (s *Slice) EncodeCold() []byte {
 // Fold's OrInto, shard merges). Query kernels never call it.
 func (c *coldPayload) readAll() []byte {
 	out := make([]byte, 0, c.bytes)
-	ps := c.src.PageSize()
 	for k := 0; len(out) < c.bytes; k++ {
-		pg := c.src.Page(k)
-		take := c.bytes - len(out)
-		if take > ps {
-			take = ps
-		}
-		out = append(out, pg[:take]...)
+		out = append(out, c.window(k, len(out))...)
 		c.src.Release(k)
 	}
 	return out
@@ -187,36 +207,53 @@ func (s *Slice) andCountIntoSlow(dst *Vector) int {
 	}
 }
 
-// andCountColdDense ANDs a cold dense payload into dst page by page: each
-// page is a window of up to PageSize/8 words AND-ed and popcounted in one
-// pass; dst words beyond the payload are zeroed (the ZX contract).
+// andCountColdDense ANDs a cold dense payload into dst window by window:
+// each is a run of little-endian words AND-ed and popcounted in one
+// unrolled pass; dst words beyond the payload are zeroed (the ZX contract).
 //
 //lint:hotpath
 func (s *Slice) andCountColdDense(dst *Vector) int {
 	c := s.cold
-	wordsPerPage := c.src.PageSize() >> 3
-	nwords := c.bytes >> 3
 	vw := dst.words
 	cnt := 0
 	wi := 0
-	for k := 0; wi < nwords; k++ {
-		pg := c.src.Page(k)
-		top := nwords - wi
-		if top > wordsPerPage {
-			top = wordsPerPage
-		}
-		for j := 0; j < top; j++ {
-			w := vw[wi] & binary.LittleEndian.Uint64(pg[8*j:])
-			vw[wi] = w
-			cnt += bits.OnesCount64(w)
-			wi++
-		}
+	for k := 0; 8*wi < c.bytes; k++ {
+		win := c.window(k, 8*wi)
+		cnt += andCountBytes(vw[wi:], win)
 		c.src.Release(k)
+		wi += len(win) >> 3
 	}
 	for ; wi < len(vw); wi++ {
 		vw[wi] = 0
 	}
 	return cnt
+}
+
+// andCountBytes ANDs the little-endian words of src into the front of dst
+// and returns the popcount of the words it wrote: andCountDense over a
+// byte window, 4-way unrolled the same way. Both slices shrink from the
+// front, so the loop conditions are the only bounds checks.
+func andCountBytes(dst []uint64, src []byte) int {
+	c0, c1, c2, c3 := 0, 0, 0, 0
+	for len(dst) >= 4 && len(src) >= 32 {
+		w0 := dst[0] & binary.LittleEndian.Uint64(src[0:8])
+		w1 := dst[1] & binary.LittleEndian.Uint64(src[8:16])
+		w2 := dst[2] & binary.LittleEndian.Uint64(src[16:24])
+		w3 := dst[3] & binary.LittleEndian.Uint64(src[24:32])
+		dst[0], dst[1], dst[2], dst[3] = w0, w1, w2, w3
+		c0 += bits.OnesCount64(w0)
+		c1 += bits.OnesCount64(w1)
+		c2 += bits.OnesCount64(w2)
+		c3 += bits.OnesCount64(w3)
+		dst, src = dst[4:], src[32:]
+	}
+	for len(dst) >= 1 && len(src) >= 8 {
+		w := dst[0] & binary.LittleEndian.Uint64(src[0:8])
+		dst[0] = w
+		c0 += bits.OnesCount64(w)
+		dst, src = dst[1:], src[8:]
+	}
+	return c0 + c1 + c2 + c3
 }
 
 // andCountColdPositions ANDs a cold sparse payload into dst by streaming
@@ -227,21 +264,15 @@ func (s *Slice) andCountColdDense(dst *Vector) int {
 //lint:hotpath
 func (s *Slice) andCountColdPositions(dst *Vector) int {
 	c := s.cold
-	perPage := c.src.PageSize() >> 2
-	total := c.bytes >> 2
 	vw := dst.words
 	cnt := 0
 	cur := -1
 	var mask uint64
-	read := 0
-	for k := 0; read < total; k++ {
-		pg := c.src.Page(k)
-		top := total - read
-		if top > perPage {
-			top = perPage
-		}
-		for j := 0; j < top; j++ {
-			p := int(binary.LittleEndian.Uint32(pg[4*j:]))
+	for k, done := 0, 0; done < c.bytes; k++ {
+		win := c.window(k, done)
+		done += len(win)
+		for ; len(win) >= 4; win = win[4:] {
+			p := int(binary.LittleEndian.Uint32(win))
 			w := p >> wordShift
 			if w != cur {
 				if cur >= 0 {
@@ -258,7 +289,6 @@ func (s *Slice) andCountColdPositions(dst *Vector) int {
 			mask |= 1 << uint(p&wordMask)
 		}
 		c.src.Release(k)
-		read += top
 	}
 	if cur >= 0 {
 		nw := vw[cur] & mask
@@ -280,22 +310,16 @@ func (s *Slice) andCountColdPositions(dst *Vector) int {
 //lint:hotpath
 func (s *Slice) andCountColdRuns(dst *Vector) int {
 	c := s.cold
-	pairsPerPage := c.src.PageSize() >> 3
-	totalPairs := c.bytes >> 3
 	vw := dst.words
 	cnt := 0
 	cur := -1
 	var mask uint64
-	done := 0
-	for k := 0; done < totalPairs; k++ {
-		pg := c.src.Page(k)
-		top := totalPairs - done
-		if top > pairsPerPage {
-			top = pairsPerPage
-		}
-		for j := 0; j < top; j++ {
-			a := int(binary.LittleEndian.Uint32(pg[8*j:]))
-			b := a + int(binary.LittleEndian.Uint32(pg[8*j+4:]))
+	for k, done := 0, 0; done < c.bytes; k++ {
+		win := c.window(k, done)
+		done += len(win)
+		for ; len(win) >= 8; win = win[8:] {
+			a := int(binary.LittleEndian.Uint32(win))
+			b := a + int(binary.LittleEndian.Uint32(win[4:]))
 			for w := a >> wordShift; w <= (b-1)>>wordShift; w++ {
 				if w != cur {
 					if cur >= 0 {
@@ -321,7 +345,6 @@ func (s *Slice) andCountColdRuns(dst *Vector) int {
 			}
 		}
 		c.src.Release(k)
-		done += top
 	}
 	if cur >= 0 {
 		nw := vw[cur] & mask

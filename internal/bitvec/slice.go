@@ -649,7 +649,7 @@ func (s *Slice) andCountIntoCompressed(dst *Vector) int {
 		if s.n > dst.n {
 			panic(fmt.Sprintf("bitvec: zero-extended operand longer than destination: %d vs %d", s.n, dst.n))
 		}
-		if dst.summary != nil {
+		if len(dst.summary) != 0 {
 			return dst.andCountPositionsSparse(s.pos8, s.chunkOff)
 		}
 		return dst.andCountPositionsDense(s.pos8, s.chunkOff)
@@ -657,7 +657,7 @@ func (s *Slice) andCountIntoCompressed(dst *Vector) int {
 		if s.n > dst.n {
 			panic(fmt.Sprintf("bitvec: zero-extended operand longer than destination: %d vs %d", s.n, dst.n))
 		}
-		if dst.summary != nil {
+		if len(dst.summary) != 0 {
 			return dst.andCountRunsSparse(s.runs)
 		}
 		return dst.andCountRunsDense(s.runs)

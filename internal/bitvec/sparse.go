@@ -36,14 +36,14 @@ const (
 
 // Summarized reports whether the vector is in sparse mode (carrying a
 // word-level summary).
-func (v *Vector) Summarized() bool { return v.summary != nil }
+func (v *Vector) Summarized() bool { return len(v.summary) != 0 }
 
 // WordStats reports which kernel the next AndCount against v would run and
 // how many backing words it would visit: the nonzero-word count for the
 // sparse walk, or all words for the dense sweep. Telemetry only — an O(1)
 // read of maintained state, never a scan.
 func (v *Vector) WordStats() (words int, sparse bool) {
-	if v.summary != nil {
+	if len(v.summary) != 0 {
 		return v.nz, true
 	}
 	return len(v.words), false
@@ -63,15 +63,18 @@ func (v *Vector) Summarize() {
 // whose subtree is about to be mined; already-summarized or small vectors
 // are left as they are.
 func (v *Vector) MaybeSummarize(count int) {
-	if v.summary != nil || len(v.words) < summaryMinWords || count > len(v.words)/summaryDensityDiv {
+	if len(v.summary) != 0 || len(v.words) < summaryMinWords || count > len(v.words)/summaryDensityDiv {
 		return
 	}
 	v.buildSummary()
 }
 
-// dropSummary leaves sparse mode; the next AndCount may rebuild it.
+// dropSummary leaves sparse mode; the next AndCount may rebuild it. The
+// backing array stays with the vector, so a pooled vector that alternates
+// between the modes (a residual re-copied from a summarized parent after a
+// cold AND dropped its summary) re-enters sparse mode without allocating.
 func (v *Vector) dropSummary() {
-	v.summary = nil
+	v.summary = v.summary[:0]
 	v.nz = 0
 }
 
@@ -98,7 +101,7 @@ func (v *Vector) buildSummary() {
 
 // copySummaryFrom mirrors other's sparse mode onto v.
 func (v *Vector) copySummaryFrom(other *Vector) {
-	if other.summary == nil {
+	if len(other.summary) == 0 {
 		v.dropSummary()
 		return
 	}

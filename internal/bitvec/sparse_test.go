@@ -10,7 +10,7 @@ import (
 // them.
 func checkSummary(t *testing.T, v *Vector) {
 	t.Helper()
-	if v.summary == nil {
+	if !v.Summarized() {
 		return
 	}
 	nz := 0

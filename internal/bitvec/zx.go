@@ -28,7 +28,7 @@ func (v *Vector) AndCountZX(other *Vector) int {
 	if other.n >= v.n {
 		return v.AndCount(other) // sameLen panics on other.n > v.n
 	}
-	if v.summary != nil {
+	if len(v.summary) != 0 {
 		return v.andCountSparseZX(other)
 	}
 	return v.andCountDenseZX(other)

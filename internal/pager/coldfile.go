@@ -6,22 +6,38 @@ import (
 	"os"
 )
 
-// Cold-file format, BBSCOLD1. Page 0 is the header:
+// Cold-file format, BBSCOLD version 2 (the magic's trailing '1' is part of
+// the tag; the version field is what moves). Page 0 is the header:
 //
 //	magic(8) | version uint32 | pageSize uint32 | payloadPages uint64
 //	| payloadBytes uint64 | sealed uint32
 //
-// followed by payloadPages pages of back-to-back payload extents, each
-// extent starting on a page boundary. The header's sealed flag is written
-// only after every payload page is durable (Seal: flush, fsync, then
-// header, then fsync again — the crash-safety ordering), and the whole
-// file is built under a temp name renamed into place, so Open can trust
-// any file it accepts. An unsealed or torn file fails Open and the caller
-// rebuilds it from the authoritative index — cold files are derived data.
+// followed by payloadPages pages of packed payload extents, the last of
+// which ends at payload offset payloadBytes. An extent starts at the next
+// 8-byte boundary after its predecessor, so small extents share pages (and
+// frames) instead of each being padded to one; the single placement rule is
+// that an extent no longer than a page never straddles a page boundary — it
+// moves to the start of the next page when the current one cannot hold it —
+// so reading it costs one fault. Longer extents start wherever the boundary
+// falls and straddle. The gaps and the tail of the last page are zero.
+//
+// The header's sealed flag is written only after every payload page is
+// durable (Seal: pad, fsync, then header, then fsync again — the
+// crash-safety ordering), and the whole file is built under a temp name
+// renamed into place, so Open can trust any file it accepts. An unsealed
+// or torn file fails Open and the caller rebuilds it from the
+// authoritative index — cold files are derived data, which is also why
+// version 1 (one page-aligned extent per slice) has no reader here.
 
 var coldMagic = [8]byte{'B', 'B', 'S', 'C', 'O', 'L', 'D', '1'}
 
-const coldVersion = 1
+const coldVersion = 2
+
+// extentAlign is the boundary extents start on: the widest value the cold
+// payload formats hold, so no value ever straddles a page.
+const extentAlign = 8
+
+var zeroPage [PageSize]byte
 
 // File is a handle to cold pages, either backed by a sealed cold file
 // (Page/Release fault real bytes) or virtual (Touch models residency for a
@@ -85,8 +101,9 @@ func (p *Pager) Virtual(name string) *File {
 }
 
 // Page pins payload page k and returns its bytes (always PageSize long;
-// the tail of the last extent is zero-padded). The caller must Release(k)
-// when done streaming and must not retain or modify the slice afterwards.
+// bytes outside every extent are zero). The caller must Release(k) when
+// done streaming and must not retain or modify the slice afterwards: the
+// buffer is reused for another page once the frame is evicted.
 func (f *File) Page(k int64) ([]byte, error) {
 	data, _, err := f.p.page(f, k, true)
 	return data, err
@@ -131,14 +148,13 @@ func (f *File) Close() error {
 	return nil
 }
 
-// Writer builds a cold file. Extents appended through it start on page
-// boundaries; Seal makes the payload durable before stamping the header
-// and renaming the temp file into place.
+// Writer builds a cold file of packed extents (see the format comment);
+// Seal makes the payload durable before stamping the header and renaming
+// the temp file into place.
 type Writer struct {
-	f     *os.File
-	path  string // final path; the descriptor writes path+".tmp"
-	pages int64  // payload pages written so far
-	bytes int64  // payload bytes written so far (before padding)
+	f    *os.File
+	path string // final path; the descriptor writes path+".tmp"
+	pos  int64  // payload bytes written so far, gaps included
 }
 
 // Create starts a cold file at path, building under path+".tmp" until
@@ -150,7 +166,7 @@ func Create(path string) (*Writer, error) {
 		return nil, fmt.Errorf("pager: create cold file: %w", err)
 	}
 	// Reserve the header page; it is rewritten, sealed, at Seal time.
-	if _, err := f.Write(make([]byte, PageSize)); err != nil {
+	if _, err := f.Write(zeroPage[:]); err != nil {
 		_ = f.Close()
 		_ = os.Remove(path + ".tmp")
 		return nil, fmt.Errorf("pager: write cold header %s: %w", path, err)
@@ -158,28 +174,47 @@ func Create(path string) (*Writer, error) {
 	return &Writer{f: f, path: path}, nil
 }
 
-// Append writes one payload extent, zero-padded to a page boundary, and
-// returns the page index its first byte landed on.
-func (w *Writer) Append(payload []byte) (basePage int64, err error) {
-	basePage = w.pages
+// Append writes one payload extent and returns the payload offset of its
+// first byte: page off/PageSize, in-page offset off%PageSize.
+func (w *Writer) Append(payload []byte) (off int64, err error) {
+	off = (w.pos + extentAlign - 1) &^ (extentAlign - 1)
+	if n := int64(len(payload)); n <= PageSize && off%PageSize+n > PageSize {
+		off += PageSize - off%PageSize // would straddle: start on the next page
+	}
+	if err := w.pad(off); err != nil {
+		return 0, err
+	}
 	if _, err := w.f.Write(payload); err != nil {
 		return 0, fmt.Errorf("pager: append cold extent: %w", err)
 	}
-	if pad := (PageSize - len(payload)%PageSize) % PageSize; pad > 0 {
-		if _, err := w.f.Write(make([]byte, pad)); err != nil {
-			return 0, fmt.Errorf("pager: pad cold extent: %w", err)
-		}
-	}
-	w.pages += int64((len(payload) + PageSize - 1) / PageSize)
-	w.bytes += int64(len(payload))
-	return basePage, nil
+	w.pos = off + int64(len(payload))
+	return off, nil
 }
 
-// Seal makes the file durable and visible: fsync the payload, write the
-// sealed header, fsync again, close, and rename over the final path — in
-// that order, so a crash at any point leaves either the old file or no
-// file, never a half-written one that Open would accept.
+// pad zero-fills the payload up to offset to; the gap is always shorter
+// than a page, and usually empty.
+func (w *Writer) pad(to int64) error {
+	if to == w.pos {
+		return nil
+	}
+	if _, err := w.f.Write(zeroPage[:to-w.pos]); err != nil {
+		return fmt.Errorf("pager: pad cold extent: %w", err)
+	}
+	w.pos = to
+	return nil
+}
+
+// Seal makes the file durable and visible: pad the last page, fsync the
+// payload, write the sealed header, fsync again, close, and rename over the
+// final path — in that order, so a crash at any point leaves either the
+// old file or no file, never a half-written one that Open would accept.
 func (w *Writer) Seal() error {
+	payloadBytes := w.pos
+	pages := (w.pos + PageSize - 1) / PageSize
+	if err := w.pad(pages * PageSize); err != nil {
+		w.abort()
+		return err
+	}
 	if err := w.f.Sync(); err != nil {
 		w.abort()
 		return fmt.Errorf("pager: sync cold payload %s: %w", w.path, err)
@@ -188,8 +223,8 @@ func (w *Writer) Seal() error {
 	copy(hdr, coldMagic[:])
 	binary.LittleEndian.PutUint32(hdr[8:12], coldVersion)
 	binary.LittleEndian.PutUint32(hdr[12:16], PageSize)
-	binary.LittleEndian.PutUint64(hdr[16:24], uint64(w.pages))
-	binary.LittleEndian.PutUint64(hdr[24:32], uint64(w.bytes))
+	binary.LittleEndian.PutUint64(hdr[16:24], uint64(pages))
+	binary.LittleEndian.PutUint64(hdr[24:32], uint64(payloadBytes))
 	binary.LittleEndian.PutUint32(hdr[32:36], 1) // sealed
 	if _, err := w.f.WriteAt(hdr, 0); err != nil {
 		w.abort()

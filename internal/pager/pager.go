@@ -7,10 +7,12 @@
 // (faulting it from the cold file read-through if absent), the caller
 // streams the bytes, and Release unpins it. Eviction is second-chance
 // CLOCK: a sweep clears reference bits and reclaims the first frame that
-// is unpinned, unreferenced, and not tagged by a live epoch. Pinning is
-// strictly a performance lever — every page can always be re-faulted from
-// its sealed cold file — so over- or under-retention can never change a
-// result, only move I/O.
+// is unpinned, unreferenced, and not tagged by a live epoch. A fault into a
+// full pool reclaims its victim first and reads the new page into the
+// victim's buffer, so a steady-state fault is one pread plus table and ring
+// bookkeeping — no allocation. Pinning is strictly a performance lever —
+// every page can always be re-faulted from its sealed cold file — so over-
+// or under-retention can never change a result, only move I/O.
 //
 // Epoch tags integrate the pool with serve's snapshot lifecycle: the
 // publisher acquires a tag per published snapshot, frames touched while a
@@ -38,7 +40,7 @@ const PageSize = 4096
 // Stats is a point-in-time snapshot of the pool's counters, readable
 // without the pool lock.
 type Stats struct {
-	ResidentBytes int64 // bytes currently held by frames
+	ResidentBytes int64 // bytes currently held by frames and recycled page buffers
 	ReservedBytes int64 // hot-tier bytes charged against the budget via Reserve
 	Faults        int64 // pages read through from cold files (or first virtual touches)
 	Hits          int64 // page requests served from a resident frame
@@ -60,8 +62,11 @@ type frameKey struct {
 }
 
 // frame is one resident page. pins, ref, epoch and slot are all guarded by
-// the owning Pager's mu; data is written once at fault time and read-only
-// afterwards, so pinned readers may use it outside the lock.
+// the owning Pager's mu; data is filled at fault time and read-only until
+// the frame leaves the table, so pinned readers may use it outside the
+// lock. The CLOCK sweep only ever evicts an unpinned frame, and a fault
+// then recycles it, struct and buffer; frames dropped with their file
+// (dropFile, pinned or not) are left to the GC instead.
 type frame struct {
 	file  *File
 	page  int64
@@ -85,13 +90,14 @@ type Pager struct {
 	ring     []*frame // CLOCK ring; guarded by mu
 	hand     int      // CLOCK hand; guarded by mu
 	resident int64    // sum of frame sizes; guarded by mu
+	free     []*frame // unpinned ex-frames, each owning a PageSize buffer, awaiting reuse; guarded by mu
 
 	epochs   map[uint64]struct{} // live epoch tags; guarded by mu
 	epochSeq uint64              // guarded by mu
 	newest   uint64              // newest live tag, 0 while none; guarded by mu
 
 	// Counters are atomics so Stats and /metrics read them without the
-	// pool lock; residentGauge mirrors resident for the same reason.
+	// pool lock; residentGauge mirrors heldLocked() for the same reason.
 	faults        atomic.Int64
 	hits          atomic.Int64
 	evictions     atomic.Int64
@@ -138,9 +144,10 @@ func (p *Pager) Reserve(n int64) {
 //
 // The counters are independent atomics, so a snapshot taken against
 // concurrent traffic is not a single instant. One cross-counter invariant
-// is still guaranteed: Evictions <= Faults. Every eviction is preceded by
-// an admission (a fault) under the same lock, and evictions is read first
-// here, so new faults can only land on the large side of the inequality.
+// is still guaranteed: Evictions <= Faults. Only an admitted frame can be
+// evicted, so the true counts always satisfy it, and evictions is read
+// first here, so new faults can only land on the large side of the
+// inequality.
 func (p *Pager) Stats() Stats {
 	if p == nil {
 		return Stats{}
@@ -214,12 +221,17 @@ func (p *Pager) pinLocked(fr *frame, pin bool) {
 	}
 }
 
-// admitLocked installs a freshly faulted frame and runs eviction to pay
-// for it. Caller holds mu.
-func (p *Pager) admitLocked(key frameKey, fr *frame) {
+// heldLocked is the memory the pool answers for: resident frames plus
+// recycled buffers waiting on the free list. Caller holds mu.
+func (p *Pager) heldLocked() int64 {
+	return p.resident + int64(len(p.free))*PageSize
+}
+
+// admitLocked installs a freshly faulted frame. Caller holds mu.
+func (p *Pager) admitLocked(fr *frame) {
 	fr.slot = len(p.ring)
 	p.ring = append(p.ring, fr)
-	p.frames[key] = fr
+	p.frames[frameKey{fr.file, fr.page}] = fr
 	p.resident += fr.size
 	if p.newest != 0 {
 		fr.epoch = p.newest
@@ -228,36 +240,45 @@ func (p *Pager) admitLocked(key frameKey, fr *frame) {
 	p.evictLocked()
 }
 
-// evictLocked reclaims frames until resident+reserved fits the budget or a
-// bounded CLOCK sweep finds nothing evictable (every frame pinned or
-// epoch-protected) — then the pool runs soft-over-budget rather than
-// block, since pinning is advisory and correctness never depends on the
-// bound. Caller holds mu.
+// evictLocked shrinks the pool until held+reserved fits the budget:
+// recycled buffers go to the GC first, then frames are reclaimed — and
+// dropped rather than recycled, since the pool has to get smaller — until
+// it fits or the CLOCK sweep finds nothing evictable (every frame pinned or
+// epoch-protected). Then the pool runs soft-over-budget rather than block,
+// since pinning is advisory and correctness never depends on the bound.
+// Caller holds mu.
 func (p *Pager) evictLocked() {
-	defer func() { p.residentGauge.Store(p.resident) }()
-	if p.budget <= 0 {
-		return
+	for p.budget > 0 && p.heldLocked()+p.reserved > p.budget {
+		if p.popFreeLocked() == nil && p.victimLocked() == nil {
+			break
+		}
 	}
-	// Two full revolutions: one to clear reference bits, one to reclaim.
-	scansLeft := 2 * len(p.ring)
-	for p.resident+p.reserved > p.budget && len(p.ring) > 0 && scansLeft >= 0 {
-		scansLeft--
+	p.residentGauge.Store(p.heldLocked())
+}
+
+// victimLocked advances the CLOCK hand until it reclaims one frame, which
+// it removes from the table and returns. Two revolutions bound the sweep —
+// one to clear reference bits, one to reclaim — and nil means every frame
+// is pinned or epoch-protected. Caller holds mu.
+func (p *Pager) victimLocked() *frame {
+	for scans := 2 * len(p.ring); scans > 0; scans-- {
 		if p.hand >= len(p.ring) {
 			p.hand = 0
 		}
 		fr := p.ring[p.hand]
-		if fr.pins > 0 || p.epochLiveLocked(fr.epoch) {
+		switch {
+		case fr.pins > 0 || p.epochLiveLocked(fr.epoch):
 			p.hand++
-			continue
-		}
-		if fr.ref {
+		case fr.ref:
 			fr.ref = false
 			p.hand++
-			continue
+		default:
+			p.removeLocked(fr)
+			p.evictions.Add(1)
+			return fr
 		}
-		p.removeLocked(fr)
-		p.evictions.Add(1)
 	}
+	return nil
 }
 
 // removeLocked drops a frame from the table and the ring (swap-remove; the
@@ -273,36 +294,75 @@ func (p *Pager) removeLocked(fr *frame) {
 	p.resident -= fr.size
 }
 
+// recycleLocked hands an unpinned frame that has left the table (or never
+// entered it) to the free list. Virtual frames own no buffer and are left
+// to the GC. Caller holds mu.
+func (p *Pager) recycleLocked(fr *frame) {
+	if fr.data != nil {
+		p.free = append(p.free, fr)
+	}
+}
+
+// popFreeLocked takes a recycled frame off the free list, nil if it is
+// empty. Caller holds mu.
+func (p *Pager) popFreeLocked() *frame {
+	n := len(p.free)
+	if n == 0 {
+		return nil
+	}
+	fr := p.free[n-1]
+	p.free[n-1] = nil
+	p.free = p.free[:n-1]
+	return fr
+}
+
+// bufferLocked returns a frame owning a PageSize buffer for a fault to
+// read into. A full pool pays for the page before reading it: its CLOCK
+// victim goes to the free list and comes straight back, so the steady
+// state allocates nothing. A fresh buffer is made only while the pool is
+// still filling or when nothing is evictable. Caller holds mu.
+func (p *Pager) bufferLocked() *frame {
+	if len(p.free) == 0 && p.budget > 0 && p.resident+p.reserved+PageSize > p.budget {
+		if fr := p.victimLocked(); fr != nil {
+			p.recycleLocked(fr)
+		}
+	}
+	if fr := p.popFreeLocked(); fr != nil {
+		return fr
+	}
+	return &frame{data: make([]byte, PageSize)}
+}
+
 // page is the shared fault path: return the frame for (f, k), faulting it
 // in if absent. pin=true leaves it pinned for the caller to Release.
 func (p *Pager) page(f *File, k int64, pin bool) ([]byte, bool, error) {
-	key := frameKey{f, k}
 	p.mu.Lock()
-	if fr, ok := p.frames[key]; ok {
+	defer p.mu.Unlock()
+	if fr, ok := p.frames[frameKey{f, k}]; ok {
 		p.pinLocked(fr, pin)
 		p.hits.Add(1)
-		p.mu.Unlock()
 		return fr.data, true, nil
 	}
-	var data []byte
-	if f.f != nil {
+	var fr *frame
+	if f.f == nil {
+		fr = &frame{} // virtual pages model residency only: no buffer to recycle
+	} else {
 		if k < 0 || k >= f.pages {
-			p.mu.Unlock()
 			return nil, false, fmt.Errorf("pager: page %d out of range [0,%d) in %s", k, f.pages, f.name)
 		}
-		data = make([]byte, PageSize)
-		if _, err := f.f.ReadAt(data, (k+1)*PageSize); err != nil {
-			p.mu.Unlock()
+		fr = p.bufferLocked()
+		if _, err := f.f.ReadAt(fr.data, (k+1)*PageSize); err != nil {
+			p.recycleLocked(fr)
+			p.evictLocked() // the buffer stays only if the budget has room for it
 			return nil, false, fmt.Errorf("pager: read %s page %d: %w", f.name, k, err)
 		}
 	}
-	fr := &frame{file: f, page: k, data: data, size: PageSize, ref: true}
+	*fr = frame{file: f, page: k, data: fr.data, size: PageSize, ref: true}
 	if pin {
 		fr.pins = 1
 	}
-	p.admitLocked(key, fr)
-	p.mu.Unlock()
-	return data, false, nil
+	p.admitLocked(fr)
+	return fr.data, false, nil
 }
 
 // release unpins one pin on (f, k). Releasing an already-evicted or
@@ -317,6 +377,9 @@ func (p *Pager) release(f *File, k int64) {
 
 // dropFile removes every frame belonging to f, pinned or not — Close has
 // invalidated the backing bytes, so keeping them would serve stale data.
+// The frames go to the GC, not the free list: a pinned one may still be
+// under a reader, and a Close comes when the tier is being torn down, not
+// between faults.
 func (p *Pager) dropFile(f *File) {
 	p.mu.Lock()
 	for i := 0; i < len(p.ring); {
@@ -326,6 +389,6 @@ func (p *Pager) dropFile(f *File) {
 		}
 		i++
 	}
-	p.residentGauge.Store(p.resident)
+	p.residentGauge.Store(p.heldLocked())
 	p.mu.Unlock()
 }

@@ -5,21 +5,22 @@ import (
 	"encoding/binary"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 )
 
 // writeColdFile builds a sealed cold file of the given extents and returns
-// the per-extent base pages.
+// the payload offset each one landed on.
 func writeColdFile(t *testing.T, path string, extents ...[]byte) []int64 {
 	t.Helper()
 	w, err := Create(path)
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
-	bases := make([]int64, len(extents))
+	offs := make([]int64, len(extents))
 	for i, e := range extents {
-		bases[i], err = w.Append(e)
+		offs[i], err = w.Append(e)
 		if err != nil {
 			t.Fatalf("Append: %v", err)
 		}
@@ -27,7 +28,47 @@ func writeColdFile(t *testing.T, path string, extents ...[]byte) []int64 {
 	if err := w.Seal(); err != nil {
 		t.Fatalf("Seal: %v", err)
 	}
-	return bases
+	return offs
+}
+
+// stampedPage is page k of a stamped file: its page number plus one in every
+// 8-byte word, so any byte of a recycled buffer left over from another page
+// is detectable.
+func stampedPage(k int64) []byte {
+	pg := make([]byte, PageSize)
+	for i := 0; i < PageSize; i += 8 {
+		binary.LittleEndian.PutUint64(pg[i:], uint64(k+1))
+	}
+	return pg
+}
+
+// writeStampedFile builds a sealed cold file of n stamped pages.
+func writeStampedFile(t *testing.T, path string, n int) {
+	t.Helper()
+	extents := make([][]byte, n)
+	for k := range extents {
+		extents[k] = stampedPage(int64(k))
+	}
+	for k, off := range writeColdFile(t, path, extents...) {
+		if off != int64(k)*PageSize {
+			t.Fatalf("page-sized extent %d landed at offset %d", k, off)
+		}
+	}
+}
+
+// readExtent reassembles the extent of n bytes at payload offset off.
+func readExtent(t *testing.T, f *File, off int64, n int) []byte {
+	t.Helper()
+	out := make([]byte, 0, n)
+	for k, in := off/PageSize, int(off%PageSize); len(out) < n; k, in = k+1, 0 {
+		pg, err := f.Page(k)
+		if err != nil {
+			t.Fatalf("Page(%d): %v", k, err)
+		}
+		out = append(out, pg[in:min(PageSize, in+n-len(out))]...)
+		f.Release(k)
+	}
+	return out
 }
 
 func TestColdFileRoundTrip(t *testing.T) {
@@ -35,11 +76,12 @@ func TestColdFileRoundTrip(t *testing.T) {
 	path := filepath.Join(dir, "cold")
 	big := make([]byte, PageSize+123)
 	for i := range big {
-		big[i] = byte(i * 7)
+		big[i] = byte(i*7) | 1
 	}
-	bases := writeColdFile(t, path, []byte("hello"), big)
-	if bases[0] != 0 || bases[1] != 1 {
-		t.Fatalf("bases = %v, want [0 1]", bases)
+	offs := writeColdFile(t, path, []byte("hello"), big)
+	// The long extent starts at the next 8-byte boundary and straddles.
+	if offs[0] != 0 || offs[1] != 8 {
+		t.Fatalf("offsets = %v, want [0 8]", offs)
 	}
 
 	p := New(0)
@@ -48,45 +90,87 @@ func TestColdFileRoundTrip(t *testing.T) {
 		t.Fatalf("OpenCold: %v", err)
 	}
 	defer func() { _ = f.Close() }()
-	if f.Pages() != 3 {
-		t.Fatalf("Pages = %d, want 3", f.Pages())
+	if f.Pages() != 2 {
+		t.Fatalf("Pages = %d, want 2", f.Pages())
 	}
-	pg, err := f.Page(0)
-	if err != nil {
-		t.Fatalf("Page(0): %v", err)
+	if got := readExtent(t, f, offs[0], 8); !bytes.Equal(got, []byte("hello\x00\x00\x00")) {
+		t.Fatalf("first extent and its gap = %q", got)
 	}
-	if !bytes.Equal(pg[:5], []byte("hello")) {
-		t.Fatalf("page 0 = %q", pg[:5])
+	if got := readExtent(t, f, offs[1], len(big)); !bytes.Equal(got, big) {
+		t.Fatalf("straddling extent did not round-trip")
 	}
-	if pg[5] != 0 {
-		t.Fatalf("extent tail not zero-padded")
+	tail := readExtent(t, f, offs[1]+int64(len(big)), int(2*PageSize-offs[1])-len(big))
+	if !bytes.Equal(tail, make([]byte, len(tail))) {
+		t.Fatalf("tail of the last page is not zero")
 	}
-	f.Release(0)
-	got := make([]byte, 0, len(big))
-	for k := int64(1); k <= 2; k++ {
-		pg, err := f.Page(k)
-		if err != nil {
-			t.Fatalf("Page(%d): %v", k, err)
-		}
-		got = append(got, pg...)
-		f.Release(k)
-	}
-	if !bytes.Equal(got[:len(big)], big) {
-		t.Fatalf("big extent did not round-trip")
-	}
-	if _, err := f.Page(3); err == nil {
-		t.Fatalf("Page(3) past the end should fail")
+	if _, err := f.Page(2); err == nil {
+		t.Fatalf("Page(2) past the end should fail")
 	}
 	st := p.Stats()
-	if st.Faults != 3 || st.Hits != 0 {
-		t.Fatalf("stats = %+v, want 3 faults 0 hits", st)
+	if st.Faults != 2 || st.Hits != 2 {
+		t.Fatalf("stats = %+v, want 2 faults 2 hits", st)
 	}
-	if _, err := f.Page(0); err != nil {
-		t.Fatalf("re-Page(0): %v", err)
+}
+
+// TestWriterPacksExtents pins the layout rules: extents start on 8-byte
+// boundaries, one no longer than a page never straddles a page boundary,
+// a longer one starts mid-page, and a page-multiple extent appended to an
+// empty writer occupies whole pages from 0.
+func TestWriterPacksExtents(t *testing.T) {
+	dir := t.TempDir()
+	fill := func(n int, b byte) []byte { return bytes.Repeat([]byte{b}, n) }
+	extents := [][]byte{
+		fill(5, 1),          // 0
+		fill(1250, 2),       // 8: aligned up from 5
+		fill(1250, 3),       // 1264: aligned up from 1258
+		fill(1250, 4),       // 2520
+		fill(1250, 5),       // 3770 would straddle: next page
+		fill(PageSize, 6),   // a whole page never shares one
+		fill(10, 7),         // 3*PageSize
+		fill(PageSize+8, 8), // longer than a page: starts mid-page, straddles
+		fill(PageSize-16, 9),
 	}
-	f.Release(0)
-	if st := p.Stats(); st.Hits != 1 {
-		t.Fatalf("hits = %d, want 1", st.Hits)
+	want := []int64{0, 8, 1264, 2520, PageSize, 2 * PageSize, 3 * PageSize, 3*PageSize + 16, 5 * PageSize}
+	path := filepath.Join(dir, "packed")
+	offs := writeColdFile(t, path, extents...)
+	for i := range want {
+		if offs[i] != want[i] {
+			t.Fatalf("extent %d at offset %d, want %d (all: %v)", i, offs[i], want[i], offs)
+		}
+		if n := int64(len(extents[i])); n <= PageSize && offs[i]/PageSize != (offs[i]+n-1)/PageSize {
+			t.Fatalf("extent %d (%d bytes at %d) straddles a page", i, n, offs[i])
+		}
+	}
+	p := New(0)
+	f, err := p.OpenCold(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = f.Close() }()
+	if f.Pages() != 6 {
+		t.Fatalf("Pages = %d, want 6", f.Pages())
+	}
+	for i, e := range extents {
+		if got := readExtent(t, f, offs[i], len(e)); !bytes.Equal(got, e) {
+			t.Fatalf("extent %d did not round-trip", i)
+		}
+	}
+	// Gaps are zero: [1250+3770 would-be start, page end) on page 0.
+	if gap := readExtent(t, f, 3770, PageSize-3770); !bytes.Equal(gap, make([]byte, len(gap))) {
+		t.Fatalf("no-straddle gap is not zero")
+	}
+
+	whole := filepath.Join(dir, "whole")
+	if offs := writeColdFile(t, whole, make([]byte, 7*PageSize)); offs[0] != 0 {
+		t.Fatalf("page-multiple extent at offset %d, want 0", offs[0])
+	}
+	g, err := p.OpenCold(whole)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = g.Close() }()
+	if g.Pages() != 7 {
+		t.Fatalf("Pages = %d, want 7", g.Pages())
 	}
 }
 
@@ -108,6 +192,22 @@ func TestOpenRejectsUnsealedAndForeign(t *testing.T) {
 	}
 	if _, err := p.OpenCold(path); err == nil {
 		t.Fatalf("OpenCold accepted an unsealed file")
+	}
+
+	// Version 1 padded every extent to a page; its offsets mean something
+	// else, so it is refused, not read.
+	old := filepath.Join(dir, "v1")
+	writeColdFile(t, old, []byte("payload"))
+	raw, err = os.ReadFile(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(raw[8:12], 1)
+	if err := os.WriteFile(old, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.OpenCold(old); err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("OpenCold on a version-1 file: %v, want a version error", err)
 	}
 
 	foreign := filepath.Join(dir, "foreign")
@@ -273,11 +373,7 @@ func TestPagerStatsNotTorn(t *testing.T) {
 func TestConcurrentFaulting(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "cold")
-	extents := make([][]byte, 16)
-	for i := range extents {
-		extents[i] = bytes.Repeat([]byte{byte(i)}, PageSize)
-	}
-	writeColdFile(t, path, extents...)
+	writeStampedFile(t, path, 16)
 	p := New(4 * PageSize)
 	f, err := p.OpenCold(path)
 	if err != nil {
@@ -296,8 +392,10 @@ func TestConcurrentFaulting(t *testing.T) {
 					t.Errorf("Page(%d): %v", k, err)
 					return
 				}
-				if pg[0] != byte(k) {
-					t.Errorf("page %d holds %d", k, pg[0])
+				// The whole page, while pinned: a buffer recycled under a
+				// reader would show another page's stamp somewhere in it.
+				if !bytes.Equal(pg, stampedPage(k)) {
+					t.Errorf("page %d does not hold its stamp", k)
 					return
 				}
 				f.Release(k)
@@ -305,4 +403,190 @@ func TestConcurrentFaulting(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+	if st := p.Stats(); st.Evictions == 0 {
+		t.Fatalf("16 pages through a 4-frame pool evicted nothing: %+v", st)
+	}
+}
+
+// TestPinnedFrameSurvivesBufferReuse pins one page and sweeps four pools'
+// worth of other pages past it, so every other frame is evicted and its
+// buffer refilled many times over: the pinned bytes must not move, and the
+// page must read back right after it is released and re-faulted.
+func TestPinnedFrameSurvivesBufferReuse(t *testing.T) {
+	const poolPages, filePages, pinned = 8, 64, 5
+	path := filepath.Join(t.TempDir(), "cold")
+	writeStampedFile(t, path, filePages)
+	p := New(poolPages * PageSize)
+	f, err := p.OpenCold(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = f.Close() }()
+
+	held, err := f.Page(pinned)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweep := func() {
+		for k := int64(0); k < filePages; k++ {
+			if k == pinned {
+				continue
+			}
+			pg, err := f.Page(k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(pg, stampedPage(k)) {
+				t.Fatalf("page %d does not hold its stamp", k)
+			}
+			f.Release(k)
+		}
+	}
+	sweep()
+	if !bytes.Equal(held, stampedPage(pinned)) {
+		t.Fatalf("pinned page changed under a sweep of 4x the pool")
+	}
+	if st := p.Stats(); st.Evictions < filePages-poolPages-1 || st.ResidentBytes > poolPages*PageSize {
+		t.Fatalf("sweep did not churn the pool inside its budget: %+v", st)
+	}
+	f.Release(pinned)
+	sweep() // now evictable: its buffer is reused like any other
+	if _, hit, _ := p.page(f, pinned, false); hit {
+		t.Fatalf("released page survived a sweep of 4x the pool")
+	}
+	pg, err := f.Page(pinned)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(pg, stampedPage(pinned)) {
+		t.Fatalf("re-faulted page does not hold its stamp")
+	}
+	f.Release(pinned)
+}
+
+// TestSteadyStateFaultAllocatesNothing: once the pool is full, a fault is a
+// pread into the victim's buffer.
+func TestSteadyStateFaultAllocatesNothing(t *testing.T) {
+	const poolPages, filePages = 8, 32
+	path := filepath.Join(t.TempDir(), "cold")
+	writeStampedFile(t, path, filePages)
+	p := New(poolPages * PageSize)
+	f, err := p.OpenCold(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = f.Close() }()
+	sweep := func() {
+		for k := int64(0); k < filePages; k++ {
+			if _, err := f.Page(k); err != nil {
+				t.Fatal(err)
+			}
+			f.Release(k)
+		}
+	}
+	sweep() // warm-up: fills the pool and sizes the ring
+	before := p.Stats()
+	if allocs := testing.AllocsPerRun(10, sweep); allocs != 0 {
+		t.Fatalf("a sweep of %d faults allocates %v times, want 0", filePages, allocs)
+	}
+	after := p.Stats()
+	if after.Faults-before.Faults != 11*filePages || after.Hits != before.Hits {
+		t.Fatalf("the sweeps were not all faults: %+v -> %+v", before, after)
+	}
+}
+
+// TestFailedReadKeepsItsBuffer truncates a cold file under an open handle:
+// the fault must fail, the buffer it was going to fill must stay with the
+// pool, and the pool must answer for the same bytes as before.
+func TestFailedReadKeepsItsBuffer(t *testing.T) {
+	const poolPages, filePages = 4, 16
+	path := filepath.Join(t.TempDir(), "cold")
+	writeStampedFile(t, path, filePages)
+	p := New(poolPages * PageSize)
+	f, err := p.OpenCold(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = f.Close() }()
+	for k := int64(0); k < poolPages; k++ {
+		if _, err := f.Page(k); err != nil {
+			t.Fatal(err)
+		}
+		f.Release(k)
+	}
+	before := p.Stats()
+	if before.ResidentBytes != poolPages*PageSize {
+		t.Fatalf("pool not full: %+v", before)
+	}
+	if err := os.Truncate(path, (filePages/2+1)*PageSize); err != nil {
+		t.Fatal(err)
+	}
+	for k := int64(filePages / 2); k < filePages; k++ {
+		if _, err := f.Page(k); err == nil {
+			t.Fatalf("Page(%d) beyond the truncation succeeded", k)
+		}
+	}
+	after := p.Stats()
+	if after.ResidentBytes != before.ResidentBytes || after.Faults != before.Faults {
+		t.Fatalf("failed reads moved the pool: %+v -> %+v", before, after)
+	}
+	if len(p.free) != 1 || len(p.free)+len(p.ring) != poolPages {
+		t.Fatalf("buffers: %d free + %d resident, want %d in all, 1 free", len(p.free), len(p.ring), poolPages)
+	}
+	// The surviving half still faults, into the buffer the failures left
+	// and then into its own victims'.
+	want := stampedPage(filePages/2 - 1)
+	if allocs := testing.AllocsPerRun(1, func() {
+		for k := int64(0); k < filePages/2; k++ {
+			pg, err := f.Page(k)
+			if err != nil {
+				t.Fatalf("Page(%d) after failed reads: %v", k, err)
+			}
+			if k == filePages/2-1 && !bytes.Equal(pg, want) {
+				t.Fatalf("page %d does not hold its stamp", k)
+			}
+			f.Release(k)
+		}
+	}); allocs != 0 {
+		t.Fatalf("faults after failed reads allocated %v times", allocs)
+	}
+	if got := p.Stats().ResidentBytes; got != before.ResidentBytes {
+		t.Fatalf("resident bytes %d after recovery, want %d", got, before.ResidentBytes)
+	}
+}
+
+func BenchmarkPagerFault(b *testing.B) {
+	const poolPages, filePages = 64, 256
+	path := filepath.Join(b.TempDir(), "cold")
+	w, err := Create(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := w.Append(make([]byte, filePages*PageSize)); err != nil {
+		b.Fatal(err)
+	}
+	if err := w.Seal(); err != nil {
+		b.Fatal(err)
+	}
+	p := New(poolPages * PageSize)
+	f, err := p.OpenCold(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer func() { _ = f.Close() }()
+	// A sequential sweep of a file four times the pool never finds its
+	// page: CLOCK evicted it a quarter of a sweep ago.
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := int64(i % filePages)
+		if _, err := f.Page(k); err != nil {
+			b.Fatal(err)
+		}
+		f.Release(k)
+	}
+	b.StopTimer()
+	if st := p.Stats(); st.Hits != 0 {
+		b.Fatalf("benchmark hit the pool %d times; it measures faults", st.Hits)
+	}
 }

@@ -12,11 +12,12 @@ import (
 //
 // Tier splits the index's slices into a hot tier (payload resident, its
 // bytes reserved against the pager budget) and a cold tier (payload
-// serialized into a sealed page file, faulted page-at-a-time through the
-// shared buffer pool during AND chains). The split is driven by observed
-// AND participation — the per-slice touch counts internal/obs tallies
-// during a profiling run — so the slices queries actually intersect stay
-// pinned while the long tail pages in on demand.
+// serialized into a sealed, packed page file — several slices to a page,
+// hotter ones first — faulted page-at-a-time through the shared buffer
+// pool during AND chains). The split is driven by observed AND
+// participation — the per-slice touch counts internal/obs tallies during a
+// profiling run — so the slices queries actually intersect stay pinned
+// while the long tail pages in on demand.
 //
 // Tiering moves bytes, never bits: a cold slice keeps its header
 // (encoding, length, popcount) resident, so rarest-first ordering, the
@@ -34,7 +35,7 @@ import (
 // right place for it.
 type coldSource struct {
 	f    *pager.File
-	base int64 // first payload page of this slice's extent
+	base int64 // payload page holding the first byte of this slice's extent
 }
 
 func (c coldSource) Page(k int) []byte {
@@ -52,10 +53,11 @@ func (c coldSource) PageSize() int { return pager.PageSize }
 // by touches (AND-participation counts, index = slice position; nil falls
 // back to smallest-payload-first) stay resident until their summed payload
 // reaches hotBudget, and every other slice's payload moves to a sealed
-// cold file at path, replaced in the index by a cold header that faults
-// pages through pg during AND chains. The hot tier's bytes are reserved
-// against pg's budget, so pinned-hot slices and faulted cold pages compete
-// for one allowance.
+// cold file at path — packed in the same hot-first rank, so the slices most
+// likely to be AND-ed next share pages — replaced in the index by a cold
+// header that faults pages through pg during AND chains. The hot tier's
+// bytes are reserved against pg's budget, so pinned-hot slices and faulted
+// cold pages compete for one allowance.
 //
 // Single-writer only, like every mutation. Installing cold headers
 // replaces slice pointers, which is snapshot-safe (a snapshot copied the
@@ -116,25 +118,26 @@ func (b *BBS) Tier(pg *pager.Pager, path string, hotBudget int64, touches []uint
 		return nil
 	}
 
-	// Write cold payloads in ascending position: deterministic layout, one
-	// page-aligned extent per slice.
+	// Write cold payloads in rank order: a deterministic layout in which a
+	// page's neighbours are the slices touched about as often as each other,
+	// so one fault brings in the likeliest next operands.
 	w, err := pager.Create(path)
 	if err != nil {
 		return err
 	}
-	bases := make([]int64, len(b.slices))
+	offs := make([]int64, len(b.slices))
 	sizes := make([]int, len(b.slices))
-	for p, s := range b.slices {
+	for _, p := range order {
 		if !cold[p] {
 			continue
 		}
-		payload := s.EncodeCold()
-		base, err := w.Append(payload)
+		payload := b.slices[p].EncodeCold()
+		off, err := w.Append(payload)
 		if err != nil {
 			w.Abort()
 			return err
 		}
-		bases[p] = base
+		offs[p] = off
 		sizes[p] = len(payload)
 	}
 	if err := w.Seal(); err != nil {
@@ -150,7 +153,7 @@ func (b *BBS) Tier(pg *pager.Pager, path string, hotBudget int64, touches []uint
 			continue
 		}
 		b.slices[p] = bitvec.NewColdSlice(s.Encoding(), s.Len(), s.Ones(),
-			coldSource{f: f, base: bases[p]}, sizes[p])
+			coldSource{f: f, base: offs[p] / pager.PageSize}, int(offs[p]%pager.PageSize), sizes[p])
 		if b.cow != nil {
 			b.cow[p] = false // fresh header, shared with no snapshot
 		}

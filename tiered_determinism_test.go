@@ -5,12 +5,19 @@ import (
 	"testing"
 )
 
-// tieredBudget is deliberately tiny against the ~6 KiB of slice payload the
-// 400-row M=128 test index carries: most slices must go cold, and the frame
-// pool left after the hot-tier reservation is under one page, so every AND
-// chain faults and the CLOCK sweep must evict. The machinery is fully
-// exercised, not idle.
-const tieredBudget = 2 << 10
+// tieredBudget is deliberately tiny against the ~29 KiB of slice payload a
+// 4000-row M=128 test index carries (58 non-empty slices of 500 bytes): the
+// hot half holds 16 of them, the other 42 go cold — six packed pages
+// unsharded, two per shard at Shards: 4 — and the frame pool left after the
+// hot-tier reservation holds two pages, so AND chains fault and the CLOCK
+// sweep must evict. The machinery is fully exercised, not idle. The
+// fixtures are sized in thousands of rows for that reason: at a few hundred
+// the whole packed cold tier fits one page and nothing is ever evicted.
+const tieredBudget = 16 << 10
+
+// tieredTau scales a support threshold tuned for a 400-row fixture to the
+// row counts above, keeping the pattern lattice the same shape.
+const tieredTau = 10
 
 // tieredPair builds one resident and one tiered database over the same
 // transactions, tombstones, shard count and compression setting. The tiered
@@ -37,7 +44,7 @@ func tieredPair(t *testing.T, seed int64, n, shards int, compress bool, deletes 
 	}
 
 	profile := NewObserver()
-	if _, err := tiered.Mine(MineOptions{MinSupportCount: 5, Scheme: DFP, Observe: profile}); err != nil {
+	if _, err := tiered.Mine(MineOptions{MinSupportCount: 5 * tieredTau, Scheme: DFP, Observe: profile}); err != nil {
 		t.Fatalf("profiling mine: %v", err)
 	}
 	if err := tiered.Tier(tieredBudget, t.TempDir(), profile.SliceTouches()); err != nil {
@@ -63,14 +70,14 @@ func tieredPair(t *testing.T, seed int64, n, shards int, compress bool, deletes 
 func TestTieredMiningByteIdentical(t *testing.T) {
 	for _, compress := range []bool{false, true} {
 		for _, shards := range []int{1, 4} {
-			resident, tiered := tieredPair(t, 71, 400, shards, compress, []int{3, 77, 150})
+			resident, tiered := tieredPair(t, 71, 4000, shards, compress, []int{3, 77, 150})
 			for _, scheme := range []Scheme{SFS, SFP, DFS, DFP} {
 				for _, workers := range []int{1, 4} {
-					rr, err := resident.Mine(MineOptions{MinSupportCount: 5, Scheme: scheme, Workers: workers})
+					rr, err := resident.Mine(MineOptions{MinSupportCount: 5 * tieredTau, Scheme: scheme, Workers: workers})
 					if err != nil {
 						t.Fatalf("compress=%v shards=%d %v workers=%d resident: %v", compress, shards, scheme, workers, err)
 					}
-					rt, err := tiered.Mine(MineOptions{MinSupportCount: 5, Scheme: scheme, Workers: workers})
+					rt, err := tiered.Mine(MineOptions{MinSupportCount: 5 * tieredTau, Scheme: scheme, Workers: workers})
 					if err != nil {
 						t.Fatalf("compress=%v shards=%d %v workers=%d tiered: %v", compress, shards, scheme, workers, err)
 					}
@@ -97,7 +104,7 @@ func TestTieredMiningByteIdentical(t *testing.T) {
 // on both the fan-out and merged-view sides.
 func TestTieredConstrainedMiningMatches(t *testing.T) {
 	for _, shards := range []int{1, 4} {
-		resident, tiered := tieredPair(t, 72, 320, shards, false, nil)
+		resident, tiered := tieredPair(t, 72, 3200, shards, false, nil)
 		pred := func(tid int64) bool { return tid%3 != 0 }
 		cr, err := resident.NewConstraint(pred)
 		if err != nil {
@@ -108,11 +115,11 @@ func TestTieredConstrainedMiningMatches(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, scheme := range []Scheme{SFS, SFP} {
-			rr, err := resident.MineConstrained(MineOptions{MinSupportCount: 4, Scheme: scheme, Workers: 4}, cr)
+			rr, err := resident.MineConstrained(MineOptions{MinSupportCount: 4 * tieredTau, Scheme: scheme, Workers: 4}, cr)
 			if err != nil {
 				t.Fatalf("shards=%d %v resident: %v", shards, scheme, err)
 			}
-			rt, err := tiered.MineConstrained(MineOptions{MinSupportCount: 4, Scheme: scheme, Workers: 4}, ct)
+			rt, err := tiered.MineConstrained(MineOptions{MinSupportCount: 4 * tieredTau, Scheme: scheme, Workers: 4}, ct)
 			if err != nil {
 				t.Fatalf("shards=%d %v tiered: %v", shards, scheme, err)
 			}
@@ -127,7 +134,7 @@ func TestTieredConstrainedMiningMatches(t *testing.T) {
 // slices, and that Untier thaws everything back without changing an answer
 // (the Tier round trip).
 func TestTieredCountsMatch(t *testing.T) {
-	resident, tiered := tieredPair(t, 73, 280, 4, true, []int{10})
+	resident, tiered := tieredPair(t, 73, 2800, 4, true, []int{10})
 	queries := [][]int32{{1}, {2, 5}, {7, 11, 13}, {24}}
 	pred := func(tid int64) bool { return tid%7 != 0 }
 	check := func(label string) {
@@ -172,8 +179,8 @@ func TestTieredCountsMatch(t *testing.T) {
 // and every post-write answer still matches a resident database seeing the
 // same final state.
 func TestTieredWritesThaw(t *testing.T) {
-	resident, tiered := tieredPair(t, 74, 300, 1, false, nil)
-	extra := fillRandom(t, resident, 75, 40, 7, 25)
+	resident, tiered := tieredPair(t, 74, 3000, 1, false, nil)
+	extra := fillRandom(t, resident, 75, 400, 7, 25)
 	for _, tx := range extra {
 		if err := tiered.Append(tx.TID, tx.Items); err != nil {
 			t.Fatal(err)
@@ -188,11 +195,11 @@ func TestTieredWritesThaw(t *testing.T) {
 		}
 	}
 	for _, scheme := range []Scheme{SFS, DFP} {
-		rr, err := resident.Mine(MineOptions{MinSupportCount: 5, Scheme: scheme})
+		rr, err := resident.Mine(MineOptions{MinSupportCount: 5 * tieredTau, Scheme: scheme})
 		if err != nil {
 			t.Fatal(err)
 		}
-		rt, err := tiered.Mine(MineOptions{MinSupportCount: 5, Scheme: scheme})
+		rt, err := tiered.Mine(MineOptions{MinSupportCount: 5 * tieredTau, Scheme: scheme})
 		if err != nil {
 			t.Fatal(err)
 		}
