@@ -3,23 +3,29 @@ package bitvec
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 )
 
-// Pool is a concurrency-safe free list of equal-length Vectors. The parallel
-// mining engine hands residual and scratch vectors between workers through a
-// Pool so the slice-AND hot path stays allocation-free after warm-up: a
-// subtree's residual vector is taken from the pool when the subtree is
-// scheduled and returned as soon as it has been mined.
+// Pool is a concurrency-safe free list of equal-length Vectors. The mining
+// engine keeps every live residual in a vector from its run's Pool and hands
+// vectors between workers through it, so the AND hot path stays
+// allocation-free after warm-up: a residual is taken when an extension
+// reaches τ and returned once the enumeration has passed it.
+//
+// The list is the pool's own (a mutex and a stack, taken only when an
+// extension survives or is released, never per AND) rather than a sync.Pool:
+// a run's pool dies with the run, and its vectors should be garbage at that
+// moment, not reachable through a victim cache for two more collections.
 //
 // Vectors returned by Get have the pool's fixed length but unspecified
 // contents; callers overwrite them (CopyFrom, SetAll) before use.
 type Pool struct {
 	n int
-	p sync.Pool
 
-	gets   atomic.Int64 // vectors handed out
-	misses atomic.Int64 // gets that had to allocate a fresh vector
+	mu     sync.Mutex
+	free   []*Vector
+	gets   int64 // vectors handed out
+	misses int64 // gets that had to allocate a fresh vector
+	puts   int64 // vectors taken back
 }
 
 // NewPool returns a pool of n-bit vectors.
@@ -27,12 +33,7 @@ func NewPool(n int) *Pool {
 	if n < 0 {
 		panic(fmt.Sprintf("bitvec: negative pool length %d", n))
 	}
-	pl := &Pool{n: n}
-	pl.p.New = func() any {
-		pl.misses.Add(1)
-		return New(n)
-	}
-	return pl
+	return &Pool{n: n}
 }
 
 // Len returns the length, in bits, of the vectors the pool hands out.
@@ -40,14 +41,34 @@ func (p *Pool) Len() int { return p.n }
 
 // Get returns a vector of length Len() with unspecified contents.
 func (p *Pool) Get() *Vector {
-	p.gets.Add(1)
-	return p.p.Get().(*Vector)
+	p.mu.Lock()
+	p.gets++
+	if last := len(p.free) - 1; last >= 0 {
+		v := p.free[last]
+		p.free = p.free[:last]
+		p.mu.Unlock()
+		return v
+	}
+	p.misses++
+	p.mu.Unlock()
+	return New(p.n)
 }
 
 // Counters returns the pool's lifetime traffic: gets handed out, of which
 // misses were fresh allocations. The difference is the reuse the pool won.
 func (p *Pool) Counters() (gets, misses int64) {
-	return p.gets.Load(), p.misses.Load()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.gets, p.misses
+}
+
+// Outstanding returns how many vectors are out on loan: gets minus the puts
+// that returned one. A run that has released everything it took reads 0,
+// which is what the leak tests assert.
+func (p *Pool) Outstanding() int64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.gets - p.puts
 }
 
 // Put returns a vector to the pool. Vectors of the wrong length (or nil) are
@@ -56,5 +77,8 @@ func (p *Pool) Put(v *Vector) {
 	if v == nil || v.Len() != p.n {
 		return
 	}
-	p.p.Put(v)
+	p.mu.Lock()
+	p.puts++
+	p.free = append(p.free, v)
+	p.mu.Unlock()
 }

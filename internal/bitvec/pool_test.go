@@ -23,8 +23,18 @@ func TestPoolGetPut(t *testing.T) {
 	}
 	p.Put(nil)     // dropped, no panic
 	p.Put(New(64)) // wrong length: dropped
-	if got := p.Get(); got.Len() != 130 {
+	got := p.Get()
+	if got.Len() != 130 {
 		t.Fatalf("pool handed out wrong-length vector (%d bits)", got.Len())
+	}
+	// w and got are out; the nil and wrong-length puts returned nothing.
+	if n := p.Outstanding(); n != 2 {
+		t.Fatalf("Outstanding() = %d with two vectors on loan", n)
+	}
+	p.Put(w)
+	p.Put(got)
+	if n := p.Outstanding(); n != 0 {
+		t.Fatalf("Outstanding() = %d after everything came back", n)
 	}
 }
 

@@ -226,3 +226,60 @@ func BenchmarkAndSliceSparse(b *testing.B) {
 		}
 	})
 }
+
+// The identity the mining enumeration rests on: with P a node's residual,
+// R_i = P ∧ slices(i) and R_j = P ∧ slices(j), AND-ing R_j into R_i gives
+// exactly what AND-ing slices(j) into R_i gives — bits and count — because
+// R_i ⊆ P. It must hold whatever mode either residual is in and whatever
+// encoding the slices are stored under.
+func TestSiblingResidualIdentity(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	chain := func(dst *Vector, slices []*Slice) int {
+		c := dst.Count()
+		for _, s := range slices {
+			c = s.AndCountInto(dst)
+		}
+		return c
+	}
+	for trial := 0; trial < 300; trial++ {
+		n := 64 + rng.Intn(4096)
+		parent := randomVector(rng, n, []float64{0.02, 0.3, 1}[rng.Intn(3)])
+		item := func() []*Slice {
+			out := make([]*Slice, 1+rng.Intn(4))
+			for k := range out {
+				v := randomVector(rng, n, []float64{0.01, 0.2, 0.7}[rng.Intn(3)])
+				out[k] = DenseSliceOf(v).Recompress(n, rng.Intn(2) == 0)
+			}
+			return out
+		}
+		si, sj := item(), item()
+		ri, rj := parent.Clone(), parent.Clone()
+		chain(ri, si)
+		chain(rj, sj)
+
+		want := ri.Clone()
+		wantCount := chain(want, sj)
+
+		for mode := 0; mode < 4; mode++ {
+			a, b := ri.Clone(), rj.Clone()
+			if mode&1 != 0 {
+				a.Summarize()
+			}
+			if mode&2 != 0 {
+				b.Summarize()
+			}
+			got := New(0)
+			got.CopyFrom(a)
+			if c := got.AndCount(b); c != wantCount {
+				t.Fatalf("trial %d mode %d: residual AND counts %d, slice chain %d", trial, mode, c, wantCount)
+			}
+			if !got.Equal(want) {
+				t.Fatalf("trial %d mode %d: residual AND and slice chain leave different bits", trial, mode)
+			}
+			checkSummary(t, got)
+			if !b.Equal(rj) {
+				t.Fatalf("trial %d mode %d: the sibling operand was written", trial, mode)
+			}
+		}
+	}
+}

@@ -6,28 +6,43 @@ import (
 	"bbsmine/internal/mining"
 )
 
-// BenchmarkEvalExtension times the per-node extension evaluation — the
-// mining inner loop — with the level-1 sweep already done, so the cached,
-// rarest-first positions and the incremental AND are what is measured.
-func BenchmarkEvalExtension(b *testing.B) {
+// sweptRun returns a run whose level-1 sweep is done and whose root
+// extensions are still alive, which is the state every evaluation below
+// level 1 starts from (filter releases the residuals before it returns).
+func sweptRun(b *testing.B, m *Miner, tau int) (*run, []ext) {
+	b.Helper()
+	r := newRun(m, m.idx, Config{MinSupport: tau, Scheme: DFS, Workers: 1})
+	seeds := r.sweep()
+	if len(seeds) < 2 {
+		b.Fatal("fewer than two level-1 survivors; raise density or lower tau")
+	}
+	return r, seeds
+}
+
+// BenchmarkEvalSibling times the per-node extension evaluation — the mining
+// inner loop: copy the parent's residual, AND one sibling's into it, count.
+func BenchmarkEvalSibling(b *testing.B) {
 	txs := questDB(b, 2000, 500)
 	m, _ := buildMiner(b, txs, 800, 4)
-	tau := mining.MinSupportCount(0.01, len(txs))
-
-	r := newRun(m, m.idx, Config{MinSupport: tau, Scheme: DFS, Workers: 1})
-	r.filter() // populates items/est1/act1/posCache
-	if len(r.items) == 0 {
-		b.Fatal("no level-1 survivors; raise density or lower tau")
-	}
-
-	scratch := r.vecs.Get()
-	defer r.vecs.Put(scratch)
-	var newPos []int
+	r, seeds := sweptRun(b, m, mining.MinSupportCount(0.01, len(txs)))
+	parent := seeds[0].vec
+	parent.MaybeSummarize(seeds[0].est)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		gi := i % len(r.items)
-		newPos = newPos[:0]
-		r.evalExtension(scratch, r.rootVec, r.rootEst, r.items[gi], r.posCache[gi], &newPos)
+		r.evalSibling(parent, seeds[1+i%(len(seeds)-1)].vec)
+	}
+}
+
+// BenchmarkEvalChain times the slice-chain evaluator over the level-1
+// alphabet: positions from the hasher, ordered rarest first, AND-ed into a
+// copy of the root with the early exit.
+func BenchmarkEvalChain(b *testing.B) {
+	txs := questDB(b, 2000, 500)
+	m, _ := buildMiner(b, txs, 800, 4)
+	r, _ := sweptRun(b, m, mining.MinSupportCount(0.01, len(txs)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.evalChain(r.rootVec, r.rootEst, r.items[i%len(r.items)])
 	}
 }
 
@@ -46,3 +61,27 @@ func BenchmarkMineDFP(b *testing.B) {
 		}
 	}
 }
+
+// benchmarkMineFig6 mines the paper's default workload as bbsperf does:
+// T10.I10.D10K over 10000 items, m = 1600 slices, k = 4, τ = 0.3% = 30.
+func benchmarkMineFig6(b *testing.B, compress bool) {
+	txs := questDB(b, 10000, 10000)
+	m, _ := buildMiner(b, txs, 1600, 4)
+	if compress {
+		m.idx.SetCompression(true)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := m.Mine(Config{MinSupport: 30, Scheme: DFP, Workers: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkMineFig6Dense and BenchmarkMineFig6Compressed mine the same data
+// from dense and from compressed slices. Below level 1 a mine works on
+// resident residuals only, so the two should differ by the level-1 sweep's
+// cost and nothing else.
+func BenchmarkMineFig6Dense(b *testing.B)      { benchmarkMineFig6(b, false) }
+func BenchmarkMineFig6Compressed(b *testing.B) { benchmarkMineFig6(b, true) }

@@ -7,13 +7,16 @@
 //   - DFP — DualFilter + Probe (phases integrated; the paper's winner)
 //
 // Filtering enumerates itemsets depth-first over the item order (paper
-// Fig. 2/4), estimating supports with CountItemSet on the BBS. The child of
-// an itemset reuses its parent's residual slice intersection and ANDs only
-// the new item's slices — an implementation of the same algorithm that
-// avoids recomputing the full intersection (ablated in the benchmarks).
-// Items whose level-1 estimate is below τ are excluded from the item order
-// up front: by the monotonicity of slice intersection (Lemma 3/4), no
-// superset can reach τ, so the pruning is semantics-preserving.
+// Fig. 2/4), estimating supports with CountItemSet on the BBS. Items whose
+// level-1 estimate is below τ are excluded from the item order up front: by
+// the monotonicity of slice intersection (Lemma 3/4), no superset can reach
+// τ, so the pruning is semantics-preserving. That level-1 sweep is the only
+// time a mine reads the index: it keeps each survivor's residual (the root ∧
+// the item's slices), and below it an extension is evaluated as one AND of
+// two resident residuals — the current itemset's and the one the extension
+// item was left with as a sibling at the parent node — the same slice
+// intersection bit for bit (see run.filter). The slice-chain evaluation
+// remains as the ablation path and the tests' oracle.
 //
 // The dual filter tracks a (flag, count) pair per itemset, per the paper's
 // CheckCount (Fig. 3), certifying most candidates as frequent — often with
@@ -35,8 +38,9 @@
 // alphabet — and refinement fans out with it: probe fetches split by
 // position range, SequentialScan verification sharded over per-worker
 // counters. Workers share nothing mutable except the concurrency-safe
-// vector pool and the atomic iostat counters; each keeps private scratch
-// vectors so the slice-AND hot path stays allocation-free.
+// vector pool and the atomic iostat counters; the root's residuals are shared
+// read-only operands, and each worker keeps a private evaluation buffer and
+// extension buffers so the AND hot path stays allocation-free.
 //
 // The engine is deterministic: partial results merge in the sequential
 // enumeration order and every Result counter is a sum over independent
@@ -130,19 +134,20 @@ type Config struct {
 	// determinism tests run with it on.
 	Observe *obs.Registry
 
-	// NoEarlyExit disables the below-τ early exit while AND-ing an item's
-	// slices, so every slice of every evaluated extension is processed.
-	// Ablation knob; results are unchanged.
+	// The ablation knobs; none changes a Result. The first two move the
+	// enumeration below level 1 from sibling residuals to the slice-chain
+	// evaluator of the level-1 sweep (run.evalChain).
+	//
+	// NoEarlyExit ANDs every slice of every evaluated extension into the
+	// parent's residual, without the below-τ early exit.
 	NoEarlyExit bool
 	// NoIncrementalAnd recomputes each candidate's slice intersection from
-	// scratch (all items' slices) instead of reusing the parent's residual
-	// vector. Ablation knob; results are unchanged.
+	// the root (all members' slices) instead of from the parent's residual.
 	NoIncrementalAnd bool
-	// NoSliceOrdering keeps each alphabet item's cached slice positions in
-	// ascending position order instead of rarest-first (ascending per-slice
-	// popcount), so the below-τ early exit fires as late as the seed's.
-	// Scoped to the enumeration hot path; ad-hoc CountItemSet queries
-	// always order rarest-first. Ablation knob; results are unchanged.
+	// NoSliceOrdering ANDs a chain's slices in ascending position order
+	// instead of rarest-first (ascending per-slice popcount), so the early
+	// exit fires as late as the seed's. Ad-hoc CountItemSet queries always
+	// order rarest-first.
 	NoSliceOrdering bool
 }
 

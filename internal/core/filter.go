@@ -42,16 +42,19 @@ type run struct {
 	est1  []int       // BBS estimate of each alphabet item's support
 	act1  []int       // exact support of each alphabet item (dual filter info)
 
-	// posCache[gi] holds items[gi]'s distinct slice positions, computed
-	// once during the level-1 sweep, so evalExtension never goes back to
-	// the hasher (a lock-guarded memo map at best, MD5 at worst — per node
-	// visit times alphabet size). Ordered rarest-first by slice popcount
-	// unless Config.NoSliceOrdering, which also orders the newPos subsets
-	// derived from it. Read-only after the sweep; shared by worker clones.
-	posCache [][]int
+	// chain selects evalChain over evalSibling below level 1 (the
+	// NoIncrementalAnd and NoEarlyExit ablations); pos is its position scratch.
+	chain bool
+	pos   []int
 
-	applied []bool           // slice positions already ANDed into the path
-	scratch []*bitvec.Vector // one evaluation buffer per depth
+	// buf is the evaluation buffer. An extension that reaches τ takes it as
+	// its residual and a fresh one comes from the pool.
+	buf *bitvec.Vector
+	// exts[d] is the extension buffer every node at depth d reuses (some 97%
+	// of evaluations are filtered, so sizing one per node to its alphabet is
+	// nearly all waste). A node's children read exts[d][si+1:] as their
+	// alphabets while writing exts[d+1].
+	exts [][]ext
 
 	rootVec *bitvec.Vector // level-0 residual (all ones, or the constraint)
 	rootEst int
@@ -105,7 +108,8 @@ func newRun(m *Miner, idx *sigfile.BBS, cfg Config) *run {
 		tau:          cfg.MinSupport,
 		workers:      cfg.workerCount(),
 		vecs:         bitvec.NewPool(idx.Len()),
-		applied:      make([]bool, idx.M()),
+		chain:        cfg.NoIncrementalAnd || cfg.NoEarlyExit,
+		itemset:      make([]txdb.Item, 0, pathCap),
 		obs:          cfg.Observe,
 		traceSubtree: -1,
 	}
@@ -143,18 +147,28 @@ func (r *run) flushKernel() {
 	r.kern = obs.KernelSample{}
 }
 
+// pathCap is the initial capacity of a run's itemset: evalChain and
+// evaluateCandidate append the extension item past the path's length without
+// keeping the result, which allocates only when the path has no room.
+const pathCap = 16
+
 // ext is one evaluated extension of the current itemset: an alphabet item
 // whose estimated support with the itemset reached τ. Every ext stays in
 // the sibling subtrees' alphabets (the paper's GenerateAndFilter removes an
 // item from I only for its own subtree); exts that additionally survived
 // the scheme's checks descend into subtrees of their own.
+//
+// vec is the extension's residual, parent ∧ slices(item). Every ext keeps
+// one, descending or not — a dual-filter flag -1 or a failed probe stops the
+// chain, but the item stays in its earlier siblings' alphabets, where the
+// residual is the operand their subtrees AND against — until descend has
+// passed it.
 type ext struct {
 	gi      int // index into run.items / est1 / act1
 	est     int
 	count   int // dual filter: the count CheckCount (or a probe) settled on
 	flag    int
-	vec     *bitvec.Vector // residual vector; kept only when descend is set
-	newPos  []int          // slice positions this item added over the parent
+	vec     *bitvec.Vector
 	descend bool
 }
 
@@ -177,232 +191,221 @@ func (r *run) root() (*bitvec.Vector, int) {
 // an itemset are exactly its parent's surviving extensions, which is the
 // same enumeration with the guaranteed-failing evaluations skipped.
 //
+// The sweep is the only place the enumeration reads the index. It keeps each
+// survivor's residual R_i = root ∧ slices(i), and from there on an extension
+// is evaluated against a sibling's residual (evalSibling): at a node with
+// residual P, sibling j owns R_j = P ∧ slices(j) and child i has R_i ⊆ P, so
+// R_i ∧ slices(j) = R_i ∧ P ∧ slices(j) = R_i ∧ R_j, bit for bit —
+// CountItemSet's intersection from two resident vectors, whatever storage
+// the slices themselves sit in.
+//
 // With workers > 1 the enumeration below level 1 fans out across the worker
 // pool (filterParallel); the result is identical to the sequential pass.
 func (r *run) filter() {
 	sweepTick := r.obs.Tick()
-	r.rootVec, r.rootEst = r.root()
-
-	all := r.idx.Items() // ascending — the canonical level-1 enumeration order
-
-	// Level-1 sweep. The alphabet arrays (items/est1/act1) are what
-	// CheckCount consults for I1 = {i} at any depth, and each survivor's
-	// deduped, ordered positions are cached for every later evaluation.
-	buf := r.vecs.Get()
-	var newPos, pos []int
-	for _, it := range all {
-		if r.cancelled() {
-			break
-		}
-		pos = sighash.AppendSignatureBits(pos[:0], r.idx.Hasher(), []int32{it})
-		if !r.cfg.NoSliceOrdering {
-			r.idx.OrderRarestFirst(pos)
-		}
-		newPos = newPos[:0]
-		est := r.evalExtension(buf, r.rootVec, r.rootEst, it, pos, &newPos)
-		if est >= r.tau {
-			r.items = append(r.items, it)
-			r.est1 = append(r.est1, est)
-			r.act1 = append(r.act1, r.idx.ExactCount(it))
-			r.posCache = append(r.posCache, append([]int(nil), pos...))
-		}
-	}
-	r.vecs.Put(buf)
-	if r.obs != nil {
-		// The sweep consulted the hasher for every item; reclassify its
-		// evaluations from cache hits (evalExtension's default) to misses.
-		r.kern.PosCacheHits -= int64(len(all))
-		r.kern.PosCacheMisses += int64(len(all))
-	}
+	seeds := r.sweep()
 	r.obs.PhaseDone(obs.PhaseLevel1, sweepTick)
 
 	enumTick := r.obs.Tick()
-	if r.err != nil {
-		r.obs.PhaseDone(obs.PhaseEnumerate, enumTick)
-		r.flushKernel()
-		return
+	if r.err == nil {
+		// The survivors are the root's extensions, already evaluated.
+		for i := range seeds {
+			r.evaluateCandidate(&seeds[i], r.rootEst, 0, flagCertainActual, 0)
+		}
+		if r.workers > 1 {
+			r.filterParallel(seeds)
+		} else {
+			r.descend(seeds)
+		}
 	}
-	alphabet := make([]int, len(r.items))
-	for i := range alphabet {
-		alphabet[i] = i
+	// descend released what it passed; the parallel engine's root residuals
+	// stayed shared operands to the end, a cancelled sweep's were never used.
+	for i := range seeds {
+		r.vecs.Put(seeds[i].vec)
 	}
-	if r.workers > 1 {
-		r.filterParallel(alphabet)
-	} else {
-		r.node(alphabet, r.rootVec, r.rootEst, 0, flagCertainActual)
-	}
+	r.vecs.Put(r.buf)
+	r.buf = nil
 	r.obs.PhaseDone(obs.PhaseEnumerate, enumTick)
 	r.flushKernel()
 }
 
-// evalExtension computes est(r.itemset ∪ {it}) into scratch and records the
-// slice positions the item adds over the current path. itemPos is the item's
-// distinct slice positions — r.posCache[gi] below level 1, the sweep's
-// scratch during it — and newPos inherits its order, so rarest-first
-// propagates from the cache into the AND loop. The default path reuses the
-// parent's residual vector and ANDs only the new positions, with an early
-// exit once the count falls below τ; the ablation knobs
-// (Config.NoIncrementalAnd, Config.NoEarlyExit) fall back to the naive
-// evaluations the benchmarks compare against.
-//
-//lint:hotpath
-func (r *run) evalExtension(scratch, parentVec *bitvec.Vector, parentEst int, it txdb.Item, itemPos []int, newPos *[]int) int {
-	r.m.stats.AddCountCall()
-	for _, p := range itemPos {
-		if !r.applied[p] {
-			*newPos = append(*newPos, p)
-		}
-	}
-	if r.cfg.NoIncrementalAnd {
-		// Recompute the whole intersection: every member's slices, then the
-		// new item's. Duplicate positions re-AND harmlessly; that waste is
-		// what the ablation measures.
-		scratch.CopyFrom(r.rootVec)
-		est := r.rootEst
-		// Iterate r.itemset then it by index: append(r.itemset, it) would
-		// copy the itemset into a fresh array on every candidate.
-		for i := 0; i <= len(r.itemset); i++ {
-			member := it
-			if i < len(r.itemset) {
-				member = r.itemset[i]
-			}
-			for _, p := range r.idx.Hasher().Positions(member) {
-				est = r.idx.AndSlice(scratch, p)
-				if est < r.tau && !r.cfg.NoEarlyExit {
-					return est
-				}
-			}
-		}
-		return est
-	}
-	scratch.CopyFrom(parentVec)
-	est := parentEst
-	if r.obs != nil {
-		return r.evalExtensionObserved(scratch, est, *newPos)
-	}
-	for _, p := range *newPos {
-		est = r.idx.AndSlice(scratch, p)
-		if est < r.tau && !r.cfg.NoEarlyExit {
+// sweep is the level-1 pass: it evaluates every item of the index against
+// the root, fills the alphabet arrays (items/est1/act1 — what CheckCount
+// consults for I1 = {i} at any depth) and returns the survivors with their
+// residuals: the root's extensions, evaluated but not yet admitted.
+func (r *run) sweep() []ext {
+	r.rootVec, r.rootEst = r.root()
+	r.buf = r.vecs.Get()
+	var seeds []ext
+	for _, it := range r.idx.Items() { // ascending — the canonical level-1 order
+		if r.cancelled() {
 			break
 		}
+		est := r.evalChain(r.rootVec, r.rootEst, it)
+		if est >= r.tau {
+			seeds = append(seeds, ext{gi: len(r.items), est: est, vec: r.buf})
+			r.buf = r.vecs.Get()
+			r.items = append(r.items, it)
+			r.est1 = append(r.est1, est)
+			r.act1 = append(r.act1, r.idx.ExactCount(it))
+		}
 	}
-	return est
+	return seeds
 }
 
-// evalExtensionObserved is evalExtension's AND loop with kernel telemetry:
-// identical slices, order and early exit, plus per-AND accounting of which
-// kernel ran and how many words it visited, batched into r.kern. Split out
-// so the uninstrumented loop pays exactly one branch.
-func (r *run) evalExtensionObserved(scratch *bitvec.Vector, est int, newPos []int) int {
+// evalSibling computes est(r.itemset ∪ {j}) into r.buf as one AND of two
+// resident residuals: parentVec, the current itemset's, and sib, the one the
+// parent node left sibling j with (see filter for why that is the slice
+// intersection) — one n-bit AND in the paper's cost model, charged as one.
+// The verdict equals the slice chain's: a chain's partial counts are ≥ the
+// full intersection's, so it ends below τ iff this count is below τ and
+// completes with this count otherwise.
+//
+//lint:hotpath
+func (r *run) evalSibling(parentVec, sib *bitvec.Vector) int {
+	r.m.stats.AddCountCall()
+	r.m.stats.AddSliceAnd()
+	r.buf.CopyFrom(parentVec)
+	if r.obs != nil {
+		r.tallyAnd(bitvec.EncDense)
+		r.kern.Evals++
+		r.kern.PosCacheHits++
+		r.obs.ObserveAndDepth(1)
+	}
+	return r.buf.AndCount(sib)
+}
+
+// evalChain is the slice-chain evaluator, the paper's CountItemSet as
+// written: AND the slices the item's signature selects into a copy of the
+// parent's residual, rarest first, and stop once the count falls below τ.
+// The level-1 sweep evaluates with it, and so do the ablation knobs below
+// level 1 — NoIncrementalAnd restarts from the root over every member's
+// slices (the tests' oracle for evalSibling), NoEarlyExit runs each chain to
+// its end, NoSliceOrdering keeps ascending position order.
+func (r *run) evalChain(parentVec *bitvec.Vector, parentEst int, it txdb.Item) int {
+	r.m.stats.AddCountCall()
+	est, members := parentEst, append(r.itemset, it)
+	if r.cfg.NoIncrementalAnd {
+		parentVec, est = r.rootVec, r.rootEst
+	} else {
+		members = members[len(r.itemset):]
+	}
+	r.pos = sighash.AppendSignatureBits(r.pos[:0], r.idx.Hasher(), members)
+	if !r.cfg.NoSliceOrdering {
+		r.idx.OrderRarestFirst(r.pos)
+	}
+	r.buf.CopyFrom(parentVec)
 	done := 0
-	for _, p := range newPos {
-		words, sparse := scratch.WordStats()
-		if sparse {
-			r.kern.AndsSparse++
-			r.kern.WordsSparse += int64(words)
-		} else {
-			r.kern.AndsDense++
-			r.kern.WordsDense += int64(words)
+	for _, p := range r.pos {
+		if r.obs != nil {
+			r.tallyAnd(r.idx.SliceEncoding(p))
 		}
-		r.kern.CountEncoding(int(r.idx.SliceEncoding(p)))
-		est = r.idx.AndSlice(scratch, p)
+		est = r.idx.AndSlice(r.buf, p)
 		done++
 		if est < r.tau && !r.cfg.NoEarlyExit {
 			break
 		}
 	}
-	r.kern.Evals++
-	r.kern.PosCacheHits++ // positions came from posCache; the sweep reclassifies its own
-	if done < len(newPos) {
-		r.kern.EarlyExits++
+	if r.obs != nil {
+		r.kern.Evals++
+		r.kern.PosCacheMisses++
+		if done < len(r.pos) {
+			r.kern.EarlyExits++
+		}
+		r.obs.ObserveAndDepth(int64(done))
 	}
-	r.obs.ObserveAndDepth(int64(done))
 	return est
+}
+
+// tallyAnd accounts the AND r.buf is about to take: which kernel its mode
+// selects and how many words that kernel will visit, and the encoding of the
+// source (a sibling residual counts as dense words, which it is).
+func (r *run) tallyAnd(enc bitvec.Encoding) {
+	words, sparse := r.buf.WordStats()
+	if sparse {
+		r.kern.AndsSparse++
+		r.kern.WordsSparse += int64(words)
+	} else {
+		r.kern.AndsDense++
+		r.kern.WordsDense += int64(words)
+	}
+	r.kern.CountEncoding(int(enc))
 }
 
 // node processes one itemset (the current r.itemset): evaluate every
 // alphabet extension, record candidates per the scheme, then recurse into
 // the extensions that survived, each seeing the later extensions as its
-// alphabet (paper Figs. 2/4: I ← I − {i}, recurse on the remaining I).
-func (r *run) node(alphabet []int, parentVec *bitvec.Vector, parentEst, parentCount, parentFlag int) {
+// alphabet (paper Figs. 2/4: I ← I − {i}, recurse on the remaining I). The
+// alphabet is the later part of the parent node's extensions, residuals
+// included.
+func (r *run) node(alphabet []ext, parentVec *bitvec.Vector, parentEst, parentCount, parentFlag int) {
 	if len(alphabet) == 0 || r.cancelled() {
 		return
 	}
 	if r.cfg.MaxLen > 0 && len(r.itemset) >= r.cfg.MaxLen {
 		return
 	}
-	depth := len(r.itemset)
-	for len(r.scratch) <= depth {
-		r.scratch = append(r.scratch, r.vecs.Get())
-	}
-	exts := r.expandNode(alphabet, r.scratch[depth], parentVec, parentEst, parentCount, parentFlag)
+	r.descend(r.expandNode(alphabet, parentVec, parentEst, parentCount, parentFlag))
+}
 
+// descend recurses into the extensions that survived the scheme's checks, in
+// order, and releases every extension's residual as it passes: by then the
+// earlier siblings' subtrees — the only other readers — are done.
+func (r *run) descend(exts []ext) {
 	for si := range exts {
 		e := &exts[si]
-		if !e.descend {
-			continue
+		if e.descend {
+			r.itemset = append(r.itemset, r.items[e.gi])
+			if r.obs.Tracing() {
+				r.obs.Emit(obs.Event{Kind: "descend", Subtree: r.traceSubtree,
+					Depth: len(r.itemset), Items: snapshot(r.itemset), Est: e.est})
+			}
+			r.node(exts[si+1:], e.vec, e.est, e.count, e.flag)
+			r.itemset = r.itemset[:len(r.itemset)-1]
 		}
-		childAlphabet := make([]int, 0, len(exts)-si-1)
-		for _, later := range exts[si+1:] {
-			childAlphabet = append(childAlphabet, later.gi)
-		}
-		for _, p := range e.newPos {
-			r.applied[p] = true
-		}
-		r.itemset = append(r.itemset, r.items[e.gi])
-		if r.obs.Tracing() {
-			r.obs.Emit(obs.Event{Kind: "descend", Subtree: r.traceSubtree,
-				Depth: len(r.itemset), Items: snapshot(r.itemset), Est: e.est})
-		}
-		r.node(childAlphabet, e.vec, e.est, e.count, e.flag)
-		r.itemset = r.itemset[:len(r.itemset)-1]
-		for _, p := range e.newPos {
-			r.applied[p] = false
-		}
-		r.vecs.Put(e.vec) // release before the next sibling's subtree
+		r.vecs.Put(e.vec)
 		e.vec = nil
 	}
 }
 
 // expandNode evaluates every alphabet extension of the current itemset and
 // applies the scheme-specific candidate handling; it is the first half of
-// node, shared with the parallel engine, which turns the surviving
-// extensions of the root into subtree tasks instead of recursing.
-func (r *run) expandNode(alphabet []int, scratch, parentVec *bitvec.Vector, parentEst, parentCount, parentFlag int) []ext {
+// node.
+func (r *run) expandNode(alphabet []ext, parentVec *bitvec.Vector, parentEst, parentCount, parentFlag int) []ext {
 	depth := len(r.itemset)
-	exts := make([]ext, 0, len(alphabet))
-	var newPos []int
-	for _, gi := range alphabet {
-		it := r.items[gi]
-		newPos = newPos[:0]
-		est := r.evalExtension(scratch, parentVec, parentEst, it, r.posCache[gi], &newPos)
+	for len(r.exts) <= depth {
+		r.exts = append(r.exts, nil)
+	}
+	exts := r.exts[depth][:0]
+	for i := range alphabet {
+		sib := &alphabet[i]
+		var est int
+		if r.chain {
+			est = r.evalChain(parentVec, parentEst, r.items[sib.gi])
+		} else {
+			est = r.evalSibling(parentVec, sib.vec)
+		}
 		if est < r.tau {
 			if r.obs.Tracing() {
 				r.obs.Emit(obs.Event{Kind: "verdict", Verdict: "below_tau", Subtree: r.traceSubtree,
-					Depth: depth + 1, Items: append(snapshot(r.itemset), it), Est: est})
+					Depth: depth + 1, Items: append(snapshot(r.itemset), r.items[sib.gi]), Est: est})
 			}
 			continue // filtered out; gone from every subtree (monotonicity)
 		}
-		r.candidates++
-		r.m.stats.AddCandidate()
-
-		e := ext{gi: gi, est: est, newPos: append([]int(nil), newPos...)}
-		r.evaluateCandidate(&e, scratch, parentEst, parentCount, parentFlag, depth)
-		if e.descend {
-			e.vec = r.vecs.Get()
-			e.vec.CopyFrom(scratch)
-			// This residual seeds a whole subtree of ANDs; if it has gone
-			// sparse, pay one sweep now so they all run the sparse kernel.
-			e.vec.MaybeSummarize(est)
-		}
-		exts = append(exts, e)
+		exts = append(exts, ext{gi: sib.gi, est: est, vec: r.buf})
+		r.buf = r.vecs.Get()
+		r.evaluateCandidate(&exts[len(exts)-1], parentEst, parentCount, parentFlag, depth)
 	}
+	r.exts[depth] = exts
 	return exts
 }
 
-// evaluateCandidate applies the scheme-specific handling to one candidate
-// (r.itemset ∪ alphabet item), deciding acceptance and descent.
-func (r *run) evaluateCandidate(e *ext, vec *bitvec.Vector, parentEst, parentCount, parentFlag, depth int) {
+// evaluateCandidate records an extension that reached τ as a candidate
+// (r.itemset ∪ alphabet item) and applies the scheme-specific handling,
+// deciding acceptance and descent.
+func (r *run) evaluateCandidate(e *ext, parentEst, parentCount, parentFlag, depth int) {
+	r.candidates++
+	r.m.stats.AddCandidate()
 	itemset := append(r.itemset, r.items[e.gi])
 	probing := r.cfg.Scheme.probes() && !r.disableProbing
 
@@ -420,7 +423,7 @@ func (r *run) evaluateCandidate(e *ext, vec *bitvec.Vector, parentEst, parentCou
 
 	case !r.cfg.Scheme.dualFilter():
 		// SFP: probe immediately; a failed probe stops the chain here.
-		exact := r.probeExact(vec, itemset)
+		exact := r.probeExact(e.vec, itemset)
 		if exact >= r.tau {
 			r.accepted = append(r.accepted, Pattern{Items: snapshot(itemset), Support: exact, Exact: true})
 			e.descend = true
@@ -461,7 +464,7 @@ func (r *run) evaluateCandidate(e *ext, vec *bitvec.Vector, parentEst, parentCou
 		case probing:
 			// DFP: probe the uncertain node now; its exact count re-enters
 			// CheckCount for the whole subtree.
-			exact := r.probeExact(vec, itemset)
+			exact := r.probeExact(e.vec, itemset)
 			if exact >= r.tau {
 				r.accepted = append(r.accepted, Pattern{Items: snapshot(itemset), Support: exact, Exact: true})
 				e.flag, e.count = flagCertainActual, exact
@@ -478,6 +481,11 @@ func (r *run) evaluateCandidate(e *ext, vec *bitvec.Vector, parentEst, parentCou
 			r.uncertainCnt++
 			e.descend = true
 		}
+	}
+	if e.descend {
+		// This residual seeds a whole subtree of ANDs; if it has gone
+		// sparse, pay one sweep now so they all run the sparse kernel.
+		e.vec.MaybeSummarize(e.est)
 	}
 }
 

@@ -12,13 +12,14 @@ import (
 
 // The parallel mining engine. Filtering is embarrassingly parallel below
 // the root of the enumeration: the subtree under each surviving level-1
-// extension depends only on its own residual vector and the read-only
-// level-1 alphabet, never on a sibling (the paper's GenerateAndFilter
-// removes an item from I only for its own subtree). The engine therefore
-// expands the root sequentially, turns every descending extension into a
-// subtree task, and runs the tasks on a bounded worker pool; refinement
-// fans out the same way (probe fetches split by position range, scan
-// verification sharded across per-worker counters).
+// extension depends only on its own residual vector, the later root
+// extensions' (its alphabet, read and never written) and the read-only
+// level-1 arrays, never on what a sibling's subtree computes (the paper's
+// GenerateAndFilter removes an item from I only for its own subtree). The
+// engine therefore expands the root sequentially, turns every descending
+// extension into a subtree task, and runs the tasks on a bounded worker pool;
+// refinement fans out the same way (probe fetches split by position range,
+// scan verification sharded across per-worker counters).
 //
 // Determinism: subtree tasks share no mutable state, every Result counter
 // is a sum of per-task counts, and partial results are merged in the
@@ -44,16 +45,6 @@ func (c Config) workerCount() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// subtree is one unit of parallel filtering work: a surviving depth-0
-// extension together with its conditional alphabet. seq is the position of
-// the subtree in the sequential enumeration order, used to merge partial
-// results deterministically.
-type subtree struct {
-	seq      int
-	root     ext
-	alphabet []int
-}
-
 // subtreeResult accumulates one subtree's contribution to the Result,
 // funnel split included, so telemetry merges by seq exactly like the
 // Result counters.
@@ -74,30 +65,20 @@ type subtreeResult struct {
 	nonFreq      int64
 }
 
-// filterParallel is the workers > 1 path of filter: expand the root
-// sequentially (recording its level-1 candidates exactly as the sequential
-// pass would), then mine the surviving subtrees on the worker pool and
-// merge their partial results in enumeration order.
-func (r *run) filterParallel(alphabet []int) {
-	if len(alphabet) == 0 {
-		return
-	}
-	for len(r.scratch) < 1 {
-		r.scratch = append(r.scratch, r.vecs.Get())
-	}
-	exts := r.expandNode(alphabet, r.scratch[0], r.rootVec, r.rootEst, 0, flagCertainActual)
-
-	tasks := make([]subtree, 0, len(exts))
+// filterParallel is the workers > 1 path of filter, entered with the root's
+// extensions evaluated (the level-1 candidates recorded exactly as the
+// sequential pass does): every descending one roots a subtree task — the
+// later extensions are its alphabet — mined on the worker pool, and the
+// partial results merge in enumeration order. The root residuals are shared
+// read-only operands for the duration (a task reads its own as the parent and
+// every later one as a sibling), so filter releases them after the pool has
+// drained.
+func (r *run) filterParallel(exts []ext) {
+	var tasks []int // tasks[seq] indexes the root extension of the seq-th subtree
 	for si := range exts {
-		e := &exts[si]
-		if !e.descend {
-			continue
+		if exts[si].descend {
+			tasks = append(tasks, si)
 		}
-		childAlphabet := make([]int, 0, len(exts)-si-1)
-		for _, later := range exts[si+1:] {
-			childAlphabet = append(childAlphabet, later.gi)
-		}
-		tasks = append(tasks, subtree{seq: len(tasks), root: *e, alphabet: childAlphabet})
 	}
 	if len(tasks) == 0 {
 		return
@@ -112,7 +93,7 @@ func (r *run) filterParallel(alphabet []int) {
 		order[i] = i
 	}
 	sort.SliceStable(order, func(a, b int) bool {
-		return tasks[order[a]].root.est > tasks[order[b]].root.est
+		return exts[tasks[order[a]]].est > exts[tasks[order[b]]].est
 	})
 
 	results := make([]subtreeResult, len(tasks))
@@ -123,17 +104,16 @@ func (r *run) filterParallel(alphabet []int) {
 		go func() {
 			defer wg.Done()
 			wr := r.workerRun()
-			for ti := range queue {
-				t := &tasks[ti]
-				results[t.seq] = wr.mineSubtree(t)
-				r.vecs.Put(t.root.vec)
-				t.root.vec = nil
+			wr.buf = r.vecs.Get()
+			for seq := range queue {
+				results[seq] = wr.mineSubtree(seq, exts[tasks[seq]:])
 			}
+			r.vecs.Put(wr.buf)
 			wr.flushKernel() // commutative sums; per-worker flush keeps totals exact
 		}()
 	}
-	for _, ti := range order {
-		queue <- ti
+	for _, seq := range order {
+		queue <- seq
 	}
 	close(queue)
 	wg.Wait()
@@ -157,9 +137,10 @@ func (r *run) filterParallel(alphabet []int) {
 }
 
 // workerRun clones the run for one pool worker: shared read-only context
-// (miner, index, config, alphabet arrays, vector pool) plus private path
-// state, so the worker's slice-AND hot path stays allocation-free across
-// the tasks it processes.
+// (miner, index, config, alphabet arrays, vector pool) plus a private path
+// and private extension buffers, so the worker's AND hot path stays
+// allocation-free across the tasks it processes. A worker that enumerates
+// is lent an evaluation buffer (buf) by its caller.
 func (r *run) workerRun() *run {
 	return &run{
 		m:              r.m,
@@ -172,35 +153,31 @@ func (r *run) workerRun() *run {
 		items:          r.items,
 		est1:           r.est1,
 		act1:           r.act1,
-		posCache:       r.posCache,
+		chain:          r.chain,
 		rootVec:        r.rootVec,
 		rootEst:        r.rootEst,
 		disableProbing: r.disableProbing,
 		inWorker:       true,
-		applied:        make([]bool, r.idx.M()),
+		itemset:        make([]txdb.Item, 0, pathCap),
 		obs:            r.obs,
 		traceSubtree:   -1,
 	}
 }
 
-// mineSubtree runs the sequential enumeration over one subtree: the path is
-// seeded with the task's level-1 item and node recurses exactly as the
-// sequential engine would from that point.
-func (w *run) mineSubtree(t *subtree) subtreeResult {
+// mineSubtree runs the sequential enumeration over the seq-th subtree, rooted
+// at exts[0] with exts[1:] as its alphabet: the path is seeded with the
+// root's level-1 item and node recurses exactly as the sequential engine
+// would from that point.
+func (w *run) mineSubtree(seq int, exts []ext) subtreeResult {
 	w.accepted, w.uncertain = nil, nil
 	w.candidates, w.falseDrops, w.certain, w.probedPatterns = 0, 0, 0, 0
 	w.certActual, w.certEst, w.uncertainCnt, w.nonFreq = 0, 0, 0, 0
 	w.err = nil
-	w.traceSubtree = t.seq
+	w.traceSubtree = seq
 
-	w.itemset = append(w.itemset[:0], w.items[t.root.gi])
-	for _, p := range t.root.newPos {
-		w.applied[p] = true
-	}
-	w.node(t.alphabet, t.root.vec, t.root.est, t.root.count, t.root.flag)
-	for _, p := range t.root.newPos {
-		w.applied[p] = false
-	}
+	root := &exts[0]
+	w.itemset = append(w.itemset[:0], w.items[root.gi])
+	w.node(exts[1:], root.vec, root.est, root.count, root.flag)
 	w.itemset = w.itemset[:0]
 	w.traceSubtree = -1
 

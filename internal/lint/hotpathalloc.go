@@ -8,7 +8,7 @@ import (
 
 // HotPathAlloc pins the kernel perf contract in the linter: a function
 // whose doc comment carries a `//lint:hotpath` directive must not allocate
-// per call. The AND kernels and evalExtension hold the measured
+// per call. The AND kernels and evalSibling hold the measured
 // CountItemSet win precisely because the steady state is zero-alloc —
 // buffers come from pools or caller-owned scratch, and appends only ever
 // reuse the target's own backing array. One stray make in a kernel turns a

@@ -112,22 +112,40 @@ func (f *Funnel) Add(g Funnel) {
 // call. Evals counts itemset evaluations (one per CountItemSet-equivalent);
 // the words/ANDs split tracks which kernel ran and how much of the vector
 // it actually visited.
+//
+// A mine evaluates in two ways and both report here. A slice chain
+// (sigfile.CountIntoBuf, and in core the level-1 sweep and the ablation
+// knobs) ANDs index slices into an accumulator: one Ands{Sparse,Dense} and
+// one AndsEnc* tally per slice AND-ed, an EarlyExit when the chain stopped
+// short. Below level 1 core evaluates an extension as one AND of two resident
+// residuals: one Eval, one AND tallied under the kernel the parent residual's
+// mode selects (its nonzero words when summarized, all its words otherwise),
+// its source counted as dense words — the sibling's residual is exactly that
+// — and never an EarlyExit, there being no chain to leave. None of this
+// depends on how the index stores its slices, so a resident, a compressed
+// and a tiered index report the same Evals, ANDs, EarlyExits and position
+// split for the same data; only the AndsEnc* split of the slice chains
+// follows the storage.
 type KernelSample struct {
-	Evals          int64 // itemset evaluations (AND loops started)
-	EarlyExits     int64 // evaluations cut short below τ (or at zero)
-	AndsSparse     int64 // slice ANDs run by the summary-guided kernel
-	AndsDense      int64 // slice ANDs run by the dense unrolled kernel
-	WordsSparse    int64 // backing words visited by sparse ANDs
-	WordsDense     int64 // backing words visited by dense ANDs
-	PosCacheHits   int64 // evaluations served from the run's position cache
-	PosCacheMisses int64 // evaluations that had to consult the hasher
+	Evals       int64 // itemset evaluations (AND loops started)
+	EarlyExits  int64 // slice chains cut short below τ (or at zero)
+	AndsSparse  int64 // ANDs run by the summary-guided kernel
+	AndsDense   int64 // ANDs run by the dense unrolled kernel
+	WordsSparse int64 // backing words visited by sparse ANDs
+	WordsDense  int64 // backing words visited by dense ANDs
+
+	// The position split: where an evaluation's operands came from. A hit
+	// needed no slice positions at all — the operand was a sibling's residual,
+	// cached by the parent node; a miss derived the item's positions from the
+	// hasher and read the index's slices. Hits + misses = core's Evals.
+	PosCacheHits   int64 // evaluations against a cached sibling residual
+	PosCacheMisses int64 // evaluations that consulted the hasher and the index
 
 	// Per-encoding split of the same ANDs along the *storage* axis: which
-	// representation the source slice was in (the Ands{Sparse,Dense} pair
-	// above splits by the accumulator's kernel instead). On an uncompressed
-	// index AndsEncDense equals AndsSparse+AndsDense and the other two are
-	// zero.
-	AndsEncDense  int64 // ANDs whose source slice was dense words
+	// representation the source was in (the Ands{Sparse,Dense} pair above
+	// splits by the accumulator's kernel instead). On an uncompressed index
+	// AndsEncDense equals AndsSparse+AndsDense and the other two are zero.
+	AndsEncDense  int64 // ANDs whose source was dense words (a slice or a residual)
 	AndsEncSparse int64 // ANDs over a sorted position-list slice
 	AndsEncRLE    int64 // ANDs over a run-length slice
 }

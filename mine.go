@@ -57,12 +57,13 @@ type MineOptions struct {
 	// returns the identical Result — parallelism changes only the wall
 	// clock, never the answer or the accounting.
 	Workers int
-	// Ablation knobs, for benchmarking only: each disables one hot-path
-	// optimization without changing any result. NoEarlyExit keeps AND-ing
-	// slices after the running count has fallen below the threshold;
-	// NoIncrementalAnd recomputes every intersection from the root instead
-	// of extending the parent's residual; NoSliceOrdering ANDs slices in
-	// hash-position order instead of rarest-first.
+	// Ablation knobs, for benchmarking only: none changes any result. The
+	// first two make every evaluation an AND chain over the index's slices
+	// instead of one AND of two resident residuals: NoEarlyExit without
+	// stopping once the running count has fallen below the threshold,
+	// NoIncrementalAnd recomputing every intersection from the root instead
+	// of extending the parent's residual. NoSliceOrdering ANDs a chain's
+	// slices in hash-position order instead of rarest-first.
 	NoEarlyExit      bool
 	NoIncrementalAnd bool
 	NoSliceOrdering  bool
