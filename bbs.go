@@ -13,10 +13,10 @@
 // The database can be partitioned horizontally into N shards
 // (Options.Shards), each owning its own slices, counters and data file.
 // Writes route round-robin by insertion order; ad-hoc counts fan out to the
-// shards and merge deterministically; a full mining run binds to a merged
-// read view whose results are byte-identical to an unsharded database over
-// the same transactions. Sharding changes throughput and layout, never an
-// answer.
+// shards and merge deterministically; a full mining run reads the shards in
+// place, as one index whose rows are the shards' rows in block order, and
+// its results are byte-identical to an unsharded database over the same
+// transactions. Sharding changes throughput and layout, never an answer.
 //
 // Quick start:
 //
@@ -279,12 +279,13 @@ func (db *Database) Stats() iostat.Snapshot { return db.stats.Snapshot() }
 // ResetStats zeroes the counters, typically before a measured run.
 func (db *Database) ResetStats() { db.stats.Reset() }
 
-// miner builds a core.Miner over the merged read view (with one shard, the
-// database's own index and store; the merge is cached between writes).
+// miner binds a core.Miner to the database as it is now: the view of the
+// shards' indexes over the concatenation of their stores. Binding builds
+// nothing, so every run binds afresh.
 func (db *Database) miner() (*core.Miner, error) {
 	idx, store, err := db.sdb.Merged()
 	if err != nil {
 		return nil, err
 	}
-	return core.NewMiner(idx, store, db.stats)
+	return core.NewViewMiner(idx, store, db.stats)
 }

@@ -296,9 +296,9 @@ func BenchmarkFig12(b *testing.B) {
 				if err := miner.Store().Append(tx); err != nil {
 					b.Fatal(err)
 				}
-				miner.Index().Insert(tx.Items)
+				miner.Index().Part(0).Insert(tx.Items)
 			}
-			m2, err := core.NewMiner(miner.Index(), miner.Store(), miner.Stats())
+			m2, err := core.NewMiner(miner.Index().Part(0), miner.Store(), miner.Stats())
 			if err != nil {
 				b.Fatal(err)
 			}

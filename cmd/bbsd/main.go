@@ -9,7 +9,7 @@
 //
 // -shards N serves the database as N horizontal shards, each with its own
 // index, data file and commit loop; writes to different shards commit
-// concurrently and queries mine a merged view whose answers are identical
+// concurrently and queries mine the shards in place, with answers identical
 // to an unsharded server. Opening a flat directory with -shards N migrates
 // it in place; once sharded, the directory remembers its count.
 //
@@ -37,7 +37,7 @@
 // scratch directory, measures cold-versus-cached /mine latency over real
 // HTTP and appends the records to -bench-out. With -shards N it also
 // measures the sharded server: /txns write throughput into N commit loops
-// plus cold and cached /mine latency over the merged view.
+// plus cold and cached /mine latency over the shards.
 package main
 
 import (
@@ -316,7 +316,7 @@ func mineLatencies(ctx context.Context, c *client.Client, req serve.QueryRequest
 // serves it on a loopback port and measures one cold /mine followed by
 // repeated cached hits, all over real HTTP. With shards > 1 it then raises
 // a sharded server, measures /txns write throughput into the N commit
-// loops, re-measures /mine over the merged view and checks the sharded
+// loops, re-measures /mine over the shards and checks the sharded
 // answer byte-identical to the unsharded one.
 func runBench(out string, scale float64, cachedReps, workers, shards int, compress bool) error {
 	p := exp.Defaults(scale)
@@ -409,7 +409,7 @@ func runBench(out string, scale float64, cachedReps, workers, shards int, compre
 // benchSharded raises an N-shard server on a scratch directory, streams the
 // dataset in over /txns (the write-throughput measurement: every batch fans
 // out across the N commit loops), then measures cold and cached /mine over
-// the merged view. The sharded cold answer must be byte-identical to the
+// the shards. The sharded cold answer must be byte-identical to the
 // unsharded server's (want) — the scatter-gather determinism guarantee,
 // checked over real HTTP.
 func benchSharded(ctx context.Context, p exp.Params, txs []txdb.Transaction, workers, shards, cachedReps int, compress bool, want json.RawMessage) ([]serverBenchRecord, error) {

@@ -13,8 +13,8 @@
 //	bbsmine -db dataset/ -count 3,17 -where-tid-mod 7
 //
 // -shards N opens (or migrates to) an N-way sharded database: counts fan
-// out per shard, mining binds to a merged view, and every answer is
-// identical to an unsharded database over the same data.
+// out per shard, mining reads the shards in place as one index, and every
+// answer is identical to an unsharded database over the same data.
 package main
 
 import (

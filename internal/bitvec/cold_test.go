@@ -175,7 +175,7 @@ func TestColdThawRoundTrip(t *testing.T) {
 	}
 }
 
-func TestColdOrBlitAndClone(t *testing.T) {
+func TestColdOrAndClone(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	n := 1500
 	s := randomSlice(rng, n, 0.05, true)
@@ -186,17 +186,6 @@ func TestColdOrBlitAndClone(t *testing.T) {
 	cold.OrInto(got)
 	if !got.Equal(want) {
 		t.Fatalf("cold OrInto diverges")
-	}
-
-	at := 37
-	wantW := make([]uint64, (at+n+64+63)/64)
-	gotW := make([]uint64, len(wantW))
-	s.BlitInto(wantW, at)
-	cold.BlitInto(gotW, at)
-	for i := range wantW {
-		if wantW[i] != gotW[i] {
-			t.Fatalf("cold BlitInto diverges at word %d", i)
-		}
 	}
 
 	c := cold.Clone()

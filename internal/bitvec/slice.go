@@ -159,8 +159,8 @@ func DenseSliceOf(v *Vector) *Slice {
 }
 
 // DenseSliceWithOnes is DenseSliceOf with a caller-supplied popcount, for
-// callers that already know it — a merge summing per-part counts, a load
-// reading a persisted count — so wrapping skips the recount. A wrong count
+// callers that already know it — a load reading a persisted count, a thaw
+// carrying the cold header's — so wrapping skips the recount. A wrong count
 // never corrupts results (the AND chain is order-insensitive); it only
 // degrades the rarest-first ordering, so trusted-but-unverified sources
 // like a persisted header are acceptable.
@@ -690,27 +690,36 @@ func (s *Slice) OrInto(dst *Vector) {
 	}
 }
 
-// BlitInto ORs the slice's bits into dst starting at bit offset `at` — the
-// shard-merge primitive, concatenating per-shard columns into one. dst must
-// have room for at+Len bits.
-func (s *Slice) BlitInto(dst []uint64, at int) {
-	if s.cold != nil {
-		s.Thaw().BlitInto(dst, at) // merge path, off the query kernels
-		return
+// OrAt ORs src into v starting at bit offset at: v[at+i] |= src[i] — one
+// part's block laid into a block-order vector (see sigfile.View).
+func (v *Vector) OrAt(src *Vector, at int) {
+	if at < 0 || at+src.n > v.n {
+		panic(fmt.Sprintf("bitvec: block [%d,%d) outside a vector of %d bits", at, at+src.n, v.n))
 	}
-	switch s.enc {
-	case EncDense:
-		blitWords(dst, at, s.dense.words)
-	case EncSparse:
-		s.forEachPos(func(p int) {
-			i := at + p
-			dst[i>>wordShift] |= 1 << uint(i&wordMask)
-		})
-	default:
-		for r := 0; r < len(s.runs); r += 2 {
-			setWordRange(dst, at+int(s.runs[r]), at+int(s.runs[r])+int(s.runs[r+1]))
+	v.dropSummary()
+	blitWords(v.words, at, src.words)
+}
+
+// CopyRange overwrites v with the v.Len() bits of src starting at bit offset
+// at: v[i] = src[at+i], the inverse of OrAt.
+func (v *Vector) CopyRange(src *Vector, at int) {
+	if at < 0 || at+v.n > src.n {
+		panic(fmt.Sprintf("bitvec: block [%d,%d) outside a vector of %d bits", at, at+v.n, src.n))
+	}
+	v.dropSummary()
+	sw := src.words[at>>wordShift:]
+	if shift := uint(at & wordMask); shift == 0 {
+		copy(v.words, sw)
+	} else {
+		for i := range v.words {
+			w := sw[i] >> shift
+			if i+1 < len(sw) {
+				w |= sw[i+1] << (wordBits - shift)
+			}
+			v.words[i] = w
 		}
 	}
+	v.trimTail()
 }
 
 // blitWords ORs src into dst with a bit offset of `at`: dst[at+i] |= src[i]

@@ -266,23 +266,33 @@ func TestOrIntoMatchesOrZX(t *testing.T) {
 	}
 }
 
-// TestBlitIntoMatchesMaterialized checks the shard-merge primitive per
-// encoding at aligned and unaligned offsets.
-func TestBlitIntoMatchesMaterialized(t *testing.T) {
+// TestOrAtCopyRangeRoundTrip checks the block-order primitives at aligned
+// and unaligned offsets: OrAt lays a block in bit for bit and leaves its
+// neighbours alone, CopyRange reads the same block back out.
+func TestOrAtCopyRangeRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for _, at := range []int{0, 64, 65, 1, 63, 200} {
-		ref := clusteredVector(rng, 500, 4, 60)
-		for _, enc := range allEncodings {
-			s := encodeAs(t, ref, enc)
-			total := at + ref.Len()
-			got := make([]uint64, wordsFor(total))
-			want := make([]uint64, wordsFor(total))
-			s.BlitInto(got, at)
-			blitWords(want, at, s.Materialize().Words())
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("at %d enc %v: word %d = %#x, want %#x", at, enc, i, got[i], want[i])
+		for _, n := range []int{0, 1, 63, 64, 65, 130, 500} {
+			src := randomVector(rng, n, 0.4)
+			dst := randomVector(rng, at+n+70, 0.3)
+			dst.Summarize()
+			before := dst.Clone()
+			dst.OrAt(src, at)
+			if dst.Summarized() {
+				t.Fatalf("at %d n %d: OrAt kept a stale summary", at, n)
+			}
+			for i := 0; i < dst.Len(); i++ {
+				want := before.Get(i) || (i >= at && i < at+n && src.Get(i-at))
+				if dst.Get(i) != want {
+					t.Fatalf("at %d n %d: bit %d = %v, want %v", at, n, i, dst.Get(i), want)
 				}
+			}
+			zero := New(at + n + 70)
+			zero.OrAt(src, at)
+			got := randomVector(rng, n, 0.5)
+			got.CopyRange(zero, at)
+			if !got.Equal(src) {
+				t.Fatalf("at %d n %d: CopyRange did not read back what OrAt laid in", at, n)
 			}
 		}
 	}

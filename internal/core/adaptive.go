@@ -71,56 +71,34 @@ func (m *Miner) mineAdaptive(cfg Config) (*Result, error) {
 	// the second (and last) pass over the original index. Probe schemes
 	// refine each survivor immediately (holding one residual vector at a
 	// time); scan schemes batch the survivors for sequential verification.
-	// With workers > 1 the per-candidate re-estimates (and probes) run on
-	// the pool; the outcomes are merged in candidate order.
 	m.idx.ChargeFullRead()
 	reverifyTick := cfg.Observe.Tick()
+	outs := r.reverify(r.uncertain)
+	if err := cfg.ctxErr(); err != nil {
+		return nil, err
+	}
 	var survivors []Pattern
-	if workers := cfg.workerCount(); workers > 1 && len(r.uncertain) > 1 {
-		acc, surv, drops, probed := m.reverifyParallel(r, r.uncertain, cfg, workers)
-		if err := cfg.ctxErr(); err != nil {
-			return nil, err
-		}
-		accepted = append(accepted, acc...)
-		survivors = surv
-		res.FalseDrops += drops
-		r.probedPatterns += probed
-	} else {
-		buf := r.vecs.Get() // same length: Fold preserves n, so the phase-1 pool fits
-		defer r.vecs.Put(buf)
-		var posBuf []int // reused across candidates; CountIntoBuf grows it once
-		for _, c := range r.uncertain {
-			if r.cancelled() {
-				return nil, r.err
-			}
-			est := m.idx.CountIntoBuf(buf, c.Items, &posBuf)
-			if cfg.Constraint != nil && est > 0 {
-				est = buf.AndCount(cfg.Constraint)
-			}
-			if est < cfg.MinSupport {
-				traceReverify(cfg.Observe, c, est, "pruned")
-				continue
-			}
-			if cfg.Scheme.probes() {
-				exact := r.probeExact(buf, c.Items)
-				if exact >= cfg.MinSupport {
-					accepted = append(accepted, Pattern{Items: c.Items, Support: exact, Exact: true})
-					traceReverify(cfg.Observe, c, est, "accepted")
-				} else {
-					res.FalseDrops++
-					m.stats.AddFalseDrop()
-					traceReverify(cfg.Observe, c, est, "false_drop")
-				}
-			} else {
-				survivors = append(survivors, c)
-				traceReverify(cfg.Observe, c, est, "survivor")
-			}
+	for i, c := range r.uncertain {
+		o := outs[i]
+		switch {
+		case o.est < cfg.MinSupport:
+			traceReverify(cfg.Observe, c, o.est, "pruned")
+		case !cfg.Scheme.probes():
+			survivors = append(survivors, c)
+			traceReverify(cfg.Observe, c, o.est, "survivor")
+		case o.exact >= cfg.MinSupport:
+			res.ProbedPatterns++
+			accepted = append(accepted, Pattern{Items: c.Items, Support: o.exact, Exact: true})
+			traceReverify(cfg.Observe, c, o.est, "accepted")
+		default:
+			res.ProbedPatterns++
+			res.FalseDrops++
+			m.stats.AddFalseDrop()
+			traceReverify(cfg.Observe, c, o.est, "false_drop")
 		}
 	}
 	cfg.Observe.PhaseDone(obs.PhaseReverify, reverifyTick)
-	if cfg.Scheme.probes() {
-		res.ProbedPatterns = r.probedPatterns
-	} else if len(survivors) > 0 {
+	if len(survivors) > 0 {
 		verified, drops, err := m.sequentialScan(survivors, cfg)
 		if err != nil {
 			return nil, err

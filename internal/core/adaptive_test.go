@@ -1,10 +1,14 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
+	"reflect"
 	"testing"
 
 	"bbsmine/internal/bitvec"
 	"bbsmine/internal/mining"
+	"bbsmine/internal/obs"
 	"bbsmine/internal/txdb"
 )
 
@@ -193,5 +197,64 @@ func TestMineApproxSuperset(t *testing.T) {
 	}
 	if _, err := miner.MineApprox(0, 0, 1); err == nil {
 		t.Error("MineApprox accepted MinSupport 0")
+	}
+}
+
+// reverifyEvents mines adaptively under a full-rate tracer and returns the
+// phase-3 outcomes as traced, in order.
+func reverifyEvents(t *testing.T, m *Miner, cfg Config) []obs.Event {
+	t.Helper()
+	var buf bytes.Buffer
+	cfg.Observe = obs.New()
+	cfg.Observe.SetTracer(obs.NewTracer(&buf, 1))
+	mineWith(t, m, cfg)
+	var out []obs.Event
+	dec := json.NewDecoder(&buf)
+	for dec.More() {
+		var e obs.Event
+		if err := dec.Decode(&e); err != nil {
+			t.Fatal(err)
+		}
+		if e.Kind == "reverify" {
+			e.Seq = 0 // workers' probe events interleave differently
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// TestAdaptiveReverifyTraceCarriesEstimates: phase 3 has one body for every
+// worker count, so its trace — verdicts, candidate order, and the
+// full-resolution estimate each verdict was reached on — is the same at
+// Workers 1 and 4 (the parallel pass used to report est 0).
+func TestAdaptiveReverifyTraceCarriesEstimates(t *testing.T) {
+	txs := questDB(t, 600, 200)
+	tau := mining.MinSupportCount(0.015, len(txs))
+	miner, _ := buildMiner(t, txs, 1600, 4) // wide enough that the fold floor still folds 4:1
+	for _, scheme := range []Scheme{SFS, DFP} {
+		cfg := Config{MinSupport: tau, Scheme: scheme, MemoryBudget: 1} // the narrowest fold the floor allows
+		cfg.Workers = 1
+		seq := reverifyEvents(t, miner, cfg)
+		cfg.Workers = 4
+		par := reverifyEvents(t, miner, cfg)
+		if len(seq) == 0 || !reflect.DeepEqual(seq, par) {
+			t.Fatalf("%s: %d reverify events at Workers 1, %d at Workers 4, equal: %v", scheme, len(seq), len(par), reflect.DeepEqual(seq, par))
+		}
+		pruned := 0
+		for _, e := range par {
+			want, _ := miner.Index().CountItemSet(e.Items)
+			if e.Est != want {
+				t.Fatalf("%s: %s %v traced est %d, the index estimates %d", scheme, e.Verdict, e.Items, e.Est, want)
+			}
+			if (e.Verdict == "pruned") != (e.Est < tau) {
+				t.Errorf("%s: %v est %d traced as %s at τ = %d", scheme, e.Items, e.Est, e.Verdict, tau)
+			}
+			if e.Verdict == "pruned" {
+				pruned++
+			}
+		}
+		if pruned == 0 || pruned == len(par) {
+			t.Errorf("%s: %d of %d candidates pruned; the fixture should see both fates", scheme, pruned, len(par))
+		}
 	}
 }

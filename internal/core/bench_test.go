@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"bbsmine/internal/mining"
+	"bbsmine/internal/sighash"
 )
 
 // sweptRun returns a run whose level-1 sweep is done and whose root
@@ -63,12 +64,17 @@ func BenchmarkMineDFP(b *testing.B) {
 }
 
 // benchmarkMineFig6 mines the paper's default workload as bbsperf does:
-// T10.I10.D10K over 10000 items, m = 1600 slices, k = 4, τ = 0.3% = 30.
-func benchmarkMineFig6(b *testing.B, compress bool) {
+// T10.I10.D10K over 10000 items, m = 1600 slices, k = 4, τ = 0.3% = 30 —
+// from one index, or from the same rows split over parts.
+func benchmarkMineFig6(b *testing.B, parts int, compress bool) {
 	txs := questDB(b, 10000, 10000)
-	m, _ := buildMiner(b, txs, 1600, 4)
-	if compress {
-		m.idx.SetCompression(true)
+	lens := make([]int, parts)
+	for s := range lens {
+		lens[s] = len(txs) / parts
+	}
+	m := buildPartsMiner(b, txs, sighash.NewMD5(1600, 4), lens)
+	for s := 0; s < parts && compress; s++ {
+		m.idx.Part(s).SetCompression(true)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -82,6 +88,9 @@ func benchmarkMineFig6(b *testing.B, compress bool) {
 // BenchmarkMineFig6Dense and BenchmarkMineFig6Compressed mine the same data
 // from dense and from compressed slices. Below level 1 a mine works on
 // resident residuals only, so the two should differ by the level-1 sweep's
-// cost and nothing else.
-func BenchmarkMineFig6Dense(b *testing.B)      { benchmarkMineFig6(b, false) }
-func BenchmarkMineFig6Compressed(b *testing.B) { benchmarkMineFig6(b, true) }
+// cost and nothing else. BenchmarkMineFig6Sharded2 mines it from two parts:
+// the sweep ANDs two half-length slices per position, and nothing below it
+// knows.
+func BenchmarkMineFig6Dense(b *testing.B)      { benchmarkMineFig6(b, 1, false) }
+func BenchmarkMineFig6Compressed(b *testing.B) { benchmarkMineFig6(b, 1, true) }
+func BenchmarkMineFig6Sharded2(b *testing.B)   { benchmarkMineFig6(b, 2, false) }

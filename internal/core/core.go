@@ -18,6 +18,10 @@
 // intersection bit for bit (see run.filter). The slice-chain evaluation
 // remains as the ablation path and the tests' oracle.
 //
+// The index is a sigfile.View: one part, or the N shards of a sharded
+// database read in place. Only the slice chain sees the parts; everything it
+// leaves behind is a block-order vector.
+//
 // The dual filter tracks a (flag, count) pair per itemset, per the paper's
 // CheckCount (Fig. 3), certifying most candidates as frequent — often with
 // exact counts — without touching the database.
@@ -198,17 +202,28 @@ func (r *Result) Frequents() []mining.Frequent {
 }
 
 // Miner binds a BBS index to its backing transaction store. The index's
-// ordinal positions must correspond to the store's: position i of every
-// slice is transaction i of the store.
+// ordinal positions must correspond to the store's: position i of the view's
+// block order is transaction i of the store.
 type Miner struct {
-	idx   *sigfile.BBS
+	idx   *sigfile.View
 	store txdb.Store
 	stats *iostat.Stats
 }
 
-// NewMiner returns a miner over the given index and store. A nil stats
-// falls back to the index's sink.
+// NewMiner returns a miner over one index and its store: a view of one part.
+// A nil stats falls back to the index's sink.
 func NewMiner(idx *sigfile.BBS, store txdb.Store, stats *iostat.Stats) (*Miner, error) {
+	v, err := sigfile.NewView([]*sigfile.BBS{idx})
+	if err != nil {
+		return nil, err
+	}
+	return NewViewMiner(v, store, stats)
+}
+
+// NewViewMiner returns a miner over a view and the store in the view's block
+// order (txdb.Concat of the parts' stores). A nil stats falls back to the
+// view's sink.
+func NewViewMiner(idx *sigfile.View, store txdb.Store, stats *iostat.Stats) (*Miner, error) {
 	if idx.Len() != store.Len() {
 		return nil, fmt.Errorf("core: index covers %d transactions, store has %d", idx.Len(), store.Len())
 	}
@@ -218,8 +233,8 @@ func NewMiner(idx *sigfile.BBS, store txdb.Store, stats *iostat.Stats) (*Miner, 
 	return &Miner{idx: idx, store: store, stats: stats}, nil
 }
 
-// Index returns the underlying BBS.
-func (m *Miner) Index() *sigfile.BBS { return m.idx }
+// Index returns the view the miner reads.
+func (m *Miner) Index() *sigfile.View { return m.idx }
 
 // Store returns the underlying transaction store.
 func (m *Miner) Store() txdb.Store { return m.store }
@@ -283,7 +298,7 @@ func (m *Miner) Mine(cfg Config) (*Result, error) {
 
 // mineResident runs filtering (and, for the probe schemes, integrated
 // refinement) against a memory-resident index, then refines leftovers.
-func (m *Miner) mineResident(cfg Config, idx *sigfile.BBS) (*Result, error) {
+func (m *Miner) mineResident(cfg Config, idx *sigfile.View) (*Result, error) {
 	// Fault the index into the buffer pool (cold pages only — a persistent
 	// index stays resident across mining sessions); every slice AND
 	// afterwards is an in-memory bitwise operation.

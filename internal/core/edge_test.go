@@ -139,9 +139,9 @@ func TestColdReadChargedOncePerIndex(t *testing.T) {
 		if err := miner.Store().Append(txdb.NewTransaction(tx.TID+10000, tx.Items)); err != nil {
 			t.Fatal(err)
 		}
-		miner.Index().Insert(tx.Items)
+		miner.Index().Part(0).Insert(tx.Items)
 	}
-	m2, err := NewMiner(miner.Index(), miner.Store(), stats)
+	m2, err := NewMiner(miner.Index().Part(0), miner.Store(), stats)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ const (
 // level-1 alphabet arrays) and the concurrency-safe vector pool.
 type run struct {
 	m   *Miner
-	idx *sigfile.BBS // the index filtered against (the full BBS or a MemBBS)
+	idx *sigfile.View // the index filtered against (the full BBS or a MemBBS)
 	cfg Config
 	tau int
 
@@ -93,9 +93,14 @@ type run struct {
 	uncertainCnt int64 // candidates deferred to refinement
 	nonFreq      int64 // dual filter flag -1 prunes
 	traceSubtree int
+
+	// accs are the slice chain's accumulators, one part-length vector per
+	// part of the index: the run's own for as long as it evaluates chains (a
+	// run needs one set for its lifetime, so there is nothing to pool).
+	accs []*bitvec.Vector
 }
 
-func newRun(m *Miner, idx *sigfile.BBS, cfg Config) *run {
+func newRun(m *Miner, idx *sigfile.View, cfg Config) *run {
 	var done <-chan struct{}
 	if cfg.Ctx != nil {
 		done = cfg.Ctx.Done()
@@ -224,7 +229,7 @@ func (r *run) filter() {
 		r.vecs.Put(seeds[i].vec)
 	}
 	r.vecs.Put(r.buf)
-	r.buf = nil
+	r.buf, r.accs = nil, nil
 	r.obs.PhaseDone(obs.PhaseEnumerate, enumTick)
 	r.flushKernel()
 }
@@ -236,6 +241,7 @@ func (r *run) filter() {
 func (r *run) sweep() []ext {
 	r.rootVec, r.rootEst = r.root()
 	r.buf = r.vecs.Get()
+	r.accs = r.idx.NewAccs()
 	var seeds []ext
 	for _, it := range r.idx.Items() { // ascending — the canonical level-1 order
 		if r.cancelled() {
@@ -267,7 +273,10 @@ func (r *run) evalSibling(parentVec, sib *bitvec.Vector) int {
 	r.m.stats.AddSliceAnd()
 	r.buf.CopyFrom(parentVec)
 	if r.obs != nil {
-		r.tallyAnd(bitvec.EncDense)
+		// One AND under the kernel the parent residual's mode selects; its
+		// source, a sibling's residual, counts as the dense words it is.
+		words, sparse := r.buf.WordStats()
+		r.kern.CountAnd(words, sparse, int(bitvec.EncDense))
 		r.kern.Evals++
 		r.kern.PosCacheHits++
 		r.obs.ObserveAndDepth(1)
@@ -282,6 +291,12 @@ func (r *run) evalSibling(parentVec, sib *bitvec.Vector) int {
 // level 1 — NoIncrementalAnd restarts from the root over every member's
 // slices (the tests' oracle for evalSibling), NoEarlyExit runs each chain to
 // its end, NoSliceOrdering keeps ascending position order.
+//
+// The chain reads the index's parts in place: the parent's residual is split
+// into the per-part accumulators, each position is AND-ed into all of them
+// before the next (the summed count is the single index's at every step, so
+// the exit and the verdict are too), and a chain that reaches τ lays them
+// into r.buf in block order; below τ the caller discards the evaluation.
 func (r *run) evalChain(parentVec *bitvec.Vector, parentEst int, it txdb.Item) int {
 	r.m.stats.AddCountCall()
 	est, members := parentEst, append(r.itemset, it)
@@ -294,13 +309,13 @@ func (r *run) evalChain(parentVec *bitvec.Vector, parentEst int, it txdb.Item) i
 	if !r.cfg.NoSliceOrdering {
 		r.idx.OrderRarestFirst(r.pos)
 	}
-	r.buf.CopyFrom(parentVec)
+	r.idx.Split(r.accs, parentVec)
 	done := 0
 	for _, p := range r.pos {
 		if r.obs != nil {
-			r.tallyAnd(r.idx.SliceEncoding(p))
+			r.idx.TallyAnd(&r.kern, r.accs, p)
 		}
-		est = r.idx.AndSlice(r.buf, p)
+		est = r.idx.AndSlice(r.accs, p)
 		done++
 		if est < r.tau && !r.cfg.NoEarlyExit {
 			break
@@ -314,22 +329,10 @@ func (r *run) evalChain(parentVec *bitvec.Vector, parentEst int, it txdb.Item) i
 		}
 		r.obs.ObserveAndDepth(int64(done))
 	}
-	return est
-}
-
-// tallyAnd accounts the AND r.buf is about to take: which kernel its mode
-// selects and how many words that kernel will visit, and the encoding of the
-// source (a sibling residual counts as dense words, which it is).
-func (r *run) tallyAnd(enc bitvec.Encoding) {
-	words, sparse := r.buf.WordStats()
-	if sparse {
-		r.kern.AndsSparse++
-		r.kern.WordsSparse += int64(words)
-	} else {
-		r.kern.AndsDense++
-		r.kern.WordsDense += int64(words)
+	if est >= r.tau {
+		r.idx.Join(r.buf, r.accs)
 	}
-	r.kern.CountEncoding(int(enc))
+	return est
 }
 
 // node processes one itemset (the current r.itemset): evaluate every

@@ -105,6 +105,9 @@ func (r *run) filterParallel(exts []ext) {
 			defer wg.Done()
 			wr := r.workerRun()
 			wr.buf = r.vecs.Get()
+			if wr.chain {
+				wr.accs = r.idx.NewAccs()
+			}
 			for seq := range queue {
 				results[seq] = wr.mineSubtree(seq, exts[tasks[seq]:])
 			}
@@ -140,7 +143,8 @@ func (r *run) filterParallel(exts []ext) {
 // (miner, index, config, alphabet arrays, vector pool) plus a private path
 // and private extension buffers, so the worker's AND hot path stays
 // allocation-free across the tasks it processes. A worker that enumerates
-// is lent an evaluation buffer (buf) by its caller.
+// is lent an evaluation buffer (buf) by its caller, and gets chain
+// accumulators of its own if it evaluates slice chains.
 func (r *run) workerRun() *run {
 	return &run{
 		m:              r.m,
@@ -196,58 +200,35 @@ func (w *run) mineSubtree(seq int, exts []ext) subtreeResult {
 	}
 }
 
-// phase3Outcome is one candidate's fate in the adaptive postprocessing
-// pass: pruned by the full-resolution re-estimate, accepted by a probe,
-// dropped by a probe, or (scan schemes) surviving into batched verification.
+// phase3Outcome is one candidate's fate in the adaptive postprocessing pass:
+// its full-resolution estimate (below τ: pruned) and, for a probe scheme's
+// survivor, the exact count its probe returned.
 type phase3Outcome struct {
-	pruned   bool
-	probed   bool
-	accepted Pattern
-	hasMatch bool
+	est   int
+	exact int
 }
 
-// reverifyParallel runs the adaptive mode's postprocessing pass (phase 3 of
-// mineAdaptive) on the worker pool: each worker re-estimates candidates
-// against the full-resolution BBS with a private result vector and, for the
-// probe schemes, probes the survivors immediately. Outcomes are recorded by
-// candidate position and consumed in order, so accepted patterns, false
-// drops, and probe counts match the sequential pass exactly.
-func (m *Miner) reverifyParallel(r *run, cands []Pattern, cfg Config, workers int) (accepted, survivors []Pattern, falseDrops, probed int) {
+// reverify runs the adaptive mode's postprocessing pass (phase 3 of
+// mineAdaptive) over the phase-2 run's uncertain candidates. One worker runs
+// it inline on r; more share the candidates over a queue, each on its own
+// workerRun. Outcomes are recorded by candidate position and consumed in
+// order by the caller, so accepted patterns, false drops, probe counts and
+// trace events are the same for every worker count.
+func (r *run) reverify(cands []Pattern) []phase3Outcome {
 	outs := make([]phase3Outcome, len(cands))
+	workers := min(r.workers, len(cands))
+	if workers <= 1 {
+		i := -1
+		r.reverifyFrom(cands, outs, func() (int, bool) { i++; return i, i < len(cands) })
+		return outs
+	}
 	queue := make(chan int)
 	var wg sync.WaitGroup
-	for w := 0; w < min(workers, len(cands)); w++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			wr := r.workerRun()
-			buf := r.vecs.Get() // same length: Fold preserves n
-			defer r.vecs.Put(buf)
-			var posBuf []int // per-worker position scratch
-			for i := range queue {
-				if wr.cancelled() {
-					continue // drain; mineAdaptive surfaces the error after the pass
-				}
-				c := cands[i]
-				est := m.idx.CountIntoBuf(buf, c.Items, &posBuf)
-				if cfg.Constraint != nil && est > 0 {
-					est = buf.AndCount(cfg.Constraint)
-				}
-				if est < cfg.MinSupport {
-					outs[i].pruned = true
-					continue
-				}
-				if !cfg.Scheme.probes() {
-					continue // survivor; batched verification follows
-				}
-				outs[i].probed = true
-				if exact := wr.probeExact(buf, c.Items); exact >= cfg.MinSupport {
-					outs[i].accepted = Pattern{Items: c.Items, Support: exact, Exact: true}
-					outs[i].hasMatch = true
-				} else {
-					m.stats.AddFalseDrop()
-				}
-			}
+			r.workerRun().reverifyFrom(cands, outs, func() (int, bool) { i, ok := <-queue; return i, ok })
 		}()
 	}
 	for i := range cands {
@@ -255,26 +236,34 @@ func (m *Miner) reverifyParallel(r *run, cands []Pattern, cfg Config, workers in
 	}
 	close(queue)
 	wg.Wait()
+	return outs
+}
 
-	for i := range outs {
-		o := &outs[i]
-		switch {
-		case o.pruned:
-			traceReverify(r.obs, cands[i], 0, "pruned")
-		case !cfg.Scheme.probes():
-			survivors = append(survivors, cands[i])
-			traceReverify(r.obs, cands[i], 0, "survivor")
-		case o.hasMatch:
-			accepted = append(accepted, o.accepted)
-			probed++
-			traceReverify(r.obs, cands[i], 0, "accepted")
-		default:
-			falseDrops++
-			probed++
-			traceReverify(r.obs, cands[i], 0, "false_drop")
+// reverifyFrom is the body of the pass: it drains next, re-estimating each
+// candidate against the miner's full index (not the MemBBS the run filtered
+// against; Fold keeps the length, so the run's pool fits both) and, for the
+// probe schemes, probing a survivor at once.
+func (w *run) reverifyFrom(cands []Pattern, outs []phase3Outcome, next func() (int, bool)) {
+	w.buf, w.accs = w.vecs.Get(), w.m.idx.NewAccs()
+	defer func() {
+		w.vecs.Put(w.buf)
+		w.buf, w.accs = nil, nil
+	}()
+	var posBuf []int // reused across candidates; CountIntoBuf grows it once
+	for i, ok := next(); ok; i, ok = next() {
+		if w.cancelled() {
+			continue // drain; mineAdaptive surfaces the error after the pass
+		}
+		c := cands[i]
+		est := w.m.idx.CountIntoBuf(w.buf, w.accs, c.Items, &posBuf)
+		if w.cfg.Constraint != nil && est > 0 {
+			est = w.buf.AndCount(w.cfg.Constraint)
+		}
+		outs[i].est = est
+		if est >= w.tau && w.cfg.Scheme.probes() {
+			outs[i].exact = w.probeExact(w.buf, c.Items)
 		}
 	}
-	return accepted, survivors, falseDrops, probed
 }
 
 // probeParallel is probeExact with the fetches fanned out: the result

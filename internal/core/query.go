@@ -30,15 +30,16 @@ func (m *Miner) CountConstrained(itemset []txdb.Item, constraint *bitvec.Vector)
 	// (plus the constraint slice); charge those reads — this is exactly the
 	// I/O advantage over Apriori's full database scan (Figure 13).
 	m.idx.ChargeSliceReads(len(sighash.SignatureBits(m.idx.Hasher(), sorted)))
-	var vec *bitvec.Vector
-	if constraint != nil {
-		if constraint.Len() != m.idx.Len() {
-			return 0, 0, fmt.Errorf("core: constraint length %d != index length %d", constraint.Len(), m.idx.Len())
-		}
+	if constraint != nil && constraint.Len() != m.idx.Len() {
+		return 0, 0, fmt.Errorf("core: constraint length %d != index length %d", constraint.Len(), m.idx.Len())
+	}
+	est, vec := m.idx.CountItemSet(sorted)
+	if constraint != nil && est > 0 {
+		// The constraint slice is AND-ed after the item slices: one more
+		// slice read, one more AND.
 		m.idx.ChargeSliceReads(1)
-		est, vec = m.idx.CountConstrained(sorted, constraint)
-	} else {
-		est, vec = m.idx.CountItemSet(sorted)
+		m.stats.AddSliceAnd()
+		est = vec.AndCount(constraint)
 	}
 	if est == 0 {
 		return 0, 0, nil

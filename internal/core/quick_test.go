@@ -111,7 +111,7 @@ func TestQuickDeletesMatchOracle(t *testing.T) {
 		var live []txdb.Transaction
 		for pos, tx := range txs {
 			if rng.Intn(3) == 0 {
-				if err := miner.Index().Delete(pos, tx.Items); err != nil {
+				if err := miner.Index().Part(0).Delete(pos, tx.Items); err != nil {
 					t.Fatal(err)
 				}
 			} else {

@@ -24,12 +24,12 @@ import (
 func tierAll(t testing.TB, m *Miner, poolBytes int64) *pager.Pager {
 	t.Helper()
 	pg := pager.New(poolBytes)
-	if err := m.idx.Tier(pg, filepath.Join(t.TempDir(), "slices.cold"), 0, nil); err != nil {
+	if err := m.idx.Part(0).Tier(pg, filepath.Join(t.TempDir(), "slices.cold"), 0, nil); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { _ = m.idx.Untier() })
-	if _, cold := m.idx.TierCensus(); cold == 0 || m.idx.ResidentSliceBytes() != 0 {
-		t.Fatalf("%d cold slices, %d payload bytes still resident under a zero hot budget", cold, m.idx.ResidentSliceBytes())
+	t.Cleanup(func() { _ = m.idx.Part(0).Untier() })
+	if _, cold := m.idx.Part(0).TierCensus(); cold == 0 || m.idx.Part(0).ResidentSliceBytes() != 0 {
+		t.Fatalf("%d cold slices, %d payload bytes still resident under a zero hot budget", cold, m.idx.Part(0).ResidentSliceBytes())
 	}
 	return pg
 }
@@ -54,8 +54,8 @@ func TestSiblingResidualMatchesSliceChain(t *testing.T) {
 	}{
 		{"dense", func(*testing.T, *Miner) {}},
 		{"compressed", func(t *testing.T, m *Miner) {
-			m.idx.SetCompression(true)
-			if _, sparse, rle := m.idx.EncodingCounts(); sparse+rle == 0 {
+			m.idx.Part(0).SetCompression(true)
+			if _, sparse, rle := m.idx.Part(0).EncodingCounts(); sparse+rle == 0 {
 				t.Fatal("compression left every slice dense")
 			}
 		}},

@@ -11,10 +11,11 @@ package exp
 import (
 	"fmt"
 
+	"bbsmine/internal/core"
 	"bbsmine/internal/iostat"
+	"bbsmine/internal/obs"
 	"bbsmine/internal/pager"
 	"bbsmine/internal/shard"
-	"bbsmine/internal/sighash"
 	"bbsmine/internal/txdb"
 )
 
@@ -83,20 +84,12 @@ func BenchJSON(p Params) ([]BenchRecord, error) {
 	}
 	tau := p.Tau(len(txs))
 
-	shards := p.Shards
-	if shards < 1 {
-		shards = 1
+	if p.Shards < 1 {
+		p.Shards = 1
 	}
 	records := make([]BenchRecord, 0, 4)
 	for _, name := range []string{"SFS", "DFS", "SFP", "DFP"} {
-		var met Metrics
-		var err error
-		if shards > 1 {
-			met, err = runShardedObserved(name, txs, tau, p)
-		} else {
-			met, err = RunSchemeObserved(name, txs, tau, p.M, p.K, 0, p.Workers, p.Repeat, p.Compress,
-				TierSpec{MemBudget: p.MemBudget, Dir: p.TierDir})
-		}
+		met, err := runObserved(name, txs, tau, p)
 		if err != nil {
 			return nil, err
 		}
@@ -108,7 +101,7 @@ func BenchJSON(p Params) ([]BenchRecord, error) {
 			SliceAnds:         met.Snapshot.SliceAnds,
 			Probes:            met.Snapshot.Probes,
 			Patterns:          met.Patterns,
-			Shards:            shards,
+			Shards:            p.Shards,
 			Compress:          met.Compressed,
 			SliceBytes:        met.SliceResidentBytes,
 			SliceLogicalBytes: met.SliceLogicalBytes,
@@ -152,51 +145,33 @@ func BenchJSON(p Params) ([]BenchRecord, error) {
 	return records, nil
 }
 
-// runShardedObserved mines one BBS scheme over an N-sharded in-memory
-// database's merged read view, keeping the best of p.Repeat attempts. The
-// merged view is a row permutation of the unsharded index, so the mined
-// patterns and the whole funnel are byte-identical to RunSchemeObserved —
-// what changes is the layout under measurement (per-shard slices, merge
-// cost, concatenated store).
-func runShardedObserved(name string, txs []txdb.Transaction, tau int, p Params) (Metrics, error) {
+// runObserved mines one BBS scheme over an N-sharded in-memory database
+// (N = 1: unsharded) read in place through its view, keeping the best of
+// p.Repeat attempts, each under a fresh telemetry registry. Patterns and
+// funnel are the same for every N; what changes is the layout under
+// measurement (per-shard slices and ANDs, concatenated store).
+func runObserved(name string, txs []txdb.Transaction, tau int, p Params) (Metrics, error) {
 	scheme, ok := bbsScheme(name)
 	if !ok {
-		return Metrics{}, fmt.Errorf("exp: scheme %q has no sharded form", name)
-	}
-	repeat := p.Repeat
-	if repeat < 1 {
-		repeat = 1
+		return Metrics{}, fmt.Errorf("exp: %q is not a BBS scheme", name)
 	}
 	var best Metrics
-	for r := 0; r < repeat; r++ {
+	for r := 0; r < max(p.Repeat, 1); r++ {
 		var stats iostat.Stats
-		sdb, err := shard.NewMem(sighash.NewMD5(p.M, p.K), p.Shards, &stats)
+		sdb, err := buildDB(txs, p.M, p.K, p.Shards, &stats)
 		if err != nil {
 			return Metrics{}, err
-		}
-		for _, tx := range txs {
-			if err := sdb.Append(tx); err != nil {
-				return Metrics{}, err
-			}
 		}
 		if p.Compress {
 			sdb.SetCompression(true)
 		}
-		idx, store, err := sdb.Merged()
-		if err != nil {
-			return Metrics{}, err
-		}
-		// Tiering applies to the merged view — the layout under measurement
-		// — so the sharded tiered leg exercises the same cold kernels over
-		// the merge-permuted slice table.
 		var pg *pager.Pager
 		if p.MemBudget > 0 {
-			spec := TierSpec{MemBudget: p.MemBudget, Dir: p.TierDir}
-			if pg, err = spec.tier(fmt.Sprintf("%s-s%d", name, p.Shards), scheme, idx, store, &stats, tau, p.Workers); err != nil {
+			if pg, err = tierDB(sdb, &stats, scheme, tau, p); err != nil {
 				return Metrics{}, err
 			}
 		}
-		met, err := timeBBSMine(name, scheme, idx, store, &stats, tau, 0, p.Workers, true, pg)
+		met, err := timeBBSMine(name, scheme, sdb, &stats, tau, 0, p.Workers, true, pg)
 		if err != nil {
 			return Metrics{}, err
 		}
@@ -205,6 +180,40 @@ func runShardedObserved(name string, txs []txdb.Transaction, tau int, p Params) 
 		}
 	}
 	return best, nil
+}
+
+// tierDB re-platforms a built bench database on a fresh buffer pool of
+// p.MemBudget bytes, as a deployment would: a profiling mine (off the clock)
+// collects per-slice AND participation, the shards are tiered — the hottest
+// slices pinned inside half the budget, the rest in each shard's cold file
+// under p.TierDir — and the store's page residency moves onto the same pool
+// when the store supports it. Returns the pool for the timed run's gauges.
+func tierDB(sdb *shard.DB, stats *iostat.Stats, scheme core.Scheme, tau int, p Params) (*pager.Pager, error) {
+	if p.TierDir == "" {
+		return nil, fmt.Errorf("exp: tiered run needs a scratch dir for cold files")
+	}
+	idx, store, err := sdb.Merged()
+	if err != nil {
+		return nil, err
+	}
+	miner, err := core.NewViewMiner(idx, store, stats)
+	if err != nil {
+		return nil, err
+	}
+	reg := obs.New()
+	if _, err := miner.Mine(core.Config{MinSupport: tau, Scheme: scheme, Workers: p.Workers, Observe: reg}); err != nil {
+		return nil, fmt.Errorf("exp: tier profiling run: %w", err)
+	}
+	pg := pager.New(p.MemBudget)
+	if err := sdb.Tier(pg, p.TierDir, p.MemBudget/2, reg.SliceTouches()); err != nil {
+		return nil, err
+	}
+	// A concatenation of several stores deliberately stays off the pager (its
+	// page numbering overlaps across parts), so the assertion failing is fine.
+	if pb, ok := store.(txdb.PagerBacked); ok {
+		pb.AttachPager(pg.Virtual("txdb"))
+	}
+	return pg, nil
 }
 
 // CheckCompression gates the compressed bench leg against its dense twin:

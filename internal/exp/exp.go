@@ -19,7 +19,6 @@ package exp
 import (
 	"fmt"
 	"io"
-	"path/filepath"
 	"strings"
 	"time"
 
@@ -31,7 +30,7 @@ import (
 	"bbsmine/internal/obs"
 	"bbsmine/internal/pager"
 	"bbsmine/internal/quest"
-	"bbsmine/internal/sigfile"
+	"bbsmine/internal/shard"
 	"bbsmine/internal/sighash"
 	"bbsmine/internal/txdb"
 )
@@ -51,7 +50,7 @@ type Params struct {
 	Scale   float64 // multiplies D (and the web-log sizes) for quick runs
 	Repeat  int     // timing repetitions; the median is reported
 	Workers int     // mining worker pool size; 1 (the default) keeps figure timings single-threaded
-	Shards  int     // BBS shard count for -json runs; mining binds the merged view, the answer never changes (1 = unsharded)
+	Shards  int     // BBS shard count for -json runs; mining reads the shards in place, the answer never changes (1 = unsharded)
 
 	// Compress turns on adaptive per-slice storage (dense / sparse
 	// positions / run-length) for the -json runs. Mining answers are
@@ -125,8 +124,8 @@ func (p Params) dataset(d, v, t int) ([]txdb.Transaction, error) {
 }
 
 // Metrics is the outcome of one timed mining run. Obs is populated only by
-// RunSchemeObserved (the figure drivers run unobserved, so their timings
-// stay comparable across commits).
+// BenchJSON's runs (the figure drivers run unobserved, so their timings stay
+// comparable across commits).
 type Metrics struct {
 	Scheme    string
 	Wall      time.Duration // measured
@@ -191,7 +190,7 @@ func RunScheme(name string, txs []txdb.Transaction, tau int, m, k int, memBudget
 	}
 	var best Metrics
 	for r := 0; r < repeat; r++ {
-		met, err := runSchemeOnce(name, txs, tau, m, k, memBudget, workers, false, false, TierSpec{})
+		met, err := runSchemeOnce(name, txs, tau, m, k, memBudget, workers)
 		if err != nil {
 			return Metrics{}, err
 		}
@@ -202,88 +201,18 @@ func RunScheme(name string, txs []txdb.Transaction, tau int, m, k int, memBudget
 	return best, nil
 }
 
-// RunSchemeObserved is RunScheme with a fresh telemetry registry attached
-// to each attempt; the returned Metrics carries the best attempt's Obs
-// snapshot (funnel, kernel, phases). Only meaningful for the BBS schemes.
-// tier carries the tiered-storage knobs (zero MemBudget = fully resident).
-func RunSchemeObserved(name string, txs []txdb.Transaction, tau int, m, k int, memBudget int64, workers, repeat int, compress bool, tier TierSpec) (Metrics, error) {
-	if repeat < 1 {
-		repeat = 1
-	}
-	var best Metrics
-	for r := 0; r < repeat; r++ {
-		met, err := runSchemeOnce(name, txs, tau, m, k, memBudget, workers, compress, true, tier)
-		if err != nil {
-			return Metrics{}, err
-		}
-		if r == 0 || met.Total() < best.Total() {
-			best = met
-		}
-	}
-	return best, nil
-}
-
-// TierSpec asks a bench run to tier its index before the timed mine.
-// MemBudget <= 0 disables tiering; Dir is the scratch directory for the
-// cold files.
-type TierSpec struct {
-	MemBudget int64
-	Dir       string
-}
-
-// tier re-platforms an already-built bench index on a fresh buffer pool:
-// an unobserved-by-the-clock profiling mine collects per-slice AND
-// participation, Tier pins the hottest slices inside half the budget and
-// spills the rest to a cold file, and the store's page residency (when the
-// store supports it) moves onto the same pool. Returns the pool so the
-// timed run can snapshot its gauges.
-func (t TierSpec) tier(name string, scheme core.Scheme, idx *sigfile.BBS, store txdb.Store, stats *iostat.Stats, tau, workers int) (*pager.Pager, error) {
-	if t.Dir == "" {
-		return nil, fmt.Errorf("exp: tiered run needs a scratch dir for cold files")
-	}
-	miner, err := core.NewMiner(idx, store, stats)
-	if err != nil {
-		return nil, err
-	}
-	reg := obs.New()
-	if _, err := miner.Mine(core.Config{MinSupport: tau, Scheme: scheme, Workers: workers, Observe: reg}); err != nil {
-		return nil, fmt.Errorf("exp: tier profiling run: %w", err)
-	}
-	pg := pager.New(t.MemBudget)
-	path := filepath.Join(t.Dir, name+".cold")
-	if err := idx.Tier(pg, path, t.MemBudget/2, reg.SliceTouches()); err != nil {
-		return nil, err
-	}
-	// The merged sharded store deliberately stays off the pager (its page
-	// numbering overlaps across parts), so the assertion failing is fine.
-	if pb, ok := store.(txdb.PagerBacked); ok {
-		pb.AttachPager(pg.Virtual("txdb/" + name))
-	}
-	return pg, nil
-}
-
-func runSchemeOnce(name string, txs []txdb.Transaction, tau int, m, k int, memBudget int64, workers int, compress, observe bool, tier TierSpec) (Metrics, error) {
+func runSchemeOnce(name string, txs []txdb.Transaction, tau int, m, k int, memBudget int64, workers int) (Metrics, error) {
 	var stats iostat.Stats
+	if scheme, ok := bbsScheme(name); ok {
+		sdb, err := buildDB(txs, m, k, 1, &stats)
+		if err != nil {
+			return Metrics{}, err
+		}
+		return timeBBSMine(name, scheme, sdb, &stats, tau, memBudget, workers, false, nil)
+	}
 	store, err := txdb.NewMemStoreFrom(&stats, txs)
 	if err != nil {
 		return Metrics{}, err
-	}
-
-	if scheme, ok := bbsScheme(name); ok {
-		idx := sigfile.New(sighash.NewMD5(m, k), &stats)
-		for _, tx := range txs {
-			idx.Insert(tx.Items)
-		}
-		if compress {
-			idx.SetCompression(true)
-		}
-		var pg *pager.Pager
-		if tier.MemBudget > 0 {
-			if pg, err = tier.tier(name, scheme, idx, store, &stats, tau, workers); err != nil {
-				return Metrics{}, err
-			}
-		}
-		return timeBBSMine(name, scheme, idx, store, &stats, tau, memBudget, workers, observe, pg)
 	}
 
 	switch name {
@@ -317,13 +246,32 @@ func runSchemeOnce(name string, txs []txdb.Transaction, tau int, m, k int, memBu
 	return Metrics{}, fmt.Errorf("exp: unknown scheme %q", name)
 }
 
-// timeBBSMine times one mining run over an already-built (index, store)
-// pair — index construction is not part of a mining run, so stats reset
-// just before the clock starts. Shared by the flat and sharded runners.
-// pg is the buffer pool of a tiered run (nil when resident); the pool saw
-// no traffic before the timed run, so its counters are the run's.
-func timeBBSMine(name string, scheme core.Scheme, idx *sigfile.BBS, store txdb.Store, stats *iostat.Stats, tau int, memBudget int64, workers int, observe bool, pg *pager.Pager) (Metrics, error) {
-	miner, err := core.NewMiner(idx, store, stats)
+// buildDB indexes the transactions into an in-memory database of the given
+// shard count (1: unsharded).
+func buildDB(txs []txdb.Transaction, m, k, shards int, stats *iostat.Stats) (*shard.DB, error) {
+	sdb, err := shard.NewMem(sighash.NewMD5(m, k), shards, stats)
+	if err != nil {
+		return nil, err
+	}
+	for _, tx := range txs {
+		if err := sdb.Append(tx); err != nil {
+			return nil, err
+		}
+	}
+	return sdb, nil
+}
+
+// timeBBSMine times one mining run over an already-built database, its
+// shards read in place — index construction is not part of a mining run, so
+// stats reset just before the clock starts. Shared by the figure and the
+// -json runners. pg is the buffer pool of a tiered run (nil when resident):
+// the pool saw no traffic before the timed run, so its counters are the run's.
+func timeBBSMine(name string, scheme core.Scheme, sdb *shard.DB, stats *iostat.Stats, tau int, memBudget int64, workers int, observe bool, pg *pager.Pager) (Metrics, error) {
+	idx, store, err := sdb.Merged()
+	if err != nil {
+		return Metrics{}, err
+	}
+	miner, err := core.NewViewMiner(idx, store, stats)
 	if err != nil {
 		return Metrics{}, err
 	}
@@ -349,8 +297,8 @@ func timeBBSMine(name string, scheme core.Scheme, idx *sigfile.BBS, store txdb.S
 		Snapshot:  snap,
 
 		SliceLogicalBytes:  idx.TotalBytes(),
-		SliceResidentBytes: idx.ResidentSliceBytes(),
-		Compressed:         idx.Compressed(),
+		SliceResidentBytes: sdb.Index().ResidentSliceBytes(),
+		Compressed:         sdb.Index().Compressed(),
 	}
 	if pg != nil {
 		ps := pg.Stats()
@@ -361,7 +309,7 @@ func timeBBSMine(name string, scheme core.Scheme, idx *sigfile.BBS, store txdb.S
 		met.PagerHits = ps.Hits
 		met.PagerEvictions = ps.Evictions
 		met.PagerHitRatio = ps.HitRatio()
-		met.SlicesHot, met.SlicesCold = idx.TierCensus()
+		met.SlicesHot, met.SlicesCold = sdb.Index().TierCensus()
 	}
 	if reg != nil {
 		om := reg.Metrics()

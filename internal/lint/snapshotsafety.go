@@ -9,7 +9,7 @@ import (
 
 // SnapshotSafety enforces the serving layer's core contract: a value
 // published as a snapshot — stored through an atomic.Pointer, or returned
-// from a Snapshot() or Merge call — is write-once. Readers on other
+// from a Snapshot() call — is write-once. Readers on other
 // goroutines hold it with no lock; one field store or mutating method call
 // after publication corrupts the byte-identity every determinism test
 // assumes, silently, and only under concurrency.
@@ -31,7 +31,7 @@ import (
 // build their result before publication.
 var SnapshotSafety = &Analyzer{
 	Name: "snapshotsafety",
-	Doc:  "values published via atomic.Pointer.Store or Snapshot()/Merge are write-once",
+	Doc:  "values published via atomic.Pointer.Store or Snapshot() are write-once",
 	Applies: func(path string) bool {
 		return pathHasSegment(path, "internal/serve") ||
 			pathHasSegment(path, "internal/shard") ||
@@ -526,9 +526,9 @@ func (st *snapState) callLevel(call *ast.CallExpr, p token.Pos) int {
 	if fn == nil {
 		return lvlNone
 	}
-	// The repository-wide naming contract: Snapshot() and Merge return
+	// The repository-wide naming contract: Snapshot() returns
 	// write-once views, whichever package declares them.
-	if (fn.Name() == "Snapshot" || fn.Name() == "Merge") && hasResults(fn) {
+	if fn.Name() == "Snapshot" && hasResults(fn) {
 		return lvlPublished
 	}
 	return st.publisherLevel(fn)

@@ -178,6 +178,20 @@ func (k *KernelSample) CountEncoding(enc int) {
 	}
 }
 
+// CountAnd tallies one AND about to run: sparse says which kernel the
+// accumulator's mode selects (bitvec.Vector.WordStats), words how many
+// backing words that kernel visits, enc the source's encoding tag.
+func (k *KernelSample) CountAnd(words int, sparse bool, enc int) {
+	if sparse {
+		k.AndsSparse++
+		k.WordsSparse += int64(words)
+	} else {
+		k.AndsDense++
+		k.WordsDense += int64(words)
+	}
+	k.CountEncoding(enc)
+}
+
 // FunnelStats holds the registry's funnel counters.
 type FunnelStats struct {
 	candidates      atomic.Int64
@@ -341,8 +355,8 @@ func (r *Registry) AddKernel(k KernelSample) {
 // SetIndexStorage publishes the index's storage gauges: logical is the
 // all-dense slice footprint in bytes, resident the bytes actually held under
 // the current encodings, and dense/sparse/rle the per-encoding slice census.
-// Call whenever the storage shape changes (attach, SetCompression, Fold,
-// Merge); each call overwrites the previous gauge values.
+// Call whenever the storage shape changes (attach, SetCompression, Fold);
+// each call overwrites the previous gauge values.
 func (r *Registry) SetIndexStorage(logical, resident int64, dense, sparse, rle int) {
 	if r == nil {
 		return
@@ -352,6 +366,21 @@ func (r *Registry) SetIndexStorage(logical, resident int64, dense, sparse, rle i
 	r.index.slicesDense.Store(int64(dense))
 	r.index.slicesSparse.Store(int64(sparse))
 	r.index.slicesRLE.Store(int64(rle))
+}
+
+// ObserveChain records one finished slice chain (sigfile's CountIntoBuf): k
+// carries the per-AND tallies, pos the slice positions the chain selected and
+// done how many of them it AND-ed before stopping. Every selected slice
+// counts as touched, whether or not the early exit cut the ANDs short — the
+// selection is what the hot tier wants to predict.
+func (r *Registry) ObserveChain(k KernelSample, pos []int, done int) {
+	k.Evals = 1
+	if done < len(pos) {
+		k.EarlyExits = 1
+	}
+	r.TouchSlices(pos)
+	r.AddKernel(k)
+	r.ObserveAndDepth(int64(done))
 }
 
 // ObserveAndDepth records how many slice positions one evaluation AND-ed

@@ -11,7 +11,7 @@ import (
 // per-shard resolution. Only what is semantically per-shard lives here
 // (epoch, committed batches, the operations they carried, fan-out count
 // calls); the mining funnel and kernel counters stay global, because mining
-// decisions are made over the merged view, not per shard.
+// decisions are made over the shards' summed counts, not per shard.
 //
 // The shard set grows on first touch: the registry does not know N, and the
 // serving layer may publish shard 3's epoch before shard 0 sees traffic.

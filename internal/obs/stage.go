@@ -5,7 +5,7 @@ package obs
 // serving engine therefore times every request's path through five stages
 // and feeds one LatencyHist per stage, so /metrics can answer *which* stage
 // moved — admission queueing (overload), cache lookup (lock contention),
-// merged-view bind (epoch churn invalidating the merge cache), mine time
+// mining-view bind (snapshot clones plus any constraint build), mine time
 // (the query itself), or render time (answer size).
 
 // Stage identifies one timed stage of a served request. Stages are
@@ -21,8 +21,8 @@ const (
 	// StageCache is the query-cache lookup (and, for followers, the wait on
 	// the leader's flight).
 	StageCache
-	// StageBind is building the private mining view: snapshot clone on one
-	// shard, block-concat merge plus clone on many.
+	// StageBind is building the private mining view: one snapshot clone per
+	// shard under a block-order view, plus the constraint when there is one.
 	StageBind
 	// StageMine is the mining run itself.
 	StageMine

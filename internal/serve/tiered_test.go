@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"bbsmine/internal/obs"
@@ -152,5 +153,61 @@ func TestTieredWritesAndEpochDrain(t *testing.T) {
 	// the cold path actually ran before the thaw.
 	if m.Pager.Faults == 0 || m.Pager.Evictions == 0 {
 		t.Fatalf("pager metrics report %d faults, %d evictions; the cold path never ran under pressure", m.Pager.Faults, m.Pager.Evictions)
+	}
+}
+
+// TestMemBudgetBoundsShardedEngineMine pins that a sharded engine's mines
+// live inside -mem-budget: a mine reads the shard snapshots' own cold slices
+// through the pool, so two cold mines at one epoch vector both fault (a
+// resident merged copy of the index, cached per epoch vector, used to serve
+// the second without touching the pool). The second runs at a lower
+// threshold — longer chains, so it needs slices the first left cold; the
+// pages the first faulted stay protected by the serving snapshots' pager
+// epochs and would only hit. A write then supersedes those snapshots, and
+// what the pool holds fits the budget again. Answers equal an untiered
+// engine's throughout.
+func TestMemBudgetBoundsShardedEngineMine(t *testing.T) {
+	txs := genTxns(36, 16384, 40, 6)
+	resident := newShardedTestEngine(t, txs, 256, 3, 2, Options{})
+	var budget int64 // half the bytes the slices occupy
+	for _, sn := range resident.loadSnaps() {
+		budget += sn.idx.ResidentSliceBytes() / 2
+	}
+	tiered := newShardedTestEngine(t, txs, 256, 3, 2, Options{MemBudget: budget, ColdDir: t.TempDir()})
+	ctx := context.Background()
+
+	before := tiered.EpochVector()
+	faults := int64(0)
+	for i, req := range []QueryRequest{
+		{Scheme: "DFP", MinSupportCount: len(txs)}, // every chain stops after its rarest slice
+		{Scheme: "DFP", MinSupportCount: 800},
+	} {
+		want, err := resident.Query(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := tiered.Query(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Cached || string(got.Patterns) != string(want.Patterns) {
+			t.Errorf("mine %d: cached=%v, answer equals the untiered engine's: %v", i+1, got.Cached, string(got.Patterns) == string(want.Patterns))
+		}
+		ps := tiered.pager.Stats()
+		if ps.Faults <= faults {
+			t.Errorf("mine %d faulted nothing (%d faults before, %d after): it did not read through the pool", i+1, faults, ps.Faults)
+		}
+		faults = ps.Faults
+	}
+	if after := tiered.EpochVector(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("epoch vector moved from %v to %v between the mines", before, after)
+	}
+
+	if _, err := tiered.Apply(ctx, TxnsRequest{Insert: genTxns(37, 2, 40, 6)}); err != nil {
+		t.Fatal(err)
+	}
+	if ps := tiered.pager.Stats(); ps.ResidentBytes+ps.ReservedBytes > budget || ps.Evictions == 0 {
+		t.Errorf("after a write drained the snapshot epochs the pool holds %d frame + %d reserved bytes under a %d-byte budget (%d evictions)",
+			ps.ResidentBytes, ps.ReservedBytes, budget, ps.Evictions)
 	}
 }

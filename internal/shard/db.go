@@ -15,8 +15,7 @@ import (
 
 // DB couples a sharded index with per-shard transaction stores: shard s
 // owns its own slice file and its own data file, so the two stay in step
-// under the same routing. It also caches the merged read view a mining run
-// needs, invalidating it on writes.
+// under the same routing.
 //
 // A DB is not safe for concurrent use — it is the library-embedding
 // counterpart of bbsmine.Database. The serving layer does not use DB's
@@ -29,10 +28,6 @@ type DB struct {
 	dir        string            // "" when in-memory
 	stats      *iostat.Stats
 	hasher     sighash.Hasher
-
-	merged      *sigfile.BBS // cached merged view; nil until first use
-	mergedStore txdb.Store
-	dirty       bool
 }
 
 // NewMem returns a volatile sharded DB over in-memory stores.
@@ -92,7 +87,6 @@ func (db *DB) Append(tx txdb.Transaction) error {
 		return err
 	}
 	db.idx.Insert(tx.Items)
-	db.dirty = true
 	return nil
 }
 
@@ -111,20 +105,13 @@ func (db *DB) Delete(pos int) error {
 	if err != nil {
 		return err
 	}
-	if err := db.idx.Delete(pos, tx.Items); err != nil {
-		return err
-	}
-	db.dirty = true
-	return nil
+	return db.idx.Delete(pos, tx.Items)
 }
 
 // Tier re-platforms the index's slice storage on pg (see Index.Tier). The
 // per-shard cold files land in the database directory; an in-memory
-// database needs scratchDir. The cached merged view is invalidated: a
-// pre-tier merge holds every slice resident outside the pool's accounting,
-// so keeping it would serve sharded mines from an untracked full copy of
-// the index and the budget would never bite. The next mine re-merges,
-// faulting cold pages through the shared pool.
+// database needs scratchDir. A mine reads the shards' own slices, so the
+// budget binds it like any other reader.
 func (db *DB) Tier(pg *pager.Pager, scratchDir string, hotBudget int64, touches []uint64) error {
 	dir := db.dir
 	if dir == "" {
@@ -133,50 +120,35 @@ func (db *DB) Tier(pg *pager.Pager, scratchDir string, hotBudget int64, touches 
 	if dir == "" {
 		return fmt.Errorf("shard: tiering an in-memory database needs a scratch directory")
 	}
-	if err := db.idx.Tier(pg, dir, hotBudget, touches); err != nil {
-		return err
-	}
-	db.merged = nil
-	db.mergedStore = nil
-	return nil
+	return db.idx.Tier(pg, dir, hotBudget, touches)
 }
 
-// Untier thaws the index back to fully resident storage. The cached merged
-// view is answer-identical either way and is kept.
+// Untier thaws the index back to fully resident storage.
 func (db *DB) Untier() error { return db.idx.Untier() }
 
 // SetCompression sets the adaptive storage policy on every shard and
-// re-encodes the slices to match. The cached merged view is invalidated so
-// the next mining run rebuilds it under the new policy.
-func (db *DB) SetCompression(on bool) {
-	db.idx.SetCompression(on)
-	db.merged = nil
-	db.mergedStore = nil
-	db.dirty = true
-}
+// re-encodes the slices to match.
+func (db *DB) SetCompression(on bool) { db.idx.SetCompression(on) }
 
-// Merged returns the read view a mining run binds to: one index and one
-// store covering every shard's rows in block order. With one shard these
-// are the shard's own index and store; with more, the merge is built once
-// and reused until the next write invalidates it.
-func (db *DB) Merged() (*sigfile.BBS, txdb.Store, error) {
-	if db.merged != nil && !db.dirty {
-		return db.merged, db.mergedStore, nil
-	}
-	idx, err := db.idx.Merge(db.stats)
+// Merged returns what a mining run binds to: the view of the shards as one
+// block-order index, and the shards' stores concatenated in the same order.
+// Nothing is merged — the view reads the shards in place, so binding costs
+// O(shards + m) and there is nothing to cache or for a write to leave stale
+// (bind again after one: the view captures the shards' lengths). The name
+// dates from when this built a merged copy of the index; it survives because
+// the frozen benchmark (bench/, bbsperf's shard.merged_ms layer) calls it.
+func (db *DB) Merged() (*sigfile.View, txdb.Store, error) {
+	v, err := sigfile.NewView(db.idx.parts)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("shard: %w", err)
 	}
-	db.merged = idx
-	db.mergedStore = txdb.Concat(db.stores...)
-	db.dirty = false
-	return db.merged, db.mergedStore, nil
+	return v, txdb.Concat(db.stores...), nil
 }
 
 // Count estimates and exactly counts an itemset by per-shard fan-out: each
 // shard ANDs its own slices and probes its own candidates, and the per-shard
 // results merge by shard index. The answer is identical to counting over the
-// merged view; the accounting reflects the N per-shard slice reads that a
+// mining view; the accounting reflects the N per-shard slice reads that a
 // sharded deployment actually performs.
 func (db *DB) Count(items []int32) (est, exact int, err error) {
 	sorted := append([]int32(nil), items...)
@@ -274,9 +246,6 @@ func (db *DB) Compact() error {
 		return err
 	}
 	db.idx = idx
-	db.merged = nil
-	db.mergedStore = nil
-	db.dirty = true
 	return db.Save()
 }
 

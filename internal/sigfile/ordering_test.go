@@ -62,7 +62,7 @@ func TestSliceOnesMaintained(t *testing.T) {
 	idx, _ := randomIndex(rng, 64, 4, 300) // narrow m forces collisions
 	checkSliceOnes(t, idx)
 
-	folded, err := idx.Fold(16)
+	folded, err := foldPart(idx, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestCountIntoRarestFirstMatchesNaive(t *testing.T) {
 	}
 	t.Run("post-delete", func(t *testing.T) { compare(t, idx) })
 
-	folded, err := idx.Fold(48)
+	folded, err := foldPart(idx, 48)
 	if err != nil {
 		t.Fatal(err)
 	}

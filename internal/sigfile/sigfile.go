@@ -16,12 +16,10 @@
 package sigfile
 
 import (
-	"fmt"
 	"slices"
 
 	"bbsmine/internal/bitvec"
 	"bbsmine/internal/iostat"
-	"bbsmine/internal/obs"
 	"bbsmine/internal/pager"
 	"bbsmine/internal/sighash"
 )
@@ -41,8 +39,8 @@ type BBS struct {
 	// correct), a stale non-nil is a bug.
 	denseVec []*bitvec.Vector
 
-	// compress is the storage policy: when set, Fold, Merge and
-	// SetCompression pick each slice's encoding (dense, sparse positions,
+	// compress is the storage policy: when set, Fold and SetCompression
+	// pick each slice's encoding (dense, sparse positions,
 	// or run-length) by payload size, and the AND chain runs the
 	// direct-on-compressed kernels. When clear every slice is dense — the
 	// classic layout. Either way Insert appends under the current encoding
@@ -88,7 +86,6 @@ type BBS struct {
 	tierReserved int64
 
 	stats *iostat.Stats
-	obs   *obs.Registry // nil unless a mining run attached telemetry
 }
 
 // New returns an empty BBS using the given hasher. A nil stats disables
@@ -125,31 +122,6 @@ func (b *BBS) Len() int { return b.n }
 
 // Stats returns the accounting sink.
 func (b *BBS) Stats() *iostat.Stats { return b.stats }
-
-// SetObserver attaches (nil: detaches) a telemetry registry. Attached, the
-// bulk estimate path (CountIntoBuf) accounts its AND kernels and depths;
-// detached, those paths run the uninstrumented loop. Call between runs, not
-// during one.
-func (b *BBS) SetObserver(o *obs.Registry) {
-	b.obs = o
-	b.publishStorage()
-}
-
-// publishStorage pushes the storage gauges — logical vs resident slice
-// bytes and the per-encoding census — to the attached registry, if any.
-// Called wherever the storage shape changes wholesale (attach, policy
-// flips, folds); Insert's incremental growth is picked up at the next
-// wholesale event, which is all a gauge needs.
-func (b *BBS) publishStorage() {
-	if b.obs == nil {
-		return
-	}
-	dense, sparse, rle := b.EncodingCounts()
-	b.obs.SetIndexStorage(b.TotalBytes(), b.ResidentSliceBytes(), dense, sparse, rle)
-}
-
-// Observer returns the attached telemetry registry, or nil.
-func (b *BBS) Observer() *obs.Registry { return b.obs }
 
 // Insert indexes one transaction's items at the next ordinal position.
 // Position i of every slice corresponds to the i-th inserted transaction,
@@ -243,17 +215,16 @@ func (b *BBS) refreshDense(p int) {
 	b.denseVec[p] = b.slices[p].DenseVector()
 }
 
-// SliceOnes returns the popcount of slice p, maintained incrementally.
-func (b *BBS) SliceOnes(p int) int { return b.sliceOnes[p] }
-
 // OrderRarestFirst reorders slice positions in place by ascending slice
 // popcount, ties broken by ascending position so the order is deterministic
 // for a given index state. AND-ing rarest-first maximizes the early exit:
 // the sparsest slices pull the running estimate down fastest, and AND is
 // commutative, so the surviving bits — and therefore every result — are
 // unchanged. Insertion sort: position lists are short.
-func (b *BBS) OrderRarestFirst(pos []int) {
-	ones := b.sliceOnes
+func (b *BBS) OrderRarestFirst(pos []int) { orderRarestFirst(b.sliceOnes, pos) }
+
+// orderRarestFirst sorts pos by ascending ones[p], ties by ascending p.
+func orderRarestFirst(ones, pos []int) {
 	for i := 1; i < len(pos); i++ {
 		for j := i; j > 0; j-- {
 			a, p := pos[j], pos[j-1]
@@ -281,28 +252,6 @@ func (b *BBS) Items() []int32 {
 	return out
 }
 
-// AverageSignatureBits returns the mean number of set bits per transaction
-// signature (total set bits across all slices divided by the number of
-// transactions). It characterizes the index's density, which the adaptive
-// filtering uses to pick a sane fold width. Reads the maintained per-slice
-// popcounts, so it costs O(m) rather than a pass over the slice words.
-func (b *BBS) AverageSignatureBits() float64 {
-	if b.n == 0 {
-		return 0
-	}
-	total := 0
-	for _, c := range b.sliceOnes {
-		total += c
-	}
-	return float64(total) / float64(b.n)
-}
-
-// MaxTransactionItems returns the largest distinct-item count among the
-// inserted transactions — the adaptive filtering keys its fold-width floor
-// to it, because the heaviest transaction's signature saturates a
-// too-narrow fold and destroys all pruning power.
-func (b *BBS) MaxTransactionItems() int { return b.maxTxnItems }
-
 // SliceBytes returns the size of one slice in bytes under the dense layout.
 // Memory budgeting and I/O charging both use this logical size — a folded
 // in-memory index is dense by construction, and the paper's cost model
@@ -323,9 +272,6 @@ func (b *BBS) ResidentSliceBytes() int64 {
 	}
 	return total
 }
-
-// SliceEncoding reports the physical encoding of slice p.
-func (b *BBS) SliceEncoding(p int) bitvec.Encoding { return b.slices[p].Encoding() }
 
 // EncodingCounts returns how many slices are stored dense, sparse, and
 // run-length encoded.
@@ -365,7 +311,6 @@ func (b *BBS) SetCompression(on bool) {
 		}
 		b.refreshDense(p)
 	}
-	b.publishStorage()
 }
 
 // pagesForBytes converts a contiguous byte extent into whole pages, at
@@ -388,6 +333,12 @@ func pagesForBytes(n int64) int64 {
 // is loaded and then operated on with bitwise instructions.
 func (b *BBS) AndSlice(dst *bitvec.Vector, p int) int {
 	b.stats.AddSliceAnd()
+	return b.andSlice(dst, p)
+}
+
+// andSlice is AndSlice without the accounting (a View charges one AND for
+// all its parts).
+func (b *BBS) andSlice(dst *bitvec.Vector, p int) int {
 	// Slices grow lazily (see Insert), so slice p may be shorter than dst;
 	// every kernel reads the missing tail as zeros. Dense slices — every
 	// slice of an uncompressed index — branch straight to the classic
@@ -399,31 +350,6 @@ func (b *BBS) AndSlice(dst *bitvec.Vector, p int) int {
 	}
 	return b.slices[p].AndCountInto(dst)
 }
-
-// ChargeFullRead charges one sequential pass over every slice — the cost of
-// streaming through the whole index once. Slices are stored contiguously,
-// so the pass costs ceil(TotalBytes / PageSize) pages. Used by the adaptive
-// mode, whose passes cannot be cached by definition (memory is scarce).
-func (b *BBS) ChargeFullRead() {
-	b.stats.AddSlicePages(pagesForBytes(b.TotalBytes()))
-}
-
-// ChargeColdRead charges only the index pages not yet faulted into the
-// buffer pool. A persistent index in a steady-state system stays resident
-// (index pages go through the buffer pool, unlike sequential table scans,
-// which use bypass rings), so a re-mine after an append pays only for the
-// grown tail. The first call charges the whole index.
-func (b *BBS) ChargeColdRead() {
-	pages := pagesForBytes(b.TotalBytes())
-	if pages > b.coldPages {
-		b.stats.AddSlicePages(pages - b.coldPages)
-		b.coldPages = pages
-	}
-}
-
-// EvictCache forgets buffer-pool residency, so the next ChargeColdRead
-// pays for the whole index again (used when a memory budget evicts it).
-func (b *BBS) EvictCache() { b.coldPages = 0 }
 
 // ChargeSliceReads charges n individual slice reads — the cost of an ad-hoc
 // query that touches only the slices of one itemset's signature.
@@ -476,19 +402,9 @@ func (b *BBS) CountInto(dst *bitvec.Vector, items []int32) int {
 //lint:hotpath
 func (b *BBS) CountIntoBuf(dst *bitvec.Vector, items []int32, posBuf *[]int) int {
 	b.stats.AddCountCall()
-	dst.Grow(b.n)
-	est := b.n
-	if b.live != nil {
-		dst.CopyFrom(b.live)
-		est = b.Live()
-	} else {
-		dst.SetAll()
-	}
+	est := b.resetResult(dst)
 	*posBuf = sighash.AppendSignatureBits((*posBuf)[:0], b.hasher, items)
 	b.OrderRarestFirst(*posBuf)
-	if b.obs != nil {
-		return b.countIntoObserved(dst, *posBuf, est)
-	}
 	for _, p := range *posBuf {
 		est = b.AndSlice(dst, p)
 		if est == 0 {
@@ -504,76 +420,29 @@ func (b *BBS) CountIntoBuf(dst *bitvec.Vector, items []int32, posBuf *[]int) int
 	return est
 }
 
-// countIntoObserved is CountIntoBuf's AND loop with kernel telemetry: same
-// slices, same order, same early exit — plus per-AND accounting of which
-// kernel ran and how many words it visited, flushed to the registry in one
-// batch. Split out so the unobserved loop stays branch-free.
-func (b *BBS) countIntoObserved(dst *bitvec.Vector, pos []int, est int) int {
-	var s obs.KernelSample
-	s.Evals = 1
-	// Slice-touch tallies feed the tiering pass: every slice selected into
-	// this chain counts as touched, whether or not the early exit cuts the
-	// ANDs short — the selection is what the hot tier wants to predict.
-	b.obs.TouchSlices(pos)
-	done := 0
-	for _, p := range pos {
-		words, sparse := dst.WordStats()
-		if sparse {
-			s.AndsSparse++
-			s.WordsSparse += int64(words)
-		} else {
-			s.AndsDense++
-			s.WordsDense += int64(words)
-		}
-		s.CountEncoding(int(b.slices[p].Encoding()))
-		est = b.AndSlice(dst, p)
-		done++
-		if est == 0 {
-			break
-		}
-		dst.MaybeSummarize(est) // mirror CountIntoBuf's mid-chain promotion
+// resetResult makes dst the identity for slice AND-ing — every live row, as
+// NewResult returns it — and returns the number of rows it marks.
+func (b *BBS) resetResult(dst *bitvec.Vector) int {
+	dst.Grow(b.n)
+	if b.live != nil {
+		dst.CopyFrom(b.live)
+		return b.Live()
 	}
-	if done < len(pos) {
-		s.EarlyExits = 1
-	}
-	b.obs.AddKernel(s)
-	b.obs.ObserveAndDepth(int64(done))
-	return est
+	dst.SetAll()
+	return b.n
 }
 
-// CountConstrained is CountItemSet with an additional constraint slice (an
-// n-bit vector marking the transactions satisfying an ad-hoc predicate, per
-// paper Section 3.4). The constraint is AND-ed after the item slices and
-// charged as one slice read.
-func (b *BBS) CountConstrained(items []int32, constraint *bitvec.Vector) (int, *bitvec.Vector) {
-	if constraint.Len() != b.n {
-		panic(fmt.Sprintf("sigfile: constraint length %d != index length %d", constraint.Len(), b.n))
-	}
-	est, v := b.CountItemSet(items)
-	if est > 0 {
-		b.stats.AddSliceAnd()
-		est = v.AndCount(constraint)
-	}
-	return est, v
-}
-
-// Fold builds the memory-resident MemBBS of the paper's adaptive filtering
-// (Section 3.1, preprocessing phase): the first keep slices are retained and
-// every slice p >= keep is "rehashed" onto slice p mod keep. The fold ORs
+// fold builds this part of the memory-resident MemBBS of the paper's
+// adaptive filtering (Section 3.1, preprocessing phase; see View.Fold, which
+// validates keep and charges the pass): the first keep slices are retained
+// and every slice p >= keep is "rehashed" onto slice p mod keep. The fold ORs
 // slices together, which preserves the no-false-miss property (a folded
-// query bit is set whenever any contributing original bit was set).
-// The returned index shares no storage with the original and uses a hasher
-// whose positions are reduced mod keep.
-func (b *BBS) Fold(keep int) (*BBS, error) {
-	if keep <= 0 || keep > len(b.slices) {
-		return nil, fmt.Errorf("sigfile: fold width %d out of range (1..%d)", keep, len(b.slices))
-	}
-	// Reading every original slice once is the preprocessing pass; charge it.
-	b.ChargeFullRead()
-
+// query bit is set whenever any contributing original bit was set). The
+// returned index shares no storage with the original and uses a hasher whose
+// positions are reduced mod keep.
+func (b *BBS) fold(keep int) *BBS {
 	fh := &foldedHasher{base: b.hasher, m: keep}
 	nb := New(fh, b.stats)
-	nb.obs = b.obs // the MemBBS inherits the run's telemetry
 	nb.n = b.n
 	nb.compress = b.compress
 	for j := 0; j < keep; j++ {
@@ -600,8 +469,7 @@ func (b *BBS) Fold(keep int) (*BBS, error) {
 		nb.live = b.live.Clone()
 		nb.deleted = b.deleted
 	}
-	nb.publishStorage()
-	return nb, nil
+	return nb
 }
 
 // foldedHasher reduces a base hasher's positions modulo a smaller m.

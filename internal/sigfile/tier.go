@@ -114,7 +114,6 @@ func (b *BBS) Tier(pg *pager.Pager, path string, hotBudget int64, touches []uint
 		pg.Reserve(hotBytes)
 		b.tierPager = pg
 		b.tierReserved = hotBytes
-		b.publishStorage()
 		return nil
 	}
 
@@ -163,7 +162,6 @@ func (b *BBS) Tier(pg *pager.Pager, path string, hotBudget int64, touches []uint
 	b.tierPager = pg
 	b.tierReserved = hotBytes
 	b.tierFile = f
-	b.publishStorage()
 	return nil
 }
 
@@ -190,7 +188,6 @@ func (b *BBS) Untier() error {
 	b.tierPager = nil
 	f := b.tierFile
 	b.tierFile = nil
-	b.publishStorage()
 	return f.Close()
 }
 

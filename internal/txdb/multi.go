@@ -7,8 +7,9 @@ import (
 
 // concatStore presents per-shard stores as one logical Store in block
 // order: part 0's rows at positions [0, n0), part 1's at [n0, n0+n1), and
-// so on — the same row order sigfile.Merge gives the merged index, so
-// position i of the concatenated store is bit i of every merged slice.
+// so on — the row order of a sigfile.View over the shards' indexes, so
+// position i of the store is bit i of every result vector a chain over the
+// view leaves behind. Like the view it is only a layout: it holds no rows.
 type concatStore struct {
 	parts   []Store
 	offsets []int // offsets[i] is the first global position of part i

@@ -150,18 +150,11 @@ func (db *Database) MineApprox(opts MineOptions) ([]Pattern, error) {
 
 // Count estimates and exactly counts the occurrences of an arbitrary
 // itemset — frequent or not — using one index lookup plus targeted probes.
-// On a sharded database the count fans out: each shard ANDs its own slices
-// and probes its own candidates, and the per-shard results merge by shard
-// index, so no merged view is built for an ad-hoc query.
+// The count fans out: each shard ANDs its own slices and probes its own
+// candidates, and the per-shard results merge by shard index (one shard is
+// the fan-out of one).
 func (db *Database) Count(items []int32) (estimate, exact int, err error) {
-	if db.Shards() > 1 {
-		return db.sdb.Count(items)
-	}
-	m, err := db.miner()
-	if err != nil {
-		return 0, 0, err
-	}
-	return m.Count(items)
+	return db.sdb.Count(items)
 }
 
 // CountWhere counts itemset occurrences among the transactions satisfying
@@ -185,9 +178,9 @@ type Constraint struct {
 }
 
 // NewConstraint materializes a constraint from a predicate over TIDs. The
-// constraint is laid out in the merged read view's row order, which is what
-// constrained counting and mining consume; it is opaque to callers either
-// way.
+// constraint is laid out in the mining view's row order (the shards' rows in
+// block order), which is what constrained counting and mining consume; it is
+// opaque to callers either way.
 func (db *Database) NewConstraint(pred func(tid int64) bool) (*Constraint, error) {
 	_, store, err := db.sdb.Merged()
 	if err != nil {
