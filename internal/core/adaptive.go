@@ -74,6 +74,9 @@ func (m *Miner) mineAdaptive(cfg Config) (*Result, error) {
 	m.idx.ChargeFullRead()
 	reverifyTick := cfg.Observe.Tick()
 	outs := r.reverify(r.uncertain)
+	if r.err != nil {
+		return nil, r.err
+	}
 	if err := cfg.ctxErr(); err != nil {
 		return nil, err
 	}

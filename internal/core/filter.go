@@ -33,8 +33,9 @@ type run struct {
 
 	// done caches cfg.Ctx.Done() so the cancellation poll on the hot paths
 	// is one nil check plus (when serving) one channel select; nil when the
-	// run is uncancellable. err latches the wrapped cancellation error and
-	// short-circuits the rest of the enumeration.
+	// run is uncancellable. err latches the wrapped cancellation error, or
+	// the first probe fetch that failed, and short-circuits the rest of the
+	// enumeration.
 	done <-chan struct{}
 	err  error
 
@@ -138,6 +139,22 @@ func (r *run) cancelled() bool {
 	default:
 		return false
 	}
+}
+
+// latch records err as the run's error unless one is already latched (nil
+// latches nothing); from then on cancelled reports true and the enumeration
+// unwinds.
+func (r *run) latch(err error) {
+	if r.err == nil {
+		r.err = err
+	}
+}
+
+// probeErr wraps a failed probe fetch. A transaction that cannot be read
+// cannot be counted: counting it as a non-match would lower the exact
+// support and prune a frequent subtree, so the run fails instead.
+func probeErr(pos int, err error) error {
+	return fmt.Errorf("core: probing transaction %d: %w", pos, err)
 }
 
 // flushKernel moves the batched kernel tallies into the registry in one
@@ -545,7 +562,8 @@ func (r *run) checkCount(gi, parentEst, parentCount, parentFlag, childEst, depth
 func (r *run) probeExact(vec *bitvec.Vector, itemset []txdb.Item) int {
 	r.probedPatterns++
 	if r.workers > 1 && !r.inWorker && vec.CountUpTo(probeFanOutMin) >= probeFanOutMin {
-		exact := probeParallel(r.m, vec, itemset, r.workers)
+		exact, err := probeParallel(r.m, vec, itemset, r.workers)
+		r.latch(err)
 		if r.obs.Tracing() {
 			// probeParallel leaves vec untouched, so its popcount is the
 			// fetch count; the sweep is tracing-only.
@@ -564,7 +582,11 @@ func (r *run) probeExact(vec *bitvec.Vector, itemset []txdb.Item) int {
 		tx, err := r.m.store.Get(pos)
 		r.m.stats.AddProbe()
 		fetched++
-		if err == nil && tx.Contains(itemset) {
+		if err != nil {
+			r.latch(probeErr(pos, err))
+			return false
+		}
+		if tx.Contains(itemset) {
 			exact++
 		}
 		return true

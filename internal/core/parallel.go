@@ -52,7 +52,7 @@ type subtreeResult struct {
 	accepted  []Pattern
 	uncertain []Pattern
 
-	err error // cancellation observed while mining the subtree
+	err error // what the subtree's run latched: cancellation or a failed probe
 
 	candidates     int
 	falseDrops     int
@@ -123,9 +123,7 @@ func (r *run) filterParallel(exts []ext) {
 
 	for i := range results {
 		res := &results[i]
-		if res.err != nil && r.err == nil {
-			r.err = res.err
-		}
+		r.latch(res.err)
 		r.accepted = append(r.accepted, res.accepted...)
 		r.uncertain = append(r.uncertain, res.uncertain...)
 		r.candidates += res.candidates
@@ -224,18 +222,23 @@ func (r *run) reverify(cands []Pattern) []phase3Outcome {
 	}
 	queue := make(chan int)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	runs := make([]*run, workers)
+	for w := range runs {
+		runs[w] = r.workerRun()
 		wg.Add(1)
-		go func() {
+		go func(wr *run) {
 			defer wg.Done()
-			r.workerRun().reverifyFrom(cands, outs, func() (int, bool) { i, ok := <-queue; return i, ok })
-		}()
+			wr.reverifyFrom(cands, outs, func() (int, bool) { i, ok := <-queue; return i, ok })
+		}(runs[w])
 	}
 	for i := range cands {
 		queue <- i
 	}
 	close(queue)
 	wg.Wait()
+	for _, wr := range runs {
+		r.latch(wr.err)
+	}
 	return outs
 }
 
@@ -270,11 +273,14 @@ func (w *run) reverifyFrom(cands []Pattern, outs []phase3Outcome, next func() (i
 // vector is split into word-aligned position ranges, one per worker, and
 // the per-range exact counts are summed. Fetch order within the file stays
 // ascending per worker, preserving the elevator-sweep access pattern the
-// cost model assumes; the total is independent of the split.
-func probeParallel(m *Miner, vec *bitvec.Vector, itemset []txdb.Item, workers int) int {
+// cost model assumes; the total is independent of the split. A failed fetch
+// stops its range and is returned instead of the count; of several, the
+// lowest range's wins.
+func probeParallel(m *Miner, vec *bitvec.Vector, itemset []txdb.Item, workers int) (int, error) {
 	n := vec.Len()
 	span := (n/workers + 64) &^ 63 // word-aligned chunk, ≥ 64 bits
 	counts := make([]int, workers)
+	errs := make([]error, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		lo, hi := w*span, (w+1)*span
@@ -291,7 +297,11 @@ func probeParallel(m *Miner, vec *bitvec.Vector, itemset []txdb.Item, workers in
 			for i, ok := vec.NextSet(lo); ok && i < hi; i, ok = vec.NextSet(i + 1) {
 				tx, err := m.store.Get(i)
 				m.stats.AddProbe()
-				if err == nil && tx.Contains(itemset) {
+				if err != nil {
+					errs[w] = probeErr(i, err)
+					break
+				}
+				if tx.Contains(itemset) {
 					exact++
 				}
 			}
@@ -300,10 +310,13 @@ func probeParallel(m *Miner, vec *bitvec.Vector, itemset []txdb.Item, workers in
 	}
 	wg.Wait()
 	exact := 0
-	for _, c := range counts {
+	for w, c := range counts {
+		if errs[w] != nil {
+			return 0, errs[w]
+		}
 		exact += c
 	}
-	return exact
+	return exact, nil
 }
 
 // batchSupport answers exact-support lookups for one SequentialScan batch.

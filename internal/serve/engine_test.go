@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -84,15 +83,10 @@ func decodePatterns(t *testing.T, r *QueryResponse) []PatternJSON {
 	return ps
 }
 
-// renderFresh renders a direct core mine the way the engine would, so
-// tests can compare server answers byte-for-byte.
-func renderFresh(t *testing.T, res *core.Result) *answer {
-	t.Helper()
-	ans, err := renderAnswer(res)
-	if err != nil {
-		t.Fatalf("renderAnswer: %v", err)
-	}
-	return ans
+// renderFresh renders a direct core mine's patterns the way the engine
+// would, so tests can compare server answers byte-for-byte.
+func renderFresh(res *core.Result) string {
+	return string(renderAnswer(QueryResponse{}, res).resp.Patterns)
 }
 
 func TestQueryCacheHitAndWorkerIndependence(t *testing.T) {
@@ -234,10 +228,10 @@ func TestQueryValidation(t *testing.T) {
 	ctx := context.Background()
 	item := int32(3)
 	for name, req := range map[string]QueryRequest{
-		"no threshold":       {Scheme: "DFP"},
-		"bad scheme":         {Scheme: "XXX", MinSupportCount: 2},
-		"constrained dual":   {Scheme: "DFP", MinSupportCount: 2, ConstraintItem: &item},
-		"bad fraction":       {Scheme: "SFS", MinSupportFrac: 1.5},
+		"no threshold":        {Scheme: "DFP"},
+		"bad scheme":          {Scheme: "XXX", MinSupportCount: 2},
+		"constrained dual":    {Scheme: "DFP", MinSupportCount: 2, ConstraintItem: &item},
+		"bad fraction":        {Scheme: "SFS", MinSupportFrac: 1.5},
 		"negative constraint": {Scheme: "SFS", MinSupportCount: 2, ConstraintItem: func() *int32 { v := int32(-2); return &v }()},
 	} {
 		if _, err := e.Query(ctx, req); !errors.Is(err, ErrInvalid) {
@@ -275,8 +269,7 @@ func TestConstrainedQueryMatchesDirectMine(t *testing.T) {
 	if err != nil {
 		t.Fatalf("direct mine: %v", err)
 	}
-	wantAns := renderFresh(t, want)
-	if string(got.Patterns) != string(wantAns.patterns) {
+	if string(got.Patterns) != renderFresh(want) {
 		t.Fatalf("constrained server answer differs from direct constrained mine (%d vs %d patterns)",
 			len(decodePatterns(t, got)), len(want.Patterns))
 	}
@@ -385,7 +378,7 @@ func TestStatsUsesInjectedClock(t *testing.T) {
 
 func TestQueryCacheLRUEviction(t *testing.T) {
 	c := newQueryCache(2, nil)
-	res := &answer{patterns: json.RawMessage("[]")}
+	res := renderAnswer(QueryResponse{}, &core.Result{})
 	k := func(tau int) queryKey { return queryKey{tau: tau, constraint: -1} }
 
 	for tau := 1; tau <= 3; tau++ {
@@ -539,7 +532,7 @@ func TestEpochConsistencyUnderConcurrentWrites(t *testing.T) {
 				if err != nil {
 					t.Fatalf("fresh mine at epoch %d: %v", a.epoch, err)
 				}
-				want = string(renderFresh(t, res).patterns)
+				want = renderFresh(res)
 				verified[k] = want
 			}
 			if a.body != want {

@@ -4,7 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
+	"strconv"
 
 	"bbsmine/internal/obs"
 )
@@ -29,6 +31,23 @@ func (e *Engine) startRequest(w http.ResponseWriter, r *http.Request, class obs.
 	return ctx, sp
 }
 
+// decodeBody decodes a request body into v inside the request's span: a
+// malformed body is an invalid request like any other, so it finishes the
+// span (verdict invalid, a latency sample and a request-log line) and
+// answers 400 with the request ID set. It reports whether decoding worked.
+func (e *Engine) decodeBody(w http.ResponseWriter, r *http.Request, sp *Span, v any) bool {
+	start := e.clock.Now()
+	err := json.NewDecoder(r.Body).Decode(v)
+	if err == nil {
+		return true
+	}
+	err = fmt.Errorf("%w: decoding %s body: %w", ErrInvalid, r.URL.Path, err)
+	e.finishSpan(sp, start, err)
+	setServerTiming(w, sp)
+	writeError(w, err)
+	return false
+}
+
 // setServerTiming attaches the span's stage decomposition as a
 // Server-Timing header. Must run before the status/body are written.
 func setServerTiming(w http.ResponseWriter, sp *Span) {
@@ -42,19 +61,23 @@ func (e *Engine) handleMine(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
+	ctx, sp := e.startRequest(w, r, obs.ClassRead)
 	var req QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "serve: decoding /mine body: "+err.Error(), http.StatusBadRequest)
+	if !e.decodeBody(w, r, sp, &req) {
 		return
 	}
-	ctx, sp := e.startRequest(w, r, obs.ClassRead)
-	res, err := e.Query(ctx, req)
+	rp, err := e.query(ctx, req)
 	setServerTiming(w, sp)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, res)
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(rp.size()))
+	// A failed write means the client hung up mid-response; there is no
+	// one left to tell.
+	_ = rp.writeTo(w)
 }
 
 func (e *Engine) handleTxns(w http.ResponseWriter, r *http.Request) {
@@ -62,12 +85,11 @@ func (e *Engine) handleTxns(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
+	ctx, sp := e.startRequest(w, r, obs.ClassWrite)
 	var req TxnsRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "serve: decoding /txns body: "+err.Error(), http.StatusBadRequest)
+	if !e.decodeBody(w, r, sp, &req) {
 		return
 	}
-	ctx, sp := e.startRequest(w, r, obs.ClassWrite)
 	res, err := e.Apply(ctx, req)
 	setServerTiming(w, sp)
 	if err != nil {
@@ -102,6 +124,8 @@ func writeError(w http.ResponseWriter, err error) {
 	http.Error(w, err.Error(), code)
 }
 
+// writeJSON encodes the /txns and /stats replies; /mine replies are
+// pre-rendered (see answer).
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	// A failed encode means the client hung up mid-response; there is no

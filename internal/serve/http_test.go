@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -19,17 +20,28 @@ import (
 // startServer runs an engine behind httptest and returns a client for it.
 func startServer(t *testing.T, txs [][]int32, reg *obs.Registry) *client.Client {
 	t.Helper()
+	_, c := startShardedServer(t, txs, 1, reg)
+	return c
+}
+
+// startShardedServer runs an engine over txs, routed round-robin across
+// shards, behind httptest and returns it with a client for it.
+func startShardedServer(t *testing.T, txs [][]int32, shards int, reg *obs.Registry) (*serve.Engine, *client.Client) {
+	t.Helper()
 	stats := &iostat.Stats{}
-	idx := sigfile.New(sighash.NewFNV(256, 3), stats)
-	log := txdb.NewAppendLog(stats)
+	parts := make([]serve.ShardOptions, shards)
+	for s := range parts {
+		parts[s] = serve.ShardOptions{Index: sigfile.New(sighash.NewFNV(256, 3), stats), Log: txdb.NewAppendLog(stats)}
+	}
 	for i, items := range txs {
 		tx := txdb.NewTransaction(int64(i), items)
-		if err := log.Append(tx); err != nil {
+		p := parts[i%shards]
+		if err := p.Log.Append(tx); err != nil {
 			t.Fatalf("seeding log: %v", err)
 		}
-		idx.Insert(tx.Items)
+		p.Index.Insert(tx.Items)
 	}
-	e, err := serve.New(serve.Options{Index: idx, Log: log, Observe: reg})
+	e, err := serve.New(serve.Options{Shards: parts, Observe: reg})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -40,7 +52,50 @@ func startServer(t *testing.T, txs [][]int32, reg *obs.Registry) *client.Client 
 			t.Errorf("Close: %v", err)
 		}
 	})
-	return client.New(ts.URL)
+	return e, client.New(ts.URL)
+}
+
+// TestClientMineMatchesQuery: what client.Mine decodes from a /mine reply,
+// miss or hit, is exactly the QueryResponse Engine.Query returns for the
+// same query, on 1 and 2 shards, constrained, unconstrained and empty.
+func TestClientMineMatchesQuery(t *testing.T) {
+	ctx := context.Background()
+	item := int32(20)
+	for _, shards := range []int{1, 2} {
+		e, c := startShardedServer(t, fixedTxns(), shards, nil)
+		if _, err := c.Txns(ctx, serve.TxnsRequest{Insert: [][]int32{{20, 21}}}); err != nil {
+			t.Fatalf("txns: %v", err)
+		}
+		for name, req := range map[string]serve.QueryRequest{
+			"unconstrained": {Scheme: "DFP", MinSupportCount: 25},
+			"constrained":   {Scheme: "SFP", MinSupportCount: 10, ConstraintItem: &item},
+			"empty":         {Scheme: "DFS", MinSupportCount: 1000},
+		} {
+			miss, err := c.Mine(ctx, req)
+			if err != nil {
+				t.Fatalf("shards=%d %s: miss: %v", shards, name, err)
+			}
+			hit, err := c.Mine(ctx, req)
+			if err != nil {
+				t.Fatalf("shards=%d %s: hit: %v", shards, name, err)
+			}
+			want, err := e.Query(ctx, req)
+			if err != nil {
+				t.Fatalf("shards=%d %s: Query: %v", shards, name, err)
+			}
+			if (shards > 1) != (len(want.Epochs) == shards) {
+				t.Errorf("shards=%d %s: epoch vector %v", shards, name, want.Epochs)
+			}
+			want.Cached = false
+			if !reflect.DeepEqual(miss, want) {
+				t.Errorf("shards=%d %s: client.Mine decoded the miss as %+v, Engine.Query returned %+v", shards, name, miss, want)
+			}
+			want.Cached = true
+			if !reflect.DeepEqual(hit, want) {
+				t.Errorf("shards=%d %s: client.Mine decoded the hit as %+v, Engine.Query returned %+v", shards, name, hit, want)
+			}
+		}
+	}
 }
 
 // fixedTxns is a dataset with a planted frequent pair so assertions can be

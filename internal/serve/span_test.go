@@ -165,7 +165,7 @@ func TestSpanStageDecomposition(t *testing.T) {
 // the total it reports never exceeds what the stage sum plus slack allows.
 func TestHTTPRequestIDAndServerTiming(t *testing.T) {
 	reg := obs.New()
-	var logBuf bytes.Buffer
+	var logBuf lockedBuffer
 	e := newTestEngine(t, genTxns(5, 200, 40, 5), 256, 3,
 		Options{Observe: reg, RequestLog: obs.NewRequestLog(&logBuf)})
 	ts := httptest.NewServer(e.Handler())
@@ -246,6 +246,45 @@ func TestHTTPRequestIDAndServerTiming(t *testing.T) {
 	}
 	io.Copy(io.Discard, res4.Body)
 
+	// A body that is not JSON at all is an invalid request inside the span
+	// too: the ID is echoed, the request log records it with verdict
+	// invalid, and its class gets a latency sample.
+	latencyCount := func(class string) int64 { return reg.Metrics().Server.RequestNs[class].Count }
+	for _, tc := range []struct{ path, class string }{{"/mine", "read"}, {"/txns", "write"}} {
+		before := latencyCount(tc.class)
+		id := "garbled-" + tc.class
+		res := post(tc.path, `{not json`, id)
+		if res.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s with a non-JSON body: status %d, want 400", tc.path, res.StatusCode)
+		}
+		if got := res.Header.Get("X-Request-ID"); got != id {
+			t.Errorf("%s with a non-JSON body: X-Request-ID = %q, want %q", tc.path, got, id)
+		}
+		if _, ok := parseServerTiming(t, res.Header.Get("Server-Timing"))["total"]; !ok {
+			t.Errorf("%s with a non-JSON body: no Server-Timing total", tc.path)
+		}
+		io.Copy(io.Discard, res.Body)
+		if got := latencyCount(tc.class); got != before+1 {
+			t.Errorf("%s with a non-JSON body: %s latency count %d -> %d, want one more", tc.path, tc.class, before, got)
+		}
+		found := false
+		for _, line := range strings.Split(strings.TrimSpace(logBuf.String()), "\n") {
+			var rec obs.RequestRecord
+			if err := json.Unmarshal([]byte(line), &rec); err != nil {
+				t.Fatalf("unparseable request-log line %q: %v", line, err)
+			}
+			if rec.ID == id {
+				found = true
+				if rec.Verdict != "invalid" || rec.Class != tc.class || rec.Err == "" {
+					t.Errorf("%s with a non-JSON body logged %+v, want verdict invalid, class %s and the error", tc.path, rec, tc.class)
+				}
+			}
+		}
+		if !found {
+			t.Errorf("%s with a non-JSON body left no request-log line", tc.path)
+		}
+	}
+
 	// /stats surfaces the derived serving-health fields.
 	sres, err := http.Get(ts.URL + "/stats")
 	if err != nil {
@@ -262,6 +301,25 @@ func TestHTTPRequestIDAndServerTiming(t *testing.T) {
 	if stats.CacheHitRatio != 0.5 {
 		t.Errorf("stats cache hit ratio = %v, want 0.5", stats.CacheHitRatio)
 	}
+}
+
+// lockedBuffer is a bytes.Buffer a test can read while a server writes to
+// it.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
 }
 
 // parseServerTiming decodes "name;dur=1.234, name2;dur=5" into a map of
