@@ -223,8 +223,8 @@ func run(args []string) error {
 		}
 		if observer != nil {
 			om := observer.Metrics()
-			fmt.Printf("funnel: certified_actual=%d certified_est=%d uncertain=%d nonfrequent=%d probed=%d\n",
-				om.Funnel.CertifiedActual, om.Funnel.CertifiedEst, om.Funnel.Uncertain, om.Funnel.NonFrequent, om.Funnel.ProbedPatterns)
+			fmt.Printf("funnel: certified_actual=%d certified_est=%d uncertain=%d level1_skipped=%d probed=%d\n",
+				om.Funnel.CertifiedActual, om.Funnel.CertifiedEst, om.Funnel.Uncertain, om.Funnel.Level1Skipped, om.Funnel.ProbedPatterns)
 			fmt.Printf("kernel: evals=%d early_exits=%d words_sparse=%d words_dense=%d poscache_hits=%d misses=%d\n",
 				om.Kernel.Evals, om.Kernel.EarlyExits, om.Kernel.WordsSparse, om.Kernel.WordsDense, om.Kernel.PosCacheHits, om.Kernel.PosCacheMisses)
 			if om.Trace != nil {

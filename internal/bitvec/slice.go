@@ -602,18 +602,30 @@ func (s *Slice) forEachRange(fn func(start, end int)) {
 			fn(start, prev+1)
 		}
 	default:
-		start := -1
-		for i := 0; i < s.n; i++ {
-			if s.dense.Get(i) {
-				if start < 0 {
-					start = i
+		// Word by word: a run starts at the lowest set bit at or above the
+		// cursor and ends at the lowest clear one above that, so a word
+		// costs one TrailingZeros64 per run border in it. x is the word, or
+		// its complement while a run is open, with the bits below the cursor
+		// cleared. Bits past s.n are zero (the Vector's tail invariant), so
+		// only a run reaching the last word's top bit is still open after it.
+		start, open := 0, false
+		for wi, w := range s.dense.words {
+			x := w
+			if open {
+				x = ^w
+			}
+			for x != 0 {
+				b := bits.TrailingZeros64(x)
+				if open {
+					fn(start, wi<<wordShift+b)
+				} else {
+					start = wi<<wordShift + b
 				}
-			} else if start >= 0 {
-				fn(start, i)
-				start = -1
+				open = !open
+				x = ^x & (^uint64(0) << uint(b))
 			}
 		}
-		if start >= 0 {
+		if open {
 			fn(start, s.n)
 		}
 	}

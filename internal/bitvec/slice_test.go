@@ -2,6 +2,7 @@ package bitvec
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -52,6 +53,52 @@ func encodeAs(t testing.TB, ref *Vector, enc Encoding) *Slice {
 }
 
 var allEncodings = []Encoding{EncDense, EncSparse, EncRLE}
+
+// TestForEachRangeDenseMatchesBitWalk pins the dense branch of forEachRange,
+// which walks words, against the bit-by-bit definition of a maximal run:
+// runs crossing word borders, lengths that are not a multiple of 64, and
+// all-zero and all-one vectors.
+func TestForEachRangeDenseMatchesBitWalk(t *testing.T) {
+	bitWalk := func(v *Vector) [][2]int {
+		var runs [][2]int
+		start := -1
+		for i := 0; i < v.Len(); i++ {
+			if v.Get(i) && start < 0 {
+				start = i
+			} else if !v.Get(i) && start >= 0 {
+				runs = append(runs, [2]int{start, i})
+				start = -1
+			}
+		}
+		if start >= 0 {
+			runs = append(runs, [2]int{start, v.Len()})
+		}
+		return runs
+	}
+	rng := rand.New(rand.NewSource(17))
+	for _, n := range []int{1, 2, 63, 64, 65, 127, 128, 129, 191, 1000, 1700} {
+		shapes := []*Vector{New(n), randomVector(rng, n, 0.05), randomVector(rng, n, 0.5),
+			randomVector(rng, n, 0.97), clusteredVector(rng, n, 5, 150)}
+		full := New(n)
+		full.SetAll()
+		border := New(n) // one run across every word border the length has
+		for b := 64; b < n; b += 64 {
+			for i := b - 3; i < b+3 && i < n; i++ {
+				border.Set(i)
+			}
+		}
+		shapes = append(shapes, full, border)
+		for si, v := range shapes {
+			var got [][2]int
+			DenseSliceOf(v).forEachRange(func(start, end int) {
+				got = append(got, [2]int{start, end})
+			})
+			if want := bitWalk(v); !reflect.DeepEqual(got, want) {
+				t.Errorf("n=%d shape %d: runs %v, want %v", n, si, got, want)
+			}
+		}
+	}
+}
 
 // TestAndCountIntoMatchesDense is the core kernel-parity property: for every
 // encoding, against both a dense and a summarized accumulator, with the

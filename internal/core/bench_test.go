@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"bbsmine/internal/mining"
@@ -63,10 +64,10 @@ func BenchmarkMineDFP(b *testing.B) {
 	}
 }
 
-// benchmarkMineFig6 mines the paper's default workload as bbsperf does:
-// T10.I10.D10K over 10000 items, m = 1600 slices, k = 4, τ = 0.3% = 30 —
-// from one index, or from the same rows split over parts.
-func benchmarkMineFig6(b *testing.B, parts int, compress bool) {
+// fig6Miner indexes the paper's default workload as bbsperf does:
+// T10.I10.D10K over 10000 items, m = 1600 slices, k = 4 — into one index,
+// or the same rows split over parts.
+func fig6Miner(b *testing.B, parts int, compress bool) *Miner {
 	txs := questDB(b, 10000, 10000)
 	lens := make([]int, parts)
 	for s := range lens {
@@ -76,6 +77,12 @@ func benchmarkMineFig6(b *testing.B, parts int, compress bool) {
 	for s := 0; s < parts && compress; s++ {
 		m.idx.Part(s).SetCompression(true)
 	}
+	return m
+}
+
+// benchmarkMineFig6 mines the fig6 index at τ = 0.3% = 30.
+func benchmarkMineFig6(b *testing.B, parts int, compress bool) {
+	m := fig6Miner(b, parts, compress)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -94,3 +101,23 @@ func benchmarkMineFig6(b *testing.B, parts int, compress bool) {
 func BenchmarkMineFig6Dense(b *testing.B)      { benchmarkMineFig6(b, 1, false) }
 func BenchmarkMineFig6Compressed(b *testing.B) { benchmarkMineFig6(b, 1, true) }
 func BenchmarkMineFig6Sharded2(b *testing.B)   { benchmarkMineFig6(b, 2, false) }
+
+// BenchmarkSweep times the level-1 sweep alone at fig6, the one place a mine
+// reads the index: DFP sweeps only the items whose exact count reaches τ,
+// SFS sweeps every item, from dense and from compressed slices.
+func BenchmarkSweep(b *testing.B) {
+	for _, compress := range []bool{false, true} {
+		m := fig6Miner(b, 1, compress)
+		for _, scheme := range []Scheme{DFP, SFS} {
+			b.Run(fmt.Sprintf("%s/compressed=%v", scheme, compress), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					r := newRun(m, m.idx, Config{MinSupport: 30, Scheme: scheme, Workers: 1})
+					for _, e := range r.sweep() {
+						r.vecs.Put(e.vec)
+					}
+					r.vecs.Put(r.buf)
+				}
+			})
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"bbsmine/internal/sigfile"
@@ -32,10 +33,44 @@ func TestCheckCountLevelOne(t *testing.T) {
 	if flag != flagCertainActual || count != 12 {
 		t.Errorf("frequent 1-itemset: flag=%d count=%d, want 1/12", flag, count)
 	}
-	r = newCheckCountRun(t, 10, 15, 7) // est passed but exact count below τ
-	flag, count = r.checkCount(0, 0, 0, flagCertainActual, 15, 0)
-	if flag != flagNonFrequent || count != 7 {
-		t.Errorf("false-drop 1-itemset: flag=%d count=%d, want -1/7", flag, count)
+
+	// Flag -1 (est passed but the exact count is below τ) is settled by the
+	// sweep: under h(x) = x mod 8, item 9 shares item 1's slice, so its
+	// estimate is 13 ≥ τ = 10 while it occurs 3 times. The dual filter skips
+	// it without an AND; the single filter, which knows no exact counts,
+	// admits it.
+	idx := sigfile.New(sighash.NewMod(8), nil)
+	store := txdb.NewMemStore(nil)
+	for i := 0; i < 13; i++ {
+		item := txdb.Item(1)
+		if i >= 10 {
+			item = 9
+		}
+		tx := txdb.NewTransaction(int64(i+1), []txdb.Item{item})
+		if err := store.Append(tx); err != nil {
+			t.Fatal(err)
+		}
+		idx.Insert(tx.Items)
+	}
+	m, err := NewMiner(idx, store, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		scheme  Scheme
+		items   []txdb.Item
+		skipped int64
+	}{{DFP, []txdb.Item{1}, 1}, {DFS, []txdb.Item{1}, 1}, {SFP, []txdb.Item{1, 9}, 0}} {
+		r := newRun(m, m.idx, Config{MinSupport: 10, Scheme: tc.scheme})
+		for _, e := range r.sweep() {
+			r.vecs.Put(e.vec)
+		}
+		if !reflect.DeepEqual(r.items, tc.items) || r.skipped != tc.skipped {
+			t.Errorf("%s sweep: alphabet %v, %d skipped; want %v, %d", tc.scheme, r.items, r.skipped, tc.items, tc.skipped)
+		}
+		if tc.scheme.dualFilter() && !reflect.DeepEqual(r.act1, []int{10}) {
+			t.Errorf("%s sweep: exact counts %v, want [10]", tc.scheme, r.act1)
+		}
 	}
 }
 

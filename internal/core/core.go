@@ -351,7 +351,7 @@ func (r *run) publishFunnel(res *Result) {
 		CertifiedActual: r.certActual,
 		CertifiedEst:    r.certEst,
 		Uncertain:       r.uncertainCnt,
-		NonFrequent:     r.nonFreq,
+		Level1Skipped:   r.skipped,
 		ProbedPatterns:  int64(res.ProbedPatterns),
 		FalseDrops:      int64(res.FalseDrops),
 		Verified:        verified,

@@ -10,12 +10,13 @@ import (
 	"bbsmine/internal/txdb"
 )
 
-// DualFilter flags, per paper Fig. 3.
+// DualFilter flags, per paper Fig. 3. Its flag -1 (not frequent, exact
+// knowledge) can only arise for a 1-itemset, and the level-1 sweep settles
+// that before any AND: it skips every item whose exact count is below τ.
 const (
-	flagNonFrequent   = -1 // itemset is not frequent (exact knowledge)
-	flagUncertain     = 0  // frequent per BBS estimate only
-	flagCertainActual = 1  // frequent with 100% guarantee, count is actual
-	flagCertainEst    = 2  // frequent with 100% guarantee, count is estimate
+	flagUncertain     = 0 // frequent per BBS estimate only
+	flagCertainActual = 1 // frequent with 100% guarantee, count is actual
+	flagCertainEst    = 2 // frequent with 100% guarantee, count is estimate
 )
 
 // run carries the state of one filtering pass. A run is single-goroutine:
@@ -92,7 +93,7 @@ type run struct {
 	certActual   int64 // dual filter flag 1 certificates
 	certEst      int64 // dual filter flag 2 certificates
 	uncertainCnt int64 // candidates deferred to refinement
-	nonFreq      int64 // dual filter flag -1 prunes
+	skipped      int64 // level-1 chains the dual filter never ANDed
 	traceSubtree int
 
 	// accs are the slice chain's accumulators, one part-length vector per
@@ -181,10 +182,9 @@ const pathCap = 16
 // the scheme's checks descend into subtrees of their own.
 //
 // vec is the extension's residual, parent ∧ slices(item). Every ext keeps
-// one, descending or not — a dual-filter flag -1 or a failed probe stops the
-// chain, but the item stays in its earlier siblings' alphabets, where the
-// residual is the operand their subtrees AND against — until descend has
-// passed it.
+// one, descending or not — a failed probe stops the chain, but the item
+// stays in its earlier siblings' alphabets, where the residual is the
+// operand their subtrees AND against — until descend has passed it.
 type ext struct {
 	gi      int // index into run.items / est1 / act1
 	est     int
@@ -205,10 +205,11 @@ func (r *run) root() (*bitvec.Vector, int) {
 	return v, est
 }
 
-// filter runs the filtering pass: a level-1 sweep over every item in the
-// index establishes the global alphabet (items whose 1-itemset estimate
-// reaches τ — by the monotonicity of slice intersection, Lemmas 3/4, no
-// other item can occur in any candidate), then the depth-first enumeration
+// filter runs the filtering pass: a level-1 sweep over the index's items
+// establishes the global alphabet (items whose 1-itemset estimate reaches τ
+// — by the monotonicity of slice intersection, Lemmas 3/4, no other item
+// can occur in any candidate — and, under the dual filter, whose exact
+// count does too), then the depth-first enumeration
 // of paper Figs. 2/4 proceeds over conditional alphabets: the extensions of
 // an itemset are exactly its parent's surviving extensions, which is the
 // same enumeration with the guaranteed-failing evaluations skipped.
@@ -255,14 +256,28 @@ func (r *run) filter() {
 // the root, fills the alphabet arrays (items/est1/act1 — what CheckCount
 // consults for I1 = {i} at any depth) and returns the survivors with their
 // residuals: the root's extensions, evaluated but not yet admitted.
+//
+// Under the dual filter an item whose exact count is below τ is skipped
+// without reading its slices: that is CheckCount's flag -1 for I2 = NULL
+// (paper Fig. 3), and the count is exact over the live rows because the
+// dual-filter schemes refuse constraints. No superset of the item can be
+// frequent, so leaving it out of the alphabet changes no pattern; it only
+// drops the candidates that would have carried it through a Bloom collision
+// to a failed probe or a failed scan. The single filter is defined without
+// exact counts and sweeps every item.
 func (r *run) sweep() []ext {
 	r.rootVec, r.rootEst = r.root()
 	r.buf = r.vecs.Get()
 	r.accs = r.idx.NewAccs()
+	dual := r.cfg.Scheme.dualFilter()
 	var seeds []ext
 	for _, it := range r.idx.Items() { // ascending — the canonical level-1 order
 		if r.cancelled() {
 			break
+		}
+		if dual && r.idx.ExactCount(it) < r.tau {
+			r.skipped++
+			continue
 		}
 		est := r.evalChain(r.rootVec, r.rootEst, it)
 		if est >= r.tau {
@@ -462,11 +477,6 @@ func (r *run) evaluateCandidate(e *ext, parentEst, parentCount, parentFlag, dept
 				Depth: len(itemset), Items: snapshot(itemset), Est: e.est, Count: count})
 		}
 		switch {
-		case flag == flagNonFrequent:
-			// Exact knowledge: not frequent. The chain stops; the item
-			// still appears in sibling alphabets, as in the paper.
-			r.nonFreq++
-
 		case flag == flagCertainActual || flag == flagCertainEst:
 			r.certain++
 			if flag == flagCertainActual {
@@ -526,16 +536,15 @@ func (r *run) traceVerdict(itemset []txdb.Item, est, exact int) {
 // checkCount implements algorithm CheckCount (paper Fig. 3) for
 // I1 = {items[gi]} and I2 = the current itemset.
 //
-//	flag -1: itemset ∪ {i} is not frequent (exact)
-//	flag  0: frequent per estimate, uncertain
-//	flag  1: frequent with 100% guarantee, count is actual
-//	flag  2: frequent with 100% guarantee, count is an estimate
+//	flag 0: frequent per estimate, uncertain
+//	flag 1: frequent with 100% guarantee, count is actual
+//	flag 2: frequent with 100% guarantee, count is an estimate
+//
+// Fig. 3's flag -1 is the sweep's: every alphabet item's exact count
+// reaches τ.
 func (r *run) checkCount(gi, parentEst, parentCount, parentFlag, childEst, depth int) (int, int) {
 	est1, act1 := r.est1[gi], r.act1[gi]
 	if depth == 0 { // I2 = NULL: exact 1-itemset knowledge decides alone.
-		if act1 < r.tau {
-			return flagNonFrequent, act1
-		}
 		return flagCertainActual, act1
 	}
 	if parentFlag == flagCertainActual {

@@ -62,7 +62,6 @@ type subtreeResult struct {
 	certActual   int64
 	certEst      int64
 	uncertainCnt int64
-	nonFreq      int64
 }
 
 // filterParallel is the workers > 1 path of filter, entered with the root's
@@ -133,7 +132,6 @@ func (r *run) filterParallel(exts []ext) {
 		r.certActual += res.certActual
 		r.certEst += res.certEst
 		r.uncertainCnt += res.uncertainCnt
-		r.nonFreq += res.nonFreq
 	}
 }
 
@@ -173,7 +171,7 @@ func (r *run) workerRun() *run {
 func (w *run) mineSubtree(seq int, exts []ext) subtreeResult {
 	w.accepted, w.uncertain = nil, nil
 	w.candidates, w.falseDrops, w.certain, w.probedPatterns = 0, 0, 0, 0
-	w.certActual, w.certEst, w.uncertainCnt, w.nonFreq = 0, 0, 0, 0
+	w.certActual, w.certEst, w.uncertainCnt = 0, 0, 0
 	w.err = nil
 	w.traceSubtree = seq
 
@@ -194,7 +192,6 @@ func (w *run) mineSubtree(seq int, exts []ext) subtreeResult {
 		certActual:     w.certActual,
 		certEst:        w.certEst,
 		uncertainCnt:   w.uncertainCnt,
-		nonFreq:        w.nonFreq,
 	}
 }
 

@@ -105,8 +105,8 @@ func TestSiblingResidualMatchesSliceChain(t *testing.T) {
 					}
 				}
 			}
-			// Failed probes and flag -1 extensions are the ones that stay
-			// behind as operands without descending; the fixture must have some.
+			// Failed probes are the extensions that stay behind as operands
+			// without descending; the fixture must have some.
 			if falseDrops == 0 {
 				t.Error("no cell saw a false drop; the fixture is too easy")
 			}

@@ -87,7 +87,7 @@ type Funnel struct {
 	CertifiedActual int64 // dual filter flag 1: certain, count exact
 	CertifiedEst    int64 // dual filter flag 2: certain via Lemma 5 bound
 	Uncertain       int64 // flag 0 (or single filter): needs refinement
-	NonFrequent     int64 // dual filter flag -1: exact knowledge, pruned
+	Level1Skipped   int64 // dual filter: items whose exact count is below τ, never ANDed (Fig. 3's flag -1)
 	ProbedPatterns  int64 // candidates settled by probing
 	FalseDrops      int64 // candidates refinement found infrequent
 	Verified        int64 // patterns in the answer with exact supports
@@ -100,7 +100,7 @@ func (f *Funnel) Add(g Funnel) {
 	f.CertifiedActual += g.CertifiedActual
 	f.CertifiedEst += g.CertifiedEst
 	f.Uncertain += g.Uncertain
-	f.NonFrequent += g.NonFrequent
+	f.Level1Skipped += g.Level1Skipped
 	f.ProbedPatterns += g.ProbedPatterns
 	f.FalseDrops += g.FalseDrops
 	f.Verified += g.Verified
@@ -198,7 +198,7 @@ type FunnelStats struct {
 	certifiedActual atomic.Int64
 	certifiedEst    atomic.Int64
 	uncertain       atomic.Int64
-	nonFrequent     atomic.Int64
+	level1Skipped   atomic.Int64
 	probedPatterns  atomic.Int64
 	falseDrops      atomic.Int64
 	verified        atomic.Int64
@@ -327,7 +327,7 @@ func (r *Registry) AddFunnel(f Funnel) {
 	r.funnel.certifiedActual.Add(f.CertifiedActual)
 	r.funnel.certifiedEst.Add(f.CertifiedEst)
 	r.funnel.uncertain.Add(f.Uncertain)
-	r.funnel.nonFrequent.Add(f.NonFrequent)
+	r.funnel.level1Skipped.Add(f.Level1Skipped)
 	r.funnel.probedPatterns.Add(f.ProbedPatterns)
 	r.funnel.falseDrops.Add(f.FalseDrops)
 	r.funnel.verified.Add(f.Verified)
@@ -466,7 +466,7 @@ type FunnelMetrics struct {
 	CertifiedActual int64 `json:"certified_actual"`
 	CertifiedEst    int64 `json:"certified_est"`
 	Uncertain       int64 `json:"uncertain"`
-	NonFrequent     int64 `json:"non_frequent"`
+	Level1Skipped   int64 `json:"level1_skipped"`
 	ProbedPatterns  int64 `json:"probed_patterns"`
 	FalseDrops      int64 `json:"false_drops"`
 	Verified        int64 `json:"verified"`
@@ -574,7 +574,7 @@ func (r *Registry) Metrics() Metrics {
 			CertifiedActual: r.funnel.certifiedActual.Load(),
 			CertifiedEst:    r.funnel.certifiedEst.Load(),
 			Uncertain:       r.funnel.uncertain.Load(),
-			NonFrequent:     r.funnel.nonFrequent.Load(),
+			Level1Skipped:   r.funnel.level1Skipped.Load(),
 			ProbedPatterns:  r.funnel.probedPatterns.Load(),
 			FalseDrops:      r.funnel.falseDrops.Load(),
 			Verified:        r.funnel.verified.Load(),

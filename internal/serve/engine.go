@@ -1364,6 +1364,11 @@ type StatsInfo struct {
 	QueueDepth        int64   `json:"queue_depth"`
 	InFlight          int64   `json:"inflight"`
 
+	// Level1Skipped totals, over every cold mine since start, the items the
+	// dual filter left out of its level-1 sweep because their exact count
+	// was below τ: the slice chains the engine did not read.
+	Level1Skipped int64 `json:"level1_skipped"`
+
 	// Tiered storage (absent when the engine runs without -mem-budget):
 	// the shared pool's budget and frame+reservation residency, its fault
 	// hit ratio, and the hot/cold slice census over the published
@@ -1387,7 +1392,9 @@ func (e *Engine) Stats() StatsInfo {
 		UptimeSeconds: e.clock.Now().Sub(e.start).Seconds(),
 		QueueDepth:    e.queueLen.Load(),
 	}
-	if sm := e.obs.Metrics().Server; sm != nil {
+	om := e.obs.Metrics()
+	info.Level1Skipped = om.Funnel.Level1Skipped
+	if sm := om.Server; sm != nil {
 		info.CacheHits = sm.CacheHits
 		info.CacheMisses = sm.CacheMisses
 		info.SharedFlights = sm.SharedFlights

@@ -376,6 +376,33 @@ func TestStatsUsesInjectedClock(t *testing.T) {
 	}
 }
 
+// TestStatsReportsLevel1Skipped: /stats carries the funnel's level1_skipped,
+// the items a cold dual-filter mine left out of its sweep because their exact
+// count is below τ; a single-filter mine sweeps every item and adds nothing.
+func TestStatsReportsLevel1Skipped(t *testing.T) {
+	const tau = 25
+	e := newTestEngine(t, genTxns(5, 200, 40, 5), 256, 3, Options{Observe: obs.New()})
+	var want int64
+	for _, sn := range e.loadSnaps() {
+		for _, it := range sn.idx.Items() {
+			if sn.idx.ExactCount(it) < tau {
+				want++
+			}
+		}
+	}
+	if want == 0 {
+		t.Fatal("no item is below τ; the test means nothing")
+	}
+	for _, scheme := range []string{"DFP", "SFS", "DFP"} { // the second DFP mine is a cache hit
+		if _, err := e.Query(context.Background(), QueryRequest{Scheme: scheme, MinSupportCount: tau}); err != nil {
+			t.Fatal(err)
+		}
+		if got := e.Stats().Level1Skipped; got != want {
+			t.Fatalf("after %s: level1_skipped = %d, want %d", scheme, got, want)
+		}
+	}
+}
+
 func TestQueryCacheLRUEviction(t *testing.T) {
 	c := newQueryCache(2, nil)
 	res := renderAnswer(QueryResponse{}, &core.Result{})

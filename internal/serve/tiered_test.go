@@ -179,7 +179,10 @@ func TestMemBudgetBoundsShardedEngineMine(t *testing.T) {
 	before := tiered.EpochVector()
 	faults := int64(0)
 	for i, req := range []QueryRequest{
-		{Scheme: "DFP", MinSupportCount: len(txs)}, // every chain stops after its rarest slice
+		// The single filter sweeps every item, and each chain stops after its
+		// rarest slice (the dual filter would skip every chain: no item's
+		// exact count reaches |D|).
+		{Scheme: "SFS", MinSupportCount: len(txs)},
 		{Scheme: "DFP", MinSupportCount: 800},
 	} {
 		want, err := resident.Query(ctx, req)
