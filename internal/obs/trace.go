@@ -13,8 +13,8 @@ import (
 //	descend    — items, est, depth, subtree: the enumeration entered a node
 //	verdict    — items, est, verdict (accepted | uncertain | false_drop |
 //	             below_tau), plus exact when a probe settled it
-//	checkcount — items, est, count, flag (nonfrequent | uncertain | actual |
-//	             est_bound): the dual filter's certificate for a candidate
+//	checkcount — items, est, count, flag (uncertain | actual | est_bound):
+//	             the dual filter's certificate for a candidate
 //	probe      — items, fetched, exact: one Probe refinement
 //	reverify   — items, est, verdict (pruned | survivor | accepted |
 //	             false_drop): adaptive phase-3 outcome
@@ -62,12 +62,10 @@ type Event struct {
 // ShardTag boxes a shard index for Event.Shard.
 func ShardTag(s int) *int { return &s }
 
-// FlagName converts a dual-filter CheckCount flag (-1/0/1/2) to its trace
-// name.
+// FlagName converts a dual-filter CheckCount flag (0/1/2) to its trace name.
+// The paper's flag -1 has none: the level-1 sweep decides it before any AND.
 func FlagName(flag int) string {
 	switch flag {
-	case -1:
-		return "nonfrequent"
 	case 0:
 		return "uncertain"
 	case 1:
