@@ -255,8 +255,15 @@ func (v *Vector) CopyFrom(other *Vector) {
 }
 
 // Clone returns a new vector with the same contents. Allocates.
-func (v *Vector) Clone() *Vector {
-	c := &Vector{words: make([]uint64, len(v.words)), n: v.n}
+func (v *Vector) Clone() *Vector { return v.CloneFor(v.n) }
+
+// CloneFor is Clone with the backing words sized to hold n bits, so growing
+// the copy to n bits (Append, Grow) does not reallocate it. A copy-on-write
+// owner clones for the length it is about to append to: an exact-size clone
+// would be reallocated — at double the capacity — by its own first append.
+// Allocates.
+func (v *Vector) CloneFor(n int) *Vector {
+	c := &Vector{words: make([]uint64, len(v.words), max(len(v.words), wordsFor(n))), n: v.n}
 	copy(c.words, v.words)
 	c.copySummaryFrom(v)
 	return c

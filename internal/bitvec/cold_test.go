@@ -188,9 +188,9 @@ func TestColdOrAndClone(t *testing.T) {
 		t.Fatalf("cold OrInto diverges")
 	}
 
-	c := cold.Clone()
+	c := cold.CloneFor(n + 1)
 	if !c.IsCold() || c.Ones() != cold.Ones() {
-		t.Fatalf("cold Clone lost the cold header")
+		t.Fatalf("cold CloneFor lost the cold header")
 	}
 	if cold.Bytes() != 0 || cold.ColdPayloadBytes() == 0 {
 		t.Fatalf("cold accounting: Bytes=%d ColdPayloadBytes=%d", cold.Bytes(), cold.ColdPayloadBytes())

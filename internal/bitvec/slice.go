@@ -284,9 +284,13 @@ func (s *Slice) Get(i int) bool {
 	}
 }
 
-// Clone returns a deep copy preserving the encoding. The copy-on-write
-// machinery in sigfile clones a shared slice before its first mutation.
-func (s *Slice) Clone() *Slice {
+// CloneFor returns a deep copy preserving the encoding, with room for the
+// append the copy is made for: a dense copy's words already cover n bits,
+// and a compressed copy's payload has spare capacity for one more set
+// position (or run) at bit n-1. The copy-on-write machinery in sigfile
+// clones a shared slice just before it appends the next row, and an
+// exact-size copy would be reallocated by that very append.
+func (s *Slice) CloneFor(n int) *Slice {
 	if s.cold != nil {
 		// The cold payload is immutable and shared; a header copy is a
 		// full clone. Mutators thaw (producing private resident storage)
@@ -297,13 +301,13 @@ func (s *Slice) Clone() *Slice {
 	c := &Slice{enc: s.enc, n: s.n, ones: s.ones}
 	switch s.enc {
 	case EncDense:
-		c.dense = s.dense.Clone()
+		c.dense = s.dense.CloneFor(n)
 	case EncSparse:
-		c.pos8 = append([]uint8(nil), s.pos8...)
-		c.chunkOff = append([]int32(nil), s.chunkOff...)
+		c.pos8 = append(make([]uint8, 0, len(s.pos8)+1), s.pos8...)
+		c.chunkOff = append(make([]int32, 0, max(len(s.chunkOff), numChunks(n)+1)), s.chunkOff...)
 		c.last = s.last
 	default:
-		c.runs = append([]uint32(nil), s.runs...)
+		c.runs = append(make([]uint32, 0, len(s.runs)+2), s.runs...)
 	}
 	return c
 }

@@ -253,6 +253,36 @@ func TestAppendSetPromotes(t *testing.T) {
 	}
 }
 
+// TestCloneForAppendsInPlace pins what copy-on-write relies on: a CloneFor
+// copy is deep (appending to it leaves the original alone), and appending
+// the bit it was sized for allocates nothing — including a dense slice
+// whose next bit starts a new word, where an exact-size copy would be
+// reallocated at twice its size.
+func TestCloneForAppendsInPlace(t *testing.T) {
+	const n = 640 // a whole number of words and of 256-bit chunks
+	rng := rand.New(rand.NewSource(9))
+	ref := clusteredVector(rng, n, 4, 6)
+	for _, enc := range allEncodings {
+		s := encodeAs(t, ref, enc)
+		ones := s.Ones()
+		c := s.CloneFor(n + 1)
+		if c.Encoding() != enc {
+			t.Fatalf("%v: CloneFor changed the encoding to %v", enc, c.Encoding())
+		}
+		if !c.AppendSet(n) || c.Ones() != ones+1 || !c.Get(n) {
+			t.Fatalf("%v: append to the copy did not land", enc)
+		}
+		if s.Ones() != ones || s.Len() != n || s.Get(n) {
+			t.Fatalf("%v: append to the copy reached the original", enc)
+		}
+		clone := testing.AllocsPerRun(10, func() { s.CloneFor(n + 1) })
+		cloneAppend := testing.AllocsPerRun(10, func() { s.CloneFor(n + 1).AppendSet(n) })
+		if cloneAppend != clone {
+			t.Fatalf("%v: CloneFor takes %v allocations, plus its append %v", enc, clone, cloneAppend)
+		}
+	}
+}
+
 // TestMaybeCompressDemotes pins the lower hysteresis edge: a dense slice
 // whose length outgrows its density demotes to a compressed form, and the
 // 2x band keeps a demote/promote cycle from thrashing.

@@ -179,7 +179,7 @@ func writeToV2(b *BBS, w *bytes.Buffer) {
 	pair := make([]byte, 12)
 	for _, it := range items {
 		binary.LittleEndian.PutUint32(pair[0:4], uint32(it))
-		binary.LittleEndian.PutUint64(pair[4:12], uint64(b.itemCounts[it]))
+		binary.LittleEndian.PutUint64(pair[4:12], uint64(b.itemCounts.get(it)))
 		w.Write(pair)
 	}
 	wordBuf := make([]byte, 8)

@@ -35,18 +35,13 @@ func (b *BBS) Delete(pos int, items []int32) error {
 	b.mutableLive().Clear(pos)
 	b.deleted++
 
-	counts := b.mutableItemCounts()
 	seen := make(map[int32]struct{}, len(items))
 	for _, it := range items {
 		if _, dup := seen[it]; dup {
 			continue
 		}
 		seen[it] = struct{}{}
-		if c := counts[it]; c > 1 {
-			counts[it] = c - 1
-		} else {
-			delete(counts, it)
-		}
+		b.itemCounts.sub(it)
 	}
 	return nil
 }

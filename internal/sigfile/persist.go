@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"bbsmine/internal/bitvec"
@@ -95,7 +96,7 @@ func (b *BBS) writeTo(w io.Writer) error {
 	pair := make([]byte, 12)
 	for _, it := range items {
 		binary.LittleEndian.PutUint32(pair[0:4], uint32(it))
-		binary.LittleEndian.PutUint64(pair[4:12], uint64(b.itemCounts[it]))
+		binary.LittleEndian.PutUint64(pair[4:12], uint64(b.itemCounts.get(it)))
 		if _, err := w.Write(pair); err != nil {
 			return fmt.Errorf("sigfile: write item entry: %w", err)
 		}
@@ -259,12 +260,25 @@ func decodeBBS(r *bufio.Reader, h sighash.Hasher, stats *iostat.Stats) (*BBS, er
 	}
 	numItems := int(binary.LittleEndian.Uint32(cnt[:]))
 	pair := make([]byte, 12)
+	var prev int32
 	for i := 0; i < numItems; i++ {
 		if _, err := io.ReadFull(r, pair); err != nil {
 			return nil, fmt.Errorf("read item entry %d: %w", i, err)
 		}
 		item := int32(binary.LittleEndian.Uint32(pair[0:4]))
-		b.itemCounts[item] = int(binary.LittleEndian.Uint64(pair[4:12]))
+		c := binary.LittleEndian.Uint64(pair[4:12])
+		// Save writes each item once, ascending, with a positive count of
+		// at most the rows indexed; anything else would decode to a
+		// different index than the one written (a duplicate overwrites, a
+		// zero vanishes, an oversized count overflows a page counter).
+		if i > 0 && item <= prev {
+			return nil, fmt.Errorf("item entry %d: item %d after %d, want strictly ascending", i, item, prev)
+		}
+		if c == 0 || c > uint64(n) || c > math.MaxUint32 {
+			return nil, fmt.Errorf("item entry %d: corrupt count %d for item %d over %d rows", i, c, item, n)
+		}
+		b.itemCounts.set(item, int(c))
+		prev = item
 	}
 
 	words := (n + 63) / 64

@@ -231,8 +231,8 @@ func TestFoldPreservesNoFalseMisses(t *testing.T) {
 		}
 	}
 	// Exact 1-itemset counts survive the fold.
-	for it, c := range b.itemCounts {
-		if folded.ExactCount(it) != c {
+	for _, it := range b.Items() {
+		if c := b.ExactCount(it); folded.ExactCount(it) != c {
 			t.Errorf("folded ExactCount(%d) = %d, want %d", it, folded.ExactCount(it), c)
 		}
 	}
@@ -309,7 +309,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 			t.Fatalf("loaded index disagrees on %v: %d vs %d", itemset, ea, eb)
 		}
 	}
-	for it := range b.itemCounts {
+	for _, it := range b.Items() {
 		if loaded.ExactCount(it) != b.ExactCount(it) {
 			t.Fatalf("item count mismatch for %d", it)
 		}

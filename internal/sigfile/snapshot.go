@@ -10,12 +10,22 @@ import (
 // A served index interleaves mining queries with write batches. Rebuilding
 // or deep-copying an index per batch is out of the question (m slices of n
 // bits each), so BBS supports O(m) copy-on-write snapshots instead:
-// Snapshot captures the slice pointer table and the value state, and marks
-// everything shared on the master. The master then clones a slice, the live
-// mask, or the 1-itemset counter map the first time it mutates each one
-// after the snapshot — writes after a snapshot pay only for what they
-// touch, which is exactly the paper's selling point for a dynamic index
-// (appending sets at most |items|·k bits).
+// Snapshot copies the slice pointer table, the per-slice popcounts and the
+// counter page directory — O(m) words plus one per counter page in use,
+// whatever n is — and marks everything shared on the master. A write batch
+// after it then pays for what it touches and nothing else:
+//
+//   - each slice it sets a bit in is cloned whole, once, with room for the
+//     row being appended (bitvec.Slice.CloneFor);
+//   - the live mask is cloned once, if the batch inserts or deletes on an
+//     index that has deletions;
+//   - each exact-counter page (countPageSize consecutive item IDs, see
+//     counts.go) an inserted or deleted item lands on is cloned once.
+//
+// Nothing scales with the number of distinct items or untouched slices,
+// which is the paper's selling point for a dynamic index (appending sets at
+// most |items|·k bits). A touched slice is still copied whole; sharing its
+// prefix, so an append copies nothing, is left for later.
 //
 // The contract has three parts:
 //
@@ -41,10 +51,10 @@ func (b *BBS) BumpEpoch() uint64 {
 }
 
 // Snapshot returns an immutable copy-on-write view of the index at the
-// current epoch, in O(m) time and memory. The snapshot shares every slice,
-// the live mask, and the counter map with the master until the master
-// mutates them; the per-slice popcounts are small and copied eagerly.
-// Only the single writer may call Snapshot.
+// current epoch, in O(m + counter pages) time and memory. The snapshot
+// shares every slice, the live mask, and every counter page with the master
+// until the master mutates them; the per-slice popcounts are small and
+// copied eagerly. Only the single writer may call Snapshot.
 func (b *BBS) Snapshot() *BBS {
 	s := &BBS{
 		hasher:      b.hasher,
@@ -53,7 +63,7 @@ func (b *BBS) Snapshot() *BBS {
 		n:           b.n,
 		compress:    b.compress,
 		sliceOnes:   append([]int(nil), b.sliceOnes...),
-		itemCounts:  b.itemCounts,
+		itemCounts:  b.itemCounts.share(),
 		live:        b.live,
 		deleted:     b.deleted,
 		coldPages:   b.coldPages,
@@ -68,7 +78,6 @@ func (b *BBS) Snapshot() *BBS {
 		b.cow[i] = true
 	}
 	b.cowLive = b.live != nil
-	b.cowItems = true
 	return s
 }
 
@@ -83,7 +92,6 @@ func (b *BBS) QueryClone(stats *iostat.Stats) *BBS {
 	c := *b
 	c.cow = nil
 	c.cowLive = false
-	c.cowItems = false
 	if stats != nil {
 		c.stats = stats
 	}
@@ -92,10 +100,12 @@ func (b *BBS) QueryClone(stats *iostat.Stats) *BBS {
 
 // mutableSlice returns slice p ready for mutation, cloning it first if a
 // snapshot shares it. The clone preserves the encoding, so appends to a
-// compressed snapshot-shared slice stay compressed. A cold slice thaws to
-// residency first — cold payloads are immutable by construction, and the
-// freshly decoded slice is shared with no snapshot (snapshots hold the old
-// header, which keeps faulting the unchanged cold extent).
+// compressed snapshot-shared slice stay compressed, and is sized for the
+// row being appended (the last of b.n), so the append that follows does
+// not reallocate it. A cold slice thaws to residency first — cold payloads
+// are immutable by construction, and the freshly decoded slice is shared
+// with no snapshot (snapshots hold the old header, which keeps faulting the
+// unchanged cold extent).
 func (b *BBS) mutableSlice(p int) *bitvec.Slice {
 	s := b.slices[p]
 	if s.IsCold() {
@@ -107,7 +117,7 @@ func (b *BBS) mutableSlice(p int) *bitvec.Slice {
 		return s
 	}
 	if b.cow != nil && b.cow[p] {
-		s = s.Clone()
+		s = s.CloneFor(b.n)
 		b.slices[p] = s
 		b.cow[p] = false
 	}
@@ -115,26 +125,12 @@ func (b *BBS) mutableSlice(p int) *bitvec.Slice {
 }
 
 // mutableLive returns the live mask ready for mutation, cloning it first if
-// a snapshot shares it. The caller must have established b.live != nil.
+// a snapshot shares it — sized for b.n rows, so an insert's Append does not
+// reallocate the clone. The caller must have established b.live != nil.
 func (b *BBS) mutableLive() *bitvec.Vector {
 	if b.cowLive {
-		b.live = b.live.Clone()
+		b.live = b.live.CloneFor(b.n)
 		b.cowLive = false
 	}
 	return b.live
-}
-
-// mutableItemCounts returns the 1-itemset counter map ready for mutation,
-// cloning it first if a snapshot shares it.
-func (b *BBS) mutableItemCounts() map[int32]int {
-	if b.cowItems {
-		fresh := make(map[int32]int, len(b.itemCounts))
-		//lint:ignore determinism map-to-map copy; insertion order cannot be observed
-		for it, c := range b.itemCounts {
-			fresh[it] = c
-		}
-		b.itemCounts = fresh
-		b.cowItems = false
-	}
-	return b.itemCounts
 }

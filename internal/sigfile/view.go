@@ -2,7 +2,6 @@ package sigfile
 
 import (
 	"fmt"
-	"slices"
 
 	"bbsmine/internal/bitvec"
 	"bbsmine/internal/iostat"
@@ -105,17 +104,43 @@ func (v *View) IsLive(pos int) bool {
 }
 
 // Items returns every item that appears in at least one indexed row of any
-// part, in ascending order. Allocates a fresh slice.
+// part, in ascending order. Allocates a fresh slice. Each part's list is
+// already ascending (see BBS.Items), so the union is a merge, not a sort.
 func (v *View) Items() []int32 {
-	var out []int32
-	for _, p := range v.parts {
-		//lint:ignore determinism the sort below imposes the order the map range lacks
-		for it := range p.itemCounts {
-			out = append(out, it)
+	out := v.parts[0].Items()
+	for _, p := range v.parts[1:] {
+		out = mergeAscending(out, p.Items())
+	}
+	return out
+}
+
+// mergeAscending returns the union of two strictly ascending lists, itself
+// strictly ascending. It may return a or b itself.
+func mergeAscending(a, b []int32) []int32 {
+	if len(b) == 0 {
+		return a
+	}
+	if len(a) == 0 {
+		return b
+	}
+	out := make([]int32, 0, max(len(a), len(b)))
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			out = append(out, a[i])
+			i++
+		case a[i] > b[j]:
+			out = append(out, b[j])
+			j++
+		default:
+			out = append(out, a[i])
+			i++
+			j++
 		}
 	}
-	slices.Sort(out)
-	return slices.Compact(out)
+	out = append(out, a[i:]...)
+	return append(out, b[j:]...)
 }
 
 // ExactCount returns the exact support of the 1-itemset {item}: the parts'

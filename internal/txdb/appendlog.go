@@ -111,7 +111,9 @@ func (l *AppendLog) Get(pos int) (Transaction, error) {
 
 // View captures an immutable snapshot of the log. The view is a Store with
 // its own page-cache model (so concurrent queries budget independently) and
-// is safe for the concurrent Get traffic of a parallel mining run.
+// is safe for the concurrent Get traffic of a parallel mining run. Like
+// Append, View is the single writer's call: it reads the log's headers,
+// which Append rewrites.
 func (l *AppendLog) View() *LogView {
 	return &LogView{
 		txs:     l.txs,

@@ -48,8 +48,10 @@ func TestLogViewIsImmutable(t *testing.T) {
 }
 
 // Concurrent view readers racing the single writer must be race-clean; run
-// under -race. Each reader sweeps its own view with Get and Scan while the
-// writer keeps appending.
+// under -race. The writer takes the views — View, like Append, is the single
+// writer's call, as the serving commit loop's publish makes it — and each
+// reader sweeps the views it is handed with Get and Scan while the writer
+// keeps appending.
 func TestLogViewConcurrentWithWriter(t *testing.T) {
 	l := NewAppendLog(nil)
 	wrng := rand.New(rand.NewSource(2))
@@ -58,19 +60,13 @@ func TestLogViewConcurrentWithWriter(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	views := make(chan *LogView, 4)
 	var wg sync.WaitGroup
-	stop := make(chan struct{})
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				v := l.View()
+			for v := range views {
 				n := v.Len()
 				for pos := 0; pos < n; pos += 7 {
 					if _, err := v.Get(pos); err != nil {
@@ -97,8 +93,11 @@ func TestLogViewConcurrentWithWriter(t *testing.T) {
 		if err := l.Append(randomTx(wrng, int64(i), 8, 500)); err != nil {
 			t.Fatal(err)
 		}
+		if i%10 == 0 {
+			views <- l.View()
+		}
 	}
-	close(stop)
+	close(views)
 	wg.Wait()
 }
 
