@@ -2,6 +2,7 @@
 # targets just pin the invocations CI and the docs refer to.
 #
 #   make build   compile every package and command
+#   make fmt     fail if gofmt would change any file (and list those files)
 #   make test    run the full test suite
 #   make race    test suite under the race detector
 #   make vet     go vet over every package
@@ -9,18 +10,23 @@
 #   make bench   quick paper-figure benchmarks
 #   make bench-module  vet + test the nested bench/ module (bbsperf)
 #   make fuzz    run every fuzz target briefly (FUZZTIME to adjust)
-#   make check   what the driver gates on: build + vet + lint + test + bench-module + race
+#   make check   build + fmt + vet + lint + test + bench-module + race
 
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race vet lint lint-fix-scope bench bench-module fuzz check
+.PHONY: all build fmt test race vet lint lint-fix-scope bench bench-module fuzz check
 
 all: build
 
 ## build: compile every package and command
 build:
 	$(GO) build ./...
+
+## fmt: every .go file in the tree, bench/ included, must be gofmt-clean;
+## the files gofmt would rewrite are listed on stderr
+fmt:
+	test -z "$$(gofmt -l . | tee /dev/stderr)"
 
 ## test: run the full test suite
 test:
@@ -69,6 +75,6 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime $(FUZZTIME) ./internal/txdb
 	$(GO) test -run '^$$' -fuzz '^FuzzSetWords$$' -fuzztime $(FUZZTIME) ./internal/bitvec
 
-## check: everything the driver gates on — build, vet, lint, tests (root
+## check: everything CI gates on — build, gofmt, vet, lint, tests (root
 ## module and bench/), race
-check: build vet lint test bench-module race
+check: build fmt vet lint test bench-module race

@@ -55,12 +55,12 @@ type Options struct {
 	// error. Mining results are identical for every shard count.
 	Shards int
 	// Compress turns on adaptive per-slice storage: each slice is kept
-	// dense, as a sorted position list, or run-length encoded — whichever
-	// is smallest — and the AND chain runs directly over the compressed
-	// forms. Every estimate, count and mined pattern is byte-identical to
-	// the dense layout; only the memory footprint and the per-AND cost
-	// change. Applied after open (and after the saved index loads), so it
-	// composes with any existing directory.
+	// dense or as a sorted position list — whichever is smaller — and the
+	// AND chain runs directly over the position lists. Every estimate,
+	// count and mined pattern is byte-identical to the dense layout; only
+	// the memory footprint and the per-AND cost change. Applied after open
+	// (and after the saved index loads), so it composes with any existing
+	// directory.
 	Compress bool
 }
 

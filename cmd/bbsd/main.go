@@ -85,7 +85,7 @@ func run(args []string) error {
 		shards = fs.Int("shards", 0, "shard the database N ways (0 = whatever the directory already is; migrates a flat directory in place)")
 		addr   = fs.String("addr", "127.0.0.1:8344", "listen address")
 
-		compress = fs.Bool("compress", false, "adaptive per-slice compression (dense/sparse/RLE); answers are byte-identical, the index just gets smaller")
+		compress = fs.Bool("compress", false, "adaptive per-slice compression (dense/sparse); answers are byte-identical, the index just gets smaller")
 
 		workers     = fs.Int("workers", 0, "default mining worker pool per query (0 = one per CPU)")
 		cacheN      = fs.Int("cache", 128, "query cache capacity in results")

@@ -47,7 +47,7 @@ func run(args []string) error {
 		m            = fs.Int("m", 1600, "signature bits")
 		k            = fs.Int("k", 4, "hash functions per item")
 		shards       = fs.Int("shards", 0, "shard the database N ways (0 = whatever the directory already is; migrates a flat directory in place)")
-		compress     = fs.Bool("compress", false, "adaptive per-slice compression (dense/sparse/RLE); mining results are byte-identical, the index just gets smaller")
+		compress     = fs.Bool("compress", false, "adaptive per-slice compression (dense/sparse); mining results are byte-identical, the index just gets smaller")
 
 		memBudget = fs.Int64("mem-budget", 0, "tier the index to this byte budget: hot slices stay pinned, the rest fault from per-shard cold files through a shared buffer pool (0 = fully resident)")
 

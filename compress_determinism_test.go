@@ -6,9 +6,9 @@ import (
 )
 
 // compressPair builds one dense and one compressed database with the same
-// transactions, tombstones, and shard count. The compressed side mixes all
-// three slice encodings: M=128 over a 25-item alphabet leaves plenty of
-// rare (sparse) and clustered (RLE-able) columns next to the hot ones.
+// transactions, tombstones, and shard count. The compressed side mixes both
+// slice encodings: M=128 over a 25-item alphabet leaves plenty of rare
+// (sparse) columns next to the hot (dense) ones.
 func compressPair(t *testing.T, seed int64, n, shards int, deletes []int) (*Database, *Database) {
 	t.Helper()
 	dense := NewInMemory(Options{M: 128, K: 3, Shards: shards})

@@ -16,7 +16,6 @@ import (
 //
 //	EncDense  — ceil(n/64) uint64 words, little-endian
 //	EncSparse — ones × uint32 set-bit positions, strictly ascending
-//	EncRLE    — pairs × (start uint32, length uint32)
 //
 // A payload is an extent of a packed page file: it starts at an 8-byte
 // aligned offset inside its first page — sharing that page with its
@@ -99,28 +98,20 @@ func (s *Slice) EncodeCold() []byte {
 	if s.cold != nil {
 		panic("bitvec: EncodeCold on an already-cold slice")
 	}
-	switch s.enc {
-	case EncDense:
+	if s.enc == EncDense {
 		words := s.Materialize().words // normalizes a lazily-grown vector to wordsFor(n)
 		out := make([]byte, 8*len(words))
 		for i, w := range words {
 			binary.LittleEndian.PutUint64(out[8*i:], w)
 		}
 		return out
-	case EncSparse:
-		pos := s.Positions()
-		out := make([]byte, 4*len(pos))
-		for i, p := range pos {
-			binary.LittleEndian.PutUint32(out[4*i:], p)
-		}
-		return out
-	default:
-		out := make([]byte, 4*len(s.runs))
-		for i, r := range s.runs {
-			binary.LittleEndian.PutUint32(out[4*i:], r)
-		}
-		return out
 	}
+	pos := s.Positions()
+	out := make([]byte, 4*len(pos))
+	for i, p := range pos {
+		binary.LittleEndian.PutUint32(out[4*i:], p)
+	}
+	return out
 }
 
 // readAll streams the whole cold payload into one contiguous buffer —
@@ -145,8 +136,7 @@ func (s *Slice) Thaw() *Slice {
 		return s
 	}
 	raw := s.cold.readAll()
-	switch s.enc {
-	case EncDense:
+	if s.enc == EncDense {
 		words := make([]uint64, len(raw)/8)
 		for i := range words {
 			words[i] = binary.LittleEndian.Uint64(raw[8*i:])
@@ -156,38 +146,27 @@ func (s *Slice) Thaw() *Slice {
 			panic(fmt.Errorf("bitvec: thaw dense cold slice: %w", err))
 		}
 		return DenseSliceWithOnes(&v, s.ones)
-	case EncSparse:
-		pos := make([]uint32, len(raw)/4)
-		for i := range pos {
-			pos[i] = binary.LittleEndian.Uint32(raw[4*i:])
-		}
-		t, err := SliceFromPositions(pos, s.n)
-		if err != nil {
-			panic(fmt.Errorf("bitvec: thaw sparse cold slice: %w", err))
-		}
-		return t
-	default:
-		runs := make([]uint32, len(raw)/4)
-		for i := range runs {
-			runs[i] = binary.LittleEndian.Uint32(raw[4*i:])
-		}
-		t, err := SliceFromRuns(runs, s.n)
-		if err != nil {
-			panic(fmt.Errorf("bitvec: thaw rle cold slice: %w", err))
-		}
-		return t
 	}
+	pos := make([]uint32, len(raw)/4)
+	for i := range pos {
+		pos[i] = binary.LittleEndian.Uint32(raw[4*i:])
+	}
+	t, err := SliceFromPositions(pos, s.n)
+	if err != nil {
+		panic(fmt.Errorf("bitvec: thaw sparse cold slice: %w", err))
+	}
+	return t
 }
 
 // andCountIntoSlow is AndCountInto's non-inlined tail: cold payloads
-// stream through the page-windowed kernels below; resident compressed
-// payloads dispatch to the direct kernels. Split out so the resident dense
+// stream through the page-windowed kernels below; resident sparse payloads
+// dispatch to the direct kernels. Split out so the resident dense
 // fast path in AndCountInto stays a single predicted branch.
 //
 //lint:hotpath
 func (s *Slice) andCountIntoSlow(dst *Vector) int {
 	if s.cold == nil {
-		return s.andCountIntoCompressed(dst)
+		return s.andCountIntoSparse(dst)
 	}
 	if s.n > dst.n {
 		panic(fmt.Sprintf("bitvec: zero-extended operand longer than destination: %d vs %d", s.n, dst.n))
@@ -197,14 +176,10 @@ func (s *Slice) andCountIntoSlow(dst *Vector) int {
 	// overlay); the chain's MaybeSummarize re-promotes at the same points
 	// it would on the resident path because the estimates are identical.
 	dst.dropSummary()
-	switch s.enc {
-	case EncDense:
+	if s.enc == EncDense {
 		return s.andCountColdDense(dst)
-	case EncSparse:
-		return s.andCountColdPositions(dst)
-	default:
-		return s.andCountColdRuns(dst)
 	}
+	return s.andCountColdPositions(dst)
 }
 
 // andCountColdDense ANDs a cold dense payload into dst window by window:
@@ -287,62 +262,6 @@ func (s *Slice) andCountColdPositions(dst *Vector) int {
 				mask = 0
 			}
 			mask |= 1 << uint(p&wordMask)
-		}
-		c.src.Release(k)
-	}
-	if cur >= 0 {
-		nw := vw[cur] & mask
-		vw[cur] = nw
-		cnt += bits.OnesCount64(nw)
-	}
-	for i := cur + 1; i < len(vw); i++ {
-		vw[i] = 0
-	}
-	return cnt
-}
-
-// andCountColdRuns ANDs a cold RLE payload into dst by walking its
-// (start, length) pairs with the same (word, mask) cursor: border words
-// get masks assembled from the runs touching them, interior words of a
-// long run AND against all-ones (a popcount, no change), and words outside
-// every run are zeroed.
-//
-//lint:hotpath
-func (s *Slice) andCountColdRuns(dst *Vector) int {
-	c := s.cold
-	vw := dst.words
-	cnt := 0
-	cur := -1
-	var mask uint64
-	for k, done := 0, 0; done < c.bytes; k++ {
-		win := c.window(k, done)
-		done += len(win)
-		for ; len(win) >= 8; win = win[8:] {
-			a := int(binary.LittleEndian.Uint32(win))
-			b := a + int(binary.LittleEndian.Uint32(win[4:]))
-			for w := a >> wordShift; w <= (b-1)>>wordShift; w++ {
-				if w != cur {
-					if cur >= 0 {
-						nw := vw[cur] & mask
-						vw[cur] = nw
-						cnt += bits.OnesCount64(nw)
-					}
-					for i := cur + 1; i < w; i++ {
-						vw[i] = 0
-					}
-					cur = w
-					mask = 0
-				}
-				lo, hi := w<<wordShift, (w+1)<<wordShift
-				if a > lo {
-					lo = a
-				}
-				if b < hi {
-					hi = b
-				}
-				base := w << wordShift
-				mask |= onesRange(lo-base, hi-base)
-			}
 		}
 		c.src.Release(k)
 	}

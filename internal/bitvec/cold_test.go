@@ -51,11 +51,12 @@ func freezeForTest(t *testing.T, s *Slice, pageSize, off int) (*Slice, *memPages
 }
 
 // randomSlice builds a random slice of n bits with approximate density d,
-// recompressed so all three encodings appear across seeds.
+// recompressed so both encodings appear across seeds.
 func randomSlice(rng *rand.Rand, n int, d float64, compress bool) *Slice {
 	v := New(n)
 	if rng.Intn(3) == 0 {
-		// Runs: clustered bits so RLE wins sometimes.
+		// Runs: clustered bits, so both kernels also see set bits packed
+		// across word and chunk borders.
 		for i := 0; i < n; {
 			if rng.Float64() < d {
 				run := 1 + rng.Intn(40)
@@ -134,8 +135,8 @@ func TestColdKernelsMatchResident(t *testing.T) {
 					t.Fatalf("trial %d: kernel leaked page pins", trial)
 				}
 			}
-			if len(seen) != 3 {
-				t.Fatalf("encodings covered: %v, want all three", seen)
+			if len(seen) != 2 {
+				t.Fatalf("encodings covered: %v, want both", seen)
 			}
 		})
 	}

@@ -12,13 +12,14 @@ import (
 // hot while most hold a handful of bits — exactly the slices CountItemSet's
 // rarest-first chain touches first. Storing every column as dense words
 // makes index size (and the words an AND must sweep) linear in transactions
-// regardless of content. A Slice therefore carries one of three physical
+// regardless of content. A Slice therefore carries one of two physical
 // encodings, chosen from its popcount:
 //
 //	EncDense  — []uint64 words, the classic layout; hot slices.
 //	EncSparse — sorted set-bit positions as byte offsets within 256-bit
 //	            chunks, behind a CSR-style chunk directory; rare slices.
-//	EncRLE    — []uint32 (start, length) pairs of one-runs; clustered slices.
+//
+// The tag value EncRLE is reserved; no Slice carries it.
 //
 // The sparse layout serves two masters. Size: one byte per set bit (plus a
 // ~3% directory) is what lets moderately rare slices — the bulk of a
@@ -28,15 +29,15 @@ import (
 // in order — prefetch-friendly — and the summarized-accumulator kernel
 // skips a chunk's payload outright when all four of its words are dead.
 //
-// The AND kernels operate directly on the compressed forms — a sparse slice
-// ANDs into the accumulator by masking only the words its positions name, an
-// RLE slice by walking its runs — so the rarest-first chain never
-// decompresses a slice. The accumulator stays a dense Vector (optionally in
-// summary mode, see sparse.go), and every kernel produces bit-identical
-// results to materializing the slice and calling AndCountZX.
+// The AND kernel operates directly on the compressed form — a sparse slice
+// ANDs into the accumulator by masking only the words its positions name —
+// so the rarest-first chain never decompresses a slice. The accumulator
+// stays a dense Vector (optionally in summary mode, see sparse.go), and
+// every kernel produces bit-identical results to materializing the slice
+// and calling AndCountZX.
 //
 // Encoding selection is hysteretic so per-transaction appends cannot thrash:
-// a compressed form is chosen — at build/Fold/Load time, or by an append
+// the sparse form is chosen — at build/Fold/Load time, or by an append
 // entering the window via MaybeCompress — only when its payload is at most
 // half the dense payload (compressWinDiv), while an appending slice is
 // promoted back to dense only once its payload reaches the full dense
@@ -53,8 +54,9 @@ const (
 	EncDense Encoding = iota
 	// EncSparse stores sorted set-bit positions as chunked byte offsets.
 	EncSparse
-	// EncRLE stores maximal runs of consecutive set bits as (start, length)
-	// pairs.
+	// EncRLE is the retired run-length tag. No Slice carries it; the value
+	// stays reserved so a v3 index file holding it is refused by name, and
+	// bbsperf (bench/) still names it.
 	EncRLE
 )
 
@@ -75,7 +77,7 @@ const (
 	// compressed: the encoding bookkeeping costs more than sweeping a
 	// handful of words (mirrors summaryMinWords for the accumulator).
 	compressMinWords = 8
-	// compressWinDiv gates build-time selection: a compressed encoding is
+	// compressWinDiv gates build-time selection: the sparse encoding is
 	// chosen only when its payload is at most denseBytes/compressWinDiv.
 	// Appends promote back to dense at payload >= denseBytes (1x), so the
 	// band between 1/compressWinDiv and 1 is the hysteresis that keeps
@@ -86,7 +88,7 @@ const (
 // Slice is one signature-file bit column under an adaptive encoding. The
 // logical length n plays the same role as Vector.Len: bits at or beyond n
 // read as zero (the zero-extension contract of the ZX kernels). Exactly one
-// of dense/pos/runs is live, per enc.
+// of dense and pos8/chunkOff is live, per enc.
 type Slice struct {
 	enc  Encoding
 	n    int // logical length in bits
@@ -99,8 +101,7 @@ type Slice struct {
 	// offsets live in pos8[chunkOff[c]:chunkOff[c+1]].
 	pos8     []uint8
 	chunkOff []int32
-	last     int      // EncSparse: last set position, -1 while empty
-	runs     []uint32 // EncRLE: (start, length) pairs, ascending, non-adjacent
+	last     int // EncSparse: last set position, -1 while empty
 
 	// cold, when non-nil, means the payload lives in page-granular cold
 	// storage instead of the fields above (which are nil): enc names the
@@ -195,32 +196,6 @@ func SliceFromPositions(pos []uint32, n int) (*Slice, error) {
 	return s, nil
 }
 
-// SliceFromRuns builds an RLE slice from serialized (start, length) pairs
-// (decode path). Runs must be maximal: nonempty, ascending, separated by at
-// least one zero bit, and contained in [0, n).
-func SliceFromRuns(runs []uint32, n int) (*Slice, error) {
-	if len(runs)%2 != 0 {
-		return nil, fmt.Errorf("bitvec: odd rle payload length %d", len(runs))
-	}
-	ones, prevEnd := 0, -1
-	for r := 0; r < len(runs); r += 2 {
-		start, length := int(runs[r]), int(runs[r+1])
-		if length <= 0 {
-			return nil, fmt.Errorf("bitvec: empty rle run at pair %d", r/2)
-		}
-		if start <= prevEnd {
-			return nil, fmt.Errorf("bitvec: rle runs not ascending and separated at pair %d", r/2)
-		}
-		end := start + length
-		if end > n || end < start {
-			return nil, fmt.Errorf("bitvec: rle run [%d,%d) beyond length %d", start, end, n)
-		}
-		ones += length
-		prevEnd = end
-	}
-	return &Slice{enc: EncRLE, n: n, ones: ones, runs: runs}, nil
-}
-
 // Encoding reports the slice's current physical representation.
 func (s *Slice) Encoding() Encoding { return s.enc }
 
@@ -237,14 +212,10 @@ func (s *Slice) Bytes() int64 {
 	if s.cold != nil {
 		return 0 // payload is paged, not resident; see ColdPayloadBytes
 	}
-	switch s.enc {
-	case EncDense:
+	if s.enc == EncDense {
 		return 8 * int64(len(s.dense.words))
-	case EncSparse:
-		return int64(len(s.pos8)) + 4*int64(len(s.chunkOff))
-	default:
-		return 4 * int64(len(s.runs))
 	}
+	return int64(len(s.pos8)) + 4*int64(len(s.chunkOff))
 }
 
 // Get reports whether bit i is set, reading bits at or beyond Len as zero
@@ -260,34 +231,21 @@ func (s *Slice) Get(i int) bool {
 		// Correctness path only: O(payload). Query kernels never call Get.
 		return s.Thaw().Get(i)
 	}
-	switch s.enc {
-	case EncDense:
+	if s.enc == EncDense {
 		return s.dense.Get(i)
-	case EncSparse:
-		c := i >> chunkShift
-		if c+1 >= len(s.chunkOff) {
-			return false
-		}
-		j := lowerBound8(s.pos8, int(s.chunkOff[c]), int(s.chunkOff[c+1]), uint8(i&chunkMask))
-		return j < int(s.chunkOff[c+1]) && int(s.pos8[j]) == i&chunkMask
-	default:
-		for r := 0; r < len(s.runs); r += 2 {
-			start := int(s.runs[r])
-			if i < start {
-				return false
-			}
-			if i < start+int(s.runs[r+1]) {
-				return true
-			}
-		}
+	}
+	c := i >> chunkShift
+	if c+1 >= len(s.chunkOff) {
 		return false
 	}
+	j := lowerBound8(s.pos8, int(s.chunkOff[c]), int(s.chunkOff[c+1]), uint8(i&chunkMask))
+	return j < int(s.chunkOff[c+1]) && int(s.pos8[j]) == i&chunkMask
 }
 
 // CloneFor returns a deep copy preserving the encoding, with room for the
 // append the copy is made for: a dense copy's words already cover n bits,
-// and a compressed copy's payload has spare capacity for one more set
-// position (or run) at bit n-1. The copy-on-write machinery in sigfile
+// and a sparse copy's payload has spare capacity for one more set position
+// at bit n-1. The copy-on-write machinery in sigfile
 // clones a shared slice just before it appends the next row, and an
 // exact-size copy would be reallocated by that very append.
 func (s *Slice) CloneFor(n int) *Slice {
@@ -299,24 +257,21 @@ func (s *Slice) CloneFor(n int) *Slice {
 		return &c
 	}
 	c := &Slice{enc: s.enc, n: s.n, ones: s.ones}
-	switch s.enc {
-	case EncDense:
+	if s.enc == EncDense {
 		c.dense = s.dense.CloneFor(n)
-	case EncSparse:
-		c.pos8 = append(make([]uint8, 0, len(s.pos8)+1), s.pos8...)
-		c.chunkOff = append(make([]int32, 0, max(len(s.chunkOff), numChunks(n)+1)), s.chunkOff...)
-		c.last = s.last
-	default:
-		c.runs = append(make([]uint32, 0, len(s.runs)+2), s.runs...)
+		return c
 	}
+	c.pos8 = append(make([]uint8, 0, len(s.pos8)+1), s.pos8...)
+	c.chunkOff = append(make([]int32, 0, max(len(s.chunkOff), numChunks(n)+1)), s.chunkOff...)
+	c.last = s.last
 	return c
 }
 
 // AppendSet sets bit i and reports whether it was newly set. Appends must
-// arrive in non-decreasing order of i for compressed encodings — the BBS
-// insert path satisfies this by construction, as i is the transaction
-// ordinal. A compressed slice whose payload reaches the dense size promotes
-// itself to dense in place (the upper edge of the hysteresis band).
+// arrive in non-decreasing order of i for a sparse slice — the BBS insert
+// path satisfies this by construction, as i is the transaction ordinal. A
+// sparse slice whose payload reaches the dense size promotes itself to
+// dense in place (the upper edge of the hysteresis band).
 func (s *Slice) AppendSet(i int) bool {
 	if i < 0 {
 		panic(fmt.Sprintf("bitvec: negative index %d", i))
@@ -324,8 +279,7 @@ func (s *Slice) AppendSet(i int) bool {
 	if s.cold != nil {
 		panic("bitvec: append to a cold slice; Thaw it first")
 	}
-	switch s.enc {
-	case EncDense:
+	if s.enc == EncDense {
 		if i >= s.n {
 			s.dense.Grow(i + 1)
 			s.n = i + 1
@@ -336,52 +290,24 @@ func (s *Slice) AppendSet(i int) bool {
 		s.dense.Set(i)
 		s.ones++
 		return true
-	case EncSparse:
-		if i == s.last {
-			return false
-		}
-		if i < s.last {
-			panic(fmt.Sprintf("bitvec: out-of-order append %d after %d on sparse slice", i, s.last))
-		}
-		s.appendPos(i)
-		s.last = i
-		s.ones++
-		if i >= s.n {
-			s.n = i + 1
-		}
-		s.maybePromote()
-		return true
-	default: // EncRLE
-		if len(s.runs) > 0 {
-			start := int(s.runs[len(s.runs)-2])
-			end := start + int(s.runs[len(s.runs)-1])
-			if i < end {
-				if i >= start {
-					return false
-				}
-				panic(fmt.Sprintf("bitvec: out-of-order append %d before run end %d on rle slice", i, end))
-			}
-			if i == end {
-				s.runs[len(s.runs)-1]++
-				s.ones++
-				if i >= s.n {
-					s.n = i + 1
-				}
-				s.maybePromote()
-				return true
-			}
-		}
-		s.runs = append(s.runs, uint32(i), 1)
-		s.ones++
-		if i >= s.n {
-			s.n = i + 1
-		}
-		s.maybePromote()
-		return true
 	}
+	if i == s.last {
+		return false
+	}
+	if i < s.last {
+		panic(fmt.Sprintf("bitvec: out-of-order append %d after %d on sparse slice", i, s.last))
+	}
+	s.appendPos(i)
+	s.last = i
+	s.ones++
+	if i >= s.n {
+		s.n = i + 1
+	}
+	s.maybePromote()
+	return true
 }
 
-// maybePromote flips a compressed slice to dense once its payload is no
+// maybePromote flips a sparse slice to dense once its payload is no
 // smaller than the dense layout — the upper edge of the hysteresis band.
 // Only Recompress (directly or via MaybeCompress) moves the other way.
 func (s *Slice) maybePromote() {
@@ -390,7 +316,7 @@ func (s *Slice) maybePromote() {
 	}
 	s.dense = s.Materialize()
 	s.enc = EncDense
-	s.pos8, s.chunkOff, s.runs = nil, nil, nil
+	s.pos8, s.chunkOff = nil, nil
 }
 
 // MaybeCompress re-encodes an appending dense slice downward when its
@@ -426,23 +352,18 @@ func (s *Slice) Materialize() *Vector {
 		return s.Thaw().Materialize()
 	}
 	v := New(s.n)
-	switch s.enc {
-	case EncDense:
+	if s.enc == EncDense {
 		copy(v.words, s.dense.words)
-	case EncSparse:
-		s.forEachPos(func(p int) {
-			v.words[p>>wordShift] |= 1 << uint(p&wordMask)
-		})
-	default:
-		for r := 0; r < len(s.runs); r += 2 {
-			setWordRange(v.words, int(s.runs[r]), int(s.runs[r])+int(s.runs[r+1]))
-		}
+		return v
 	}
+	s.forEachPos(func(p int) {
+		v.words[p>>wordShift] |= 1 << uint(p&wordMask)
+	})
 	return v
 }
 
 // DenseVector returns the backing vector of a dense slice, aliased, or nil
-// for compressed encodings. Serialization and tests use it; mutating the
+// for a sparse one. Serialization and tests use it; mutating the
 // result corrupts the slice's popcount.
 func (s *Slice) DenseVector() *Vector {
 	if s.enc != EncDense || s.cold != nil {
@@ -466,24 +387,13 @@ func (s *Slice) Positions() []uint32 {
 	return pos
 }
 
-// Runs returns the RLE payload, aliased; nil unless EncRLE.
-func (s *Slice) Runs() []uint32 {
-	if s.enc != EncRLE {
-		return nil
-	}
-	if s.cold != nil {
-		return s.Thaw().Runs()
-	}
-	return s.runs
-}
-
 // Recompress re-picks the encoding from current contents, assuming the
 // slice logically spans n bits (the index length; a lazily-grown slice may
 // back fewer, but its dense cost is what a full-length layout would pay).
 // With compress false the result is always dense (the classic layout).
-// With compress true the smallest of the three payloads wins, but a
-// compressed form is chosen only when it is at most half the dense payload
-// — the lower edge of the hysteresis band — and tiny slices stay dense
+// With compress true the smaller of the sparse and dense payloads wins, but
+// sparse is chosen only when it is at most half the dense payload — the
+// lower edge of the hysteresis band — and tiny slices stay dense
 // (compressMinWords). Returns s unchanged when the encoding already matches
 // the choice; otherwise a newly built slice of length n, leaving s intact
 // (safe against snapshots aliasing it).
@@ -500,28 +410,21 @@ func (s *Slice) Recompress(n int, compress bool) *Slice {
 	if target == s.enc {
 		return s
 	}
-	switch target {
-	case EncDense:
+	if target == EncDense {
 		v := s.Materialize()
 		v.Grow(n)
 		return DenseSliceWithOnes(v, s.ones)
-	case EncSparse:
-		t := &Slice{enc: EncSparse, n: n, ones: s.ones, last: -1}
-		t.pos8 = make([]uint8, 0, s.ones)
-		s.forEachRange(func(start, end int) {
-			for i := start; i < end; i++ {
-				t.appendPos(i)
-			}
-			t.last = end - 1
-		})
-		return t
-	default:
-		runs := make([]uint32, 0, 2*s.countRuns())
-		s.forEachRange(func(start, end int) {
-			runs = append(runs, uint32(start), uint32(end-start))
-		})
-		return &Slice{enc: EncRLE, n: n, ones: s.ones, runs: runs}
 	}
+	// target is sparse and differs from s.enc, so s is dense.
+	t := &Slice{enc: EncSparse, n: n, ones: s.ones, last: -1}
+	t.pos8 = make([]uint8, 0, s.ones)
+	s.forEachRange(func(start, end int) {
+		for i := start; i < end; i++ {
+			t.appendPos(i)
+		}
+		t.last = end - 1
+	})
+	return t
 }
 
 // chooseEncoding applies the build-time selection rule at logical length n.
@@ -533,105 +436,43 @@ func (s *Slice) chooseEncoding(n int, compress bool) Encoding {
 	if words < compressMinWords {
 		return EncDense
 	}
-	denseBytes := 8 * int64(words)
 	sparseBytes := int64(s.ones) + 4*int64(numChunks(n)+1)
-	rleBytes := 8 * int64(s.countRuns())
-	limit := denseBytes / compressWinDiv
-	best, bestBytes := EncDense, denseBytes
-	// RLE first so an equally small sparse form wins the tie below: the
-	// position-list kernel is the simpler of the two.
-	if rleBytes <= limit && rleBytes < bestBytes {
-		best, bestBytes = EncRLE, rleBytes
+	if sparseBytes <= 8*int64(words)/compressWinDiv {
+		return EncSparse
 	}
-	if sparseBytes <= limit && sparseBytes <= bestBytes {
-		best = EncSparse
-	}
-	return best
+	return EncDense
 }
 
-// countRuns returns the number of maximal runs of consecutive set bits.
-func (s *Slice) countRuns() int {
-	switch s.enc {
-	case EncRLE:
-		return len(s.runs) / 2
-	case EncSparse:
-		runs, prev := 0, -2
-		s.forEachPos(func(p int) {
-			if p != prev+1 {
-				runs++
-			}
-			prev = p
-		})
-		return runs
-	default:
-		runs := 0
-		prev := false
-		for _, w := range s.dense.words {
-			// A run starts at every 01 transition, reading the vector as a
-			// bit stream; `prev` carries the last bit across word borders.
-			starts := w &^ (w<<1 | boolBit(prev))
-			runs += bits.OnesCount64(starts)
-			prev = w>>63 != 0
-		}
-		return runs
-	}
-}
-
-func boolBit(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// forEachRange calls fn with every maximal run [start, end) of set bits.
+// forEachRange calls fn with every maximal run [start, end) of set bits of
+// a dense slice — the walk Recompress builds a sparse payload from, the
+// only re-encoding that is not a plain Materialize.
+//
+// Word by word: a run starts at the lowest set bit at or above the cursor
+// and ends at the lowest clear one above that, so a word costs one
+// TrailingZeros64 per run border in it. x is the word, or its complement
+// while a run is open, with the bits below the cursor cleared. Bits past
+// s.n are zero (the Vector's tail invariant), so only a run reaching the
+// last word's top bit is still open after it.
 func (s *Slice) forEachRange(fn func(start, end int)) {
-	switch s.enc {
-	case EncRLE:
-		for r := 0; r < len(s.runs); r += 2 {
-			fn(int(s.runs[r]), int(s.runs[r])+int(s.runs[r+1]))
-		}
-	case EncSparse:
-		start, prev := -1, -2
-		s.forEachPos(func(p int) {
-			if p != prev+1 {
-				if start >= 0 {
-					fn(start, prev+1)
-				}
-				start = p
-			}
-			prev = p
-		})
-		if start >= 0 {
-			fn(start, prev+1)
-		}
-	default:
-		// Word by word: a run starts at the lowest set bit at or above the
-		// cursor and ends at the lowest clear one above that, so a word
-		// costs one TrailingZeros64 per run border in it. x is the word, or
-		// its complement while a run is open, with the bits below the cursor
-		// cleared. Bits past s.n are zero (the Vector's tail invariant), so
-		// only a run reaching the last word's top bit is still open after it.
-		start, open := 0, false
-		for wi, w := range s.dense.words {
-			x := w
-			if open {
-				x = ^w
-			}
-			for x != 0 {
-				b := bits.TrailingZeros64(x)
-				if open {
-					fn(start, wi<<wordShift+b)
-				} else {
-					start = wi<<wordShift + b
-				}
-				open = !open
-				x = ^x & (^uint64(0) << uint(b))
-			}
-		}
+	start, open := 0, false
+	for wi, w := range s.dense.words {
+		x := w
 		if open {
-			fn(start, s.n)
+			x = ^w
 		}
+		for x != 0 {
+			b := bits.TrailingZeros64(x)
+			if open {
+				fn(start, wi<<wordShift+b)
+			} else {
+				start = wi<<wordShift + b
+			}
+			open = !open
+			x = ^x & (^uint64(0) << uint(b))
+		}
+	}
+	if open {
+		fn(start, s.n)
 	}
 }
 
@@ -647,37 +488,26 @@ func (s *Slice) AndCountInto(dst *Vector) int {
 	// resident dense case — every slice of an uncompressed index — must
 	// cost what the classic layout paid, one predicted branch (the cold
 	// test folds into it: a resident dense slice always has cold == nil)
-	// over a direct AndCountZX. Everything else — resident compressed and
-	// all cold payloads — takes the out-of-line slow path.
+	// over a direct AndCountZX. Everything else — resident sparse and all
+	// cold payloads — takes the out-of-line slow path.
 	if s.enc == EncDense && s.cold == nil {
 		return dst.AndCountZX(s.dense)
 	}
 	return s.andCountIntoSlow(dst)
 }
 
-// andCountIntoCompressed dispatches the compressed-encoding kernels on dst's
+// andCountIntoSparse dispatches the resident sparse-slice kernels on dst's
 // mode. Split from AndCountInto to keep the dense fast path inlinable.
 //
 //lint:hotpath
-func (s *Slice) andCountIntoCompressed(dst *Vector) int {
-	switch s.enc {
-	case EncSparse:
-		if s.n > dst.n {
-			panic(fmt.Sprintf("bitvec: zero-extended operand longer than destination: %d vs %d", s.n, dst.n))
-		}
-		if len(dst.summary) != 0 {
-			return dst.andCountPositionsSparse(s.pos8, s.chunkOff)
-		}
-		return dst.andCountPositionsDense(s.pos8, s.chunkOff)
-	default:
-		if s.n > dst.n {
-			panic(fmt.Sprintf("bitvec: zero-extended operand longer than destination: %d vs %d", s.n, dst.n))
-		}
-		if len(dst.summary) != 0 {
-			return dst.andCountRunsSparse(s.runs)
-		}
-		return dst.andCountRunsDense(s.runs)
+func (s *Slice) andCountIntoSparse(dst *Vector) int {
+	if s.n > dst.n {
+		panic(fmt.Sprintf("bitvec: zero-extended operand longer than destination: %d vs %d", s.n, dst.n))
 	}
+	if len(dst.summary) != 0 {
+		return dst.andCountPositionsSparse(s.pos8, s.chunkOff)
+	}
+	return dst.andCountPositionsDense(s.pos8, s.chunkOff)
 }
 
 // OrInto ORs the slice into dst (zero-extended), the Fold accumulation
@@ -690,20 +520,14 @@ func (s *Slice) OrInto(dst *Vector) {
 		s.Thaw().OrInto(dst) // fold path, off the query kernels
 		return
 	}
-	switch s.enc {
-	case EncDense:
+	if s.enc == EncDense {
 		dst.OrZX(s.dense)
-	case EncSparse:
-		dst.dropSummary()
-		s.forEachPos(func(p int) {
-			dst.words[p>>wordShift] |= 1 << uint(p&wordMask)
-		})
-	default:
-		dst.dropSummary()
-		for r := 0; r < len(s.runs); r += 2 {
-			setWordRange(dst.words, int(s.runs[r]), int(s.runs[r])+int(s.runs[r+1]))
-		}
+		return
 	}
+	dst.dropSummary()
+	s.forEachPos(func(p int) {
+		dst.words[p>>wordShift] |= 1 << uint(p&wordMask)
+	})
 }
 
 // OrAt ORs src into v starting at bit offset at: v[at+i] |= src[i] — one
@@ -755,28 +579,6 @@ func blitWords(dst []uint64, at int, src []uint64) {
 			dst[wi+i+1] |= hi
 		}
 	}
-}
-
-// setWordRange ORs ones over the bit range [start, end) of dst.
-func setWordRange(dst []uint64, start, end int) {
-	if start >= end {
-		return
-	}
-	fw, lw := start>>wordShift, (end-1)>>wordShift
-	if fw == lw {
-		dst[fw] |= onesRange(start&wordMask, (end-1)&wordMask+1)
-		return
-	}
-	dst[fw] |= ^uint64(0) << uint(start&wordMask)
-	for wi := fw + 1; wi < lw; wi++ {
-		dst[wi] = ^uint64(0)
-	}
-	dst[lw] |= onesRange(0, (end-1)&wordMask+1)
-}
-
-// onesRange returns a word with bits [a, b) set, 0 <= a < b <= 64.
-func onesRange(a, b int) uint64 {
-	return (^uint64(0) >> uint(wordBits-(b-a))) << uint(a)
 }
 
 // andCountPositionsDense is the sparse-slice kernel against a dense
@@ -872,96 +674,6 @@ func (v *Vector) andCountPositionsSparse(pos8 []uint8, chunkOff []int32) int {
 		}
 	}
 	return cnt
-}
-
-// andCountRunsDense is the RLE kernel against a dense accumulator: a word
-// cursor and a run cursor advance together; words fully inside a run keep
-// their bits (popcount, no store), words outside every run are zeroed, and
-// border words get a mask assembled from the runs touching them.
-//
-//lint:hotpath
-func (v *Vector) andCountRunsDense(runs []uint32) int {
-	vw := v.words
-	c := 0
-	r := 0
-	for wi := 0; wi < len(vw); wi++ {
-		lo := wi << wordShift
-		hi := lo + wordBits
-		for r < len(runs) && int(runs[r])+int(runs[r+1]) <= lo {
-			r += 2
-		}
-		if r >= len(runs) || int(runs[r]) >= hi {
-			vw[wi] = 0
-			continue
-		}
-		if int(runs[r]) <= lo && int(runs[r])+int(runs[r+1]) >= hi {
-			// Interior of a long run: mask is all ones, the word survives
-			// untouched.
-			c += bits.OnesCount64(vw[wi])
-			continue
-		}
-		w := vw[wi] & runsWordMask(runs, r, lo, hi)
-		vw[wi] = w
-		c += bits.OnesCount64(w)
-	}
-	return c
-}
-
-// andCountRunsSparse is the RLE skip-AND against a summarized accumulator:
-// only the accumulator's nonzero words are visited, each masked by the runs
-// covering it; the run cursor advances monotonically.
-//
-//lint:hotpath
-func (v *Vector) andCountRunsSparse(runs []uint32) int {
-	c := 0
-	r := 0
-	for si, sw := range v.summary {
-		if sw == 0 {
-			continue
-		}
-		base := si << wordShift
-		for sw != 0 {
-			t := bits.TrailingZeros64(sw)
-			sw &= sw - 1
-			wi := base + t
-			lo := wi << wordShift
-			hi := lo + wordBits
-			for r < len(runs) && int(runs[r])+int(runs[r+1]) <= lo {
-				r += 2
-			}
-			var w uint64
-			if r < len(runs) && int(runs[r]) < hi {
-				w = v.words[wi] & runsWordMask(runs, r, lo, hi)
-			}
-			v.words[wi] = w
-			if w == 0 {
-				v.summary[si] &^= 1 << uint(t)
-				v.nz--
-			} else {
-				c += bits.OnesCount64(w)
-			}
-		}
-	}
-	return c
-}
-
-// runsWordMask assembles the coverage mask of word [lo, hi) from the runs
-// at or after pair index r; runs[r] is the first run ending after lo.
-//
-//lint:hotpath
-func runsWordMask(runs []uint32, r, lo, hi int) uint64 {
-	var mask uint64
-	for ; r < len(runs) && int(runs[r]) < hi; r += 2 {
-		a, b := int(runs[r]), int(runs[r])+int(runs[r+1])
-		if a < lo {
-			a = lo
-		}
-		if b > hi {
-			b = hi
-		}
-		mask |= onesRange(a-lo, b-lo)
-	}
-	return mask
 }
 
 // lowerBound8 returns the first index in a[i:j] whose value is >= x

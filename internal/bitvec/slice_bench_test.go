@@ -19,7 +19,7 @@ func benchSlice(b *testing.B, enc Encoding, ones int) *Slice {
 	if err != nil {
 		b.Fatal(err)
 	}
-	return s.Recompress(10000, enc == EncSparse || enc == EncRLE)
+	return s.Recompress(10000, enc == EncSparse)
 }
 
 func randPositions(rng *rand.Rand, n, ones int) []int {

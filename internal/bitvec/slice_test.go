@@ -6,8 +6,8 @@ import (
 	"testing"
 )
 
-// clusteredVector returns an n-bit vector made of random runs, the shape
-// RLE is for.
+// clusteredVector returns an n-bit vector made of random runs of set bits,
+// which cross word and chunk borders in every kernel.
 func clusteredVector(rng *rand.Rand, n int, runs, maxLen int) *Vector {
 	v := New(n)
 	for r := 0; r < runs; r++ {
@@ -24,38 +24,25 @@ func clusteredVector(rng *rand.Rand, n int, runs, maxLen int) *Vector {
 // every kernel is exercised regardless of the data's natural encoding.
 func encodeAs(t testing.TB, ref *Vector, enc Encoding) *Slice {
 	t.Helper()
-	s := DenseSliceOf(ref.Clone())
-	switch enc {
-	case EncDense:
-		return s
-	case EncSparse:
-		pos := make([]uint32, 0, s.Ones())
-		ref.ForEachSet(func(i int) bool {
-			pos = append(pos, uint32(i))
-			return true
-		})
-		sp, err := SliceFromPositions(pos, ref.Len())
-		if err != nil {
-			t.Fatalf("SliceFromPositions: %v", err)
-		}
-		return sp
-	default:
-		var runs []uint32
-		s.forEachRange(func(start, end int) {
-			runs = append(runs, uint32(start), uint32(end-start))
-		})
-		rl, err := SliceFromRuns(runs, ref.Len())
-		if err != nil {
-			t.Fatalf("SliceFromRuns: %v", err)
-		}
-		return rl
+	if enc == EncDense {
+		return DenseSliceOf(ref.Clone())
 	}
+	pos := make([]uint32, 0, ref.Count())
+	ref.ForEachSet(func(i int) bool {
+		pos = append(pos, uint32(i))
+		return true
+	})
+	sp, err := SliceFromPositions(pos, ref.Len())
+	if err != nil {
+		t.Fatalf("SliceFromPositions: %v", err)
+	}
+	return sp
 }
 
-var allEncodings = []Encoding{EncDense, EncSparse, EncRLE}
+var allEncodings = []Encoding{EncDense, EncSparse}
 
-// TestForEachRangeDenseMatchesBitWalk pins the dense branch of forEachRange,
-// which walks words, against the bit-by-bit definition of a maximal run:
+// TestForEachRangeDenseMatchesBitWalk pins forEachRange, which walks words,
+// against the bit-by-bit definition of a maximal run:
 // runs crossing word borders, lengths that are not a multiple of 64, and
 // all-zero and all-one vectors.
 func TestForEachRangeDenseMatchesBitWalk(t *testing.T) {
@@ -164,7 +151,7 @@ func TestAndCountIntoChained(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		slices := []*Slice{
 			encodeAs(t, randomVector(rng, n, 0.01), EncSparse),
-			encodeAs(t, clusteredVector(rng, n, 4, 200), EncRLE),
+			encodeAs(t, clusteredVector(rng, n, 4, 200), EncSparse),
 			encodeAs(t, randomVector(rng, n, 0.5), EncDense),
 			encodeAs(t, randomVector(rng, n, 0.02), EncSparse),
 		}
@@ -193,12 +180,10 @@ func TestAndCountIntoChained(t *testing.T) {
 // and checks contents, popcount and the promotion invariant.
 func TestAppendSetMatchesVector(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for _, start := range []Encoding{EncSparse, EncRLE} {
-		var s *Slice
-		if start == EncSparse {
-			s = NewSparseSlice()
-		} else {
-			s = &Slice{enc: EncRLE}
+	for _, start := range allEncodings {
+		s := NewSparseSlice()
+		if start == EncDense {
+			s = NewDenseSlice(0)
 		}
 		ref := New(0)
 		pos := 0
@@ -389,14 +374,21 @@ func TestRecompressSelection(t *testing.T) {
 			t.Fatalf("encoding %v, want sparse", s.Encoding())
 		}
 	})
-	t.Run("clustered bits pick rle", func(t *testing.T) {
-		v := New(n)
-		for i := 1000; i < 3000; i++ {
-			v.Set(i)
-		}
-		s := DenseSliceOf(v).Recompress(n, true)
-		if s.Encoding() != EncRLE {
-			t.Fatalf("encoding %v, want rle", s.Encoding())
+	t.Run("clustered bits pick the smaller of sparse and dense", func(t *testing.T) {
+		for _, c := range []struct {
+			start, end int
+			want       Encoding
+		}{
+			{1000, 3000, EncDense},  // 2000 ones: ~2 KB of positions against 512 B of words
+			{1000, 1150, EncSparse}, // 150 ones: 218 B of positions, under half the words
+		} {
+			v := New(n)
+			for i := c.start; i < c.end; i++ {
+				v.Set(i)
+			}
+			if s := DenseSliceOf(v).Recompress(n, true); s.Encoding() != c.want {
+				t.Fatalf("run [%d,%d): encoding %v, want %v", c.start, c.end, s.Encoding(), c.want)
+			}
 		}
 	})
 	t.Run("dense bits stay dense", func(t *testing.T) {
@@ -479,24 +471,6 @@ func TestSliceDecodeValidation(t *testing.T) {
 	if _, err := SliceFromPositions([]uint32{10}, 10); err == nil {
 		t.Error("position beyond length accepted")
 	}
-	if _, err := SliceFromRuns([]uint32{0, 3, 1}, 100); err == nil {
-		t.Error("odd rle payload accepted")
-	}
-	if _, err := SliceFromRuns([]uint32{4, 0}, 100); err == nil {
-		t.Error("empty run accepted")
-	}
-	if _, err := SliceFromRuns([]uint32{0, 3, 3, 2}, 100); err == nil {
-		t.Error("adjacent runs accepted (not maximal)")
-	}
-	if _, err := SliceFromRuns([]uint32{0, 3, 2, 2}, 100); err == nil {
-		t.Error("overlapping runs accepted")
-	}
-	if _, err := SliceFromRuns([]uint32{90, 20}, 100); err == nil {
-		t.Error("run beyond length accepted")
-	}
-	if _, err := SliceFromRuns([]uint32{0, 3, 10, 5}, 100); err != nil {
-		t.Errorf("valid runs rejected: %v", err)
-	}
 }
 
 // TestSliceGet cross-checks the per-encoding point reads, including the
@@ -517,63 +491,12 @@ func TestSliceGet(t *testing.T) {
 	}
 }
 
-// TestCountRuns cross-checks the run counter across encodings.
-func TestCountRuns(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for trial := 0; trial < 20; trial++ {
-		ref := clusteredVector(rng, 1300, 6, 70)
-		want := -1
-		for _, enc := range allEncodings {
-			got := encodeAs(t, ref, enc).countRuns()
-			if want == -1 {
-				want = got
-			} else if got != want {
-				t.Fatalf("trial %d enc %v: countRuns %d, want %d", trial, enc, got, want)
-			}
-		}
-		// Independent reference: count 0->1 transitions bit by bit.
-		runs, prev := 0, false
-		for i := 0; i < ref.Len(); i++ {
-			b := ref.Get(i)
-			if b && !prev {
-				runs++
-			}
-			prev = b
-		}
-		if runs != want {
-			t.Fatalf("trial %d: countRuns %d, bitwise reference %d", trial, want, runs)
-		}
-	}
-}
-
 // BenchmarkAndCountIntoSparse measures the sparse-slice kernel against the
 // materialize-then-AND baseline it replaces.
 func BenchmarkAndCountIntoSparse(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	n := 1 << 16
 	s := encodeAs(b, randomVector(rng, n, 0.001), EncSparse)
-	dst := randomVector(rng, n, 0.3)
-	scratch := dst.Clone()
-	b.Run("direct", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			scratch.CopyFrom(dst)
-			s.AndCountInto(scratch)
-		}
-	})
-	b.Run("materialized", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			scratch.CopyFrom(dst)
-			scratch.AndCountZX(s.Materialize())
-		}
-	})
-}
-
-// BenchmarkAndCountIntoRLE measures the RLE skip-AND against its
-// materialized baseline.
-func BenchmarkAndCountIntoRLE(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	n := 1 << 16
-	s := encodeAs(b, clusteredVector(rng, n, 8, 2000), EncRLE)
 	dst := randomVector(rng, n, 0.3)
 	scratch := dst.Clone()
 	b.Run("direct", func(b *testing.B) {

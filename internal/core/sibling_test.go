@@ -55,7 +55,7 @@ func TestSiblingResidualMatchesSliceChain(t *testing.T) {
 		{"dense", func(*testing.T, *Miner) {}},
 		{"compressed", func(t *testing.T, m *Miner) {
 			m.idx.Part(0).SetCompression(true)
-			if _, sparse, rle := m.idx.Part(0).EncodingCounts(); sparse+rle == 0 {
+			if _, sparse := m.idx.Part(0).EncodingCounts(); sparse == 0 {
 				t.Fatal("compression left every slice dense")
 			}
 		}},

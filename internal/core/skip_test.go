@@ -46,7 +46,7 @@ func TestDualFilterSweepSkipUnderBloomCollisions(t *testing.T) {
 		{"compressed", func(t *testing.T) *Miner {
 			m, _ := buildMiner(t, txs, 64, 2)
 			m.idx.Part(0).SetCompression(true)
-			if _, sparse, rle := m.idx.Part(0).EncodingCounts(); sparse+rle == 0 {
+			if _, sparse := m.idx.Part(0).EncodingCounts(); sparse == 0 {
 				t.Fatal("compression left every slice dense")
 			}
 			return m

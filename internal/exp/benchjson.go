@@ -46,7 +46,7 @@ type BenchRecord struct {
 	// Storage shape of the mined index. SliceBytes is the resident slice
 	// payload under the current encodings; CompressionRatio is the logical
 	// (all-dense) footprint divided by SliceBytes, so 1.0 means dense and
-	// bigger means smaller. The ands_enc_* trio splits the same slice ANDs
+	// bigger means smaller. The ands_enc_* pair splits the same slice ANDs
 	// counted above by the source slice's encoding.
 	Compress          bool    `json:"compress"`
 	SliceBytes        int64   `json:"slice_bytes"`
@@ -54,7 +54,6 @@ type BenchRecord struct {
 	CompressionRatio  float64 `json:"compression_ratio"`
 	AndsEncDense      int64   `json:"ands_enc_dense,omitempty"`
 	AndsEncSparse     int64   `json:"ands_enc_sparse,omitempty"`
-	AndsEncRLE        int64   `json:"ands_enc_rle,omitempty"`
 
 	// Tiered-leg pool gauges (-mem-budget runs only): the byte budget, the
 	// frame + hot-reservation bytes resident after the timed run, the
@@ -132,7 +131,6 @@ func BenchJSON(p Params) ([]BenchRecord, error) {
 			rec.EarlyExits = o.Kernel.EarlyExits
 			rec.AndsEncDense = o.Kernel.AndsEncDense
 			rec.AndsEncSparse = o.Kernel.AndsEncSparse
-			rec.AndsEncRLE = o.Kernel.AndsEncRLE
 			if len(o.Phases) > 0 {
 				rec.PhaseNs = make(map[string]int64, len(o.Phases))
 				for name, ph := range o.Phases {

@@ -53,9 +53,9 @@ type Params struct {
 	Shards  int     // BBS shard count for -json runs; mining reads the shards in place, the answer never changes (1 = unsharded)
 
 	// Compress turns on adaptive per-slice storage (dense / sparse
-	// positions / run-length) for the -json runs. Mining answers are
-	// byte-identical; the records gain the resident footprint and the
-	// per-encoding kernel split so the trade is visible.
+	// positions) for the -json runs. Mining answers are byte-identical;
+	// the records gain the resident footprint and the per-encoding kernel
+	// split so the trade is visible.
 	Compress bool
 
 	// MemBudget > 0 tiers the index for the -json runs: a profiling pass

@@ -14,9 +14,9 @@ import (
 // mechanism that keeps vector reuse safe across workers.
 //
 // With adaptive slice storage the same rule covers the compressed
-// encodings: the AND kernels work directly on a Slice's sparse or RLE
-// payload, so core must never decompress one per candidate. The allocating
-// decode methods — Materialize, Positions, Runs — are flagged alongside raw
+// encoding: the AND kernels work directly on a Slice's sparse payload, so
+// core must never decompress one per candidate. The allocating decode
+// methods — Materialize, Positions — are flagged alongside raw
 // bitvec.New; they exist for serialization and tests, and a call in the
 // enumeration means a full vector or position list materializes on every
 // evaluation.
@@ -35,7 +35,6 @@ var PooledVec = &Analyzer{
 var sliceDecodeMethods = map[string]bool{
 	"Materialize": true,
 	"Positions":   true,
-	"Runs":        true,
 }
 
 func runPooledVec(pass *Pass) {

@@ -144,10 +144,9 @@ type KernelSample struct {
 	// Per-encoding split of the same ANDs along the *storage* axis: which
 	// representation the source was in (the Ands{Sparse,Dense} pair above
 	// splits by the accumulator's kernel instead). On an uncompressed index
-	// AndsEncDense equals AndsSparse+AndsDense and the other two are zero.
+	// AndsEncDense equals AndsSparse+AndsDense and AndsEncSparse is zero.
 	AndsEncDense  int64 // ANDs whose source was dense words (a slice or a residual)
 	AndsEncSparse int64 // ANDs over a sorted position-list slice
-	AndsEncRLE    int64 // ANDs over a run-length slice
 }
 
 func (k *KernelSample) add(g KernelSample) {
@@ -161,19 +160,16 @@ func (k *KernelSample) add(g KernelSample) {
 	k.PosCacheMisses += g.PosCacheMisses
 	k.AndsEncDense += g.AndsEncDense
 	k.AndsEncSparse += g.AndsEncSparse
-	k.AndsEncRLE += g.AndsEncRLE
 }
 
 // CountEncoding tallies one AND against the source slice's encoding tag
-// (bitvec.Encoding values: 0 dense, 1 sparse, 2 RLE). Taking the raw tag
-// keeps obs free of a bitvec import.
+// (bitvec.Encoding values: 0 dense, 1 sparse; 2 is the retired run-length
+// tag, which no slice carries). Taking the raw tag keeps obs free of a
+// bitvec import.
 func (k *KernelSample) CountEncoding(enc int) {
-	switch enc {
-	case 1:
+	if enc == 1 {
 		k.AndsEncSparse++
-	case 2:
-		k.AndsEncRLE++
-	default:
+	} else {
 		k.AndsEncDense++
 	}
 }
@@ -220,7 +216,6 @@ type KernelStats struct {
 	posCacheMisses atomic.Int64
 	andsEncDense   atomic.Int64
 	andsEncSparse  atomic.Int64
-	andsEncRLE     atomic.Int64
 }
 
 // IndexStats holds the index-storage gauges: the logical (all-dense) slice
@@ -231,7 +226,6 @@ type IndexStats struct {
 	sliceResidentBytes atomic.Int64
 	slicesDense        atomic.Int64
 	slicesSparse       atomic.Int64
-	slicesRLE          atomic.Int64
 }
 
 // CacheStats holds the registry's pool/cache counters.
@@ -349,15 +343,14 @@ func (r *Registry) AddKernel(k KernelSample) {
 	r.kernel.posCacheMisses.Add(k.PosCacheMisses)
 	r.kernel.andsEncDense.Add(k.AndsEncDense)
 	r.kernel.andsEncSparse.Add(k.AndsEncSparse)
-	r.kernel.andsEncRLE.Add(k.AndsEncRLE)
 }
 
 // SetIndexStorage publishes the index's storage gauges: logical is the
 // all-dense slice footprint in bytes, resident the bytes actually held under
-// the current encodings, and dense/sparse/rle the per-encoding slice census.
+// the current encodings, and dense/sparse the per-encoding slice census.
 // Call whenever the storage shape changes (attach, SetCompression, Fold);
 // each call overwrites the previous gauge values.
-func (r *Registry) SetIndexStorage(logical, resident int64, dense, sparse, rle int) {
+func (r *Registry) SetIndexStorage(logical, resident int64, dense, sparse int) {
 	if r == nil {
 		return
 	}
@@ -365,7 +358,6 @@ func (r *Registry) SetIndexStorage(logical, resident int64, dense, sparse, rle i
 	r.index.sliceResidentBytes.Store(resident)
 	r.index.slicesDense.Store(int64(dense))
 	r.index.slicesSparse.Store(int64(sparse))
-	r.index.slicesRLE.Store(int64(rle))
 }
 
 // ObserveChain records one finished slice chain (sigfile's CountIntoBuf): k
@@ -488,7 +480,9 @@ type KernelMetrics struct {
 	PosCacheMisses int64 `json:"pos_cache_misses"`
 	AndsEncDense   int64 `json:"ands_enc_dense"`
 	AndsEncSparse  int64 `json:"ands_enc_sparse"`
-	AndsEncRLE     int64 `json:"ands_enc_rle"`
+	// AndsEncRLE is always zero: run-length slices are retired. The field
+	// stays because bbsperf (bench/) still reads it.
+	AndsEncRLE int64 `json:"ands_enc_rle"`
 }
 
 // IndexMetrics is the index-storage section of a Metrics snapshot. Present
@@ -498,7 +492,9 @@ type IndexMetrics struct {
 	SliceResidentBytes int64 `json:"slice_resident_bytes"`
 	SlicesDense        int64 `json:"slices_dense"`
 	SlicesSparse       int64 `json:"slices_sparse"`
-	SlicesRLE          int64 `json:"slices_rle"`
+	// SlicesRLE is always zero: run-length slices are retired. The field
+	// stays because bbsperf (bench/) still reads it.
+	SlicesRLE int64 `json:"slices_rle"`
 }
 
 // CacheMetrics is the pool section of a Metrics snapshot.
@@ -594,7 +590,6 @@ func (r *Registry) Metrics() Metrics {
 			PosCacheMisses: r.kernel.posCacheMisses.Load(),
 			AndsEncDense:   r.kernel.andsEncDense.Load(),
 			AndsEncSparse:  r.kernel.andsEncSparse.Load(),
-			AndsEncRLE:     r.kernel.andsEncRLE.Load(),
 		},
 		Cache: CacheMetrics{
 			PoolGets:   r.cache.poolGets.Load(),
@@ -610,7 +605,6 @@ func (r *Registry) Metrics() Metrics {
 			SliceResidentBytes: r.index.sliceResidentBytes.Load(),
 			SlicesDense:        r.index.slicesDense.Load(),
 			SlicesSparse:       r.index.slicesSparse.Load(),
-			SlicesRLE:          r.index.slicesRLE.Load(),
 		}
 	}
 	for p := Phase(0); p < numPhases; p++ {

@@ -33,8 +33,8 @@ import (
 )
 
 // PageSize is the frame granularity in bytes. It divides by 8, so the cold
-// payload formats (uint64 words, uint32 positions and runs) never straddle
-// a page boundary.
+// payload formats (uint64 words, uint32 positions) never straddle a page
+// boundary.
 const PageSize = 4096
 
 // Stats is a point-in-time snapshot of the pool's counters, readable

@@ -55,9 +55,8 @@ func TestSetCompressionParity(t *testing.T) {
 	if !idx.Compressed() {
 		t.Fatal("Compressed() false after SetCompression(true)")
 	}
-	d, s, r := idx.EncodingCounts()
-	if s+r == 0 {
-		t.Fatalf("no slice compressed (dense %d, sparse %d, rle %d)", d, s, r)
+	if d, s := idx.EncodingCounts(); s == 0 {
+		t.Fatalf("no slice compressed (dense %d, sparse %d)", d, s)
 	}
 	if got, logical := idx.ResidentSliceBytes(), idx.TotalBytes(); got*2 > logical {
 		t.Fatalf("resident %d bytes, logical %d: less than 2x reduction", got, logical)
@@ -93,8 +92,8 @@ func TestSetCompressionParity(t *testing.T) {
 	compareCounts(t, rng, fc, fd, 150)
 
 	idx.SetCompression(false)
-	if _, s, r := idx.EncodingCounts(); s+r != 0 {
-		t.Fatalf("SetCompression(false) left %d sparse and %d rle slices", s, r)
+	if _, s := idx.EncodingCounts(); s != 0 {
+		t.Fatalf("SetCompression(false) left %d sparse slices", s)
 	}
 	compareCounts(t, rng, idx, dense, 100)
 }
@@ -313,13 +312,10 @@ func sliceRecordOffset(b *BBS, p int) int {
 	fullWords := (b.n + 63) / 64
 	for q := 0; q < p; q++ {
 		off += 8 + 1 // ones + enc
-		switch b.slices[q].Encoding() {
-		case bitvec.EncDense:
+		if b.slices[q].Encoding() == bitvec.EncDense {
 			off += 8 * fullWords
-		case bitvec.EncSparse:
+		} else {
 			off += 4 + 4*len(b.slices[q].Positions())
-		default:
-			off += 4 + 4*len(b.slices[q].Runs())
 		}
 	}
 	return off

@@ -4,9 +4,11 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"slices"
 	"strings"
 	"testing"
 
+	"bbsmine/internal/bitvec"
 	"bbsmine/internal/iostat"
 	"bbsmine/internal/sighash"
 )
@@ -72,6 +74,41 @@ func badItemEntries(full []byte) map[string][]byte {
 	}
 }
 
+// withRLESlice returns b's v3 encoding with its first nonempty slice record
+// rewritten under the retired run-length tag 2, well formed in the layout
+// BBSSIG03 once gave it: ones uint64 | 2 | pairs uint32 | pairs × (start
+// uint32, len uint32). b must be dense, as seedBBS is.
+func withRLESlice(t testing.TB, b *BBS) []byte {
+	t.Helper()
+	full := encodeBBS(t, b)
+	for p, s := range b.slices {
+		if s.Ones() == 0 {
+			continue
+		}
+		v := s.Materialize()
+		var runs []uint32
+		v.ForEachSet(func(i int) bool {
+			if n := len(runs); n > 0 && runs[n-2]+runs[n-1] == uint32(i) {
+				runs[n-1]++
+			} else {
+				runs = append(runs, uint32(i), 1)
+			}
+			return true
+		})
+		rec := binary.LittleEndian.AppendUint64(nil, uint64(v.Count()))
+		rec = append(rec, byte(bitvec.EncRLE))
+		rec = binary.LittleEndian.AppendUint32(rec, uint32(len(runs)/2))
+		for _, r := range runs {
+			rec = binary.LittleEndian.AppendUint32(rec, r)
+		}
+		off := sliceRecordOffset(b, p)
+		end := off + 8 + 1 + 8*((b.n+63)/64)
+		return slices.Concat(full[:off], rec, full[end:])
+	}
+	t.Fatal("no nonempty slice to rewrite")
+	return nil
+}
+
 // FuzzDecodeBBS drives the persistence decoder with arbitrary bytes: it
 // must never panic, and whenever it accepts an input, re-encoding the
 // decoded index and decoding that again must reproduce the same bytes —
@@ -85,6 +122,7 @@ func FuzzDecodeBBS(f *testing.F) {
 	for _, name := range []string{"duplicate item", "descending items", "zero count", "count above n", "count above u32"} {
 		f.Add(badItemEntries(full)[name])
 	}
+	f.Add(withRLESlice(f, seedBBS(f)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		b, err := decodeBBS(bufio.NewReader(bytes.NewReader(data)), fuzzHasher(), &iostat.Stats{})
 		if err != nil {
@@ -129,6 +167,22 @@ func TestDecodeBBSRejectsBadItemEntries(t *testing.T) {
 			t.Errorf("%s: decoded without error", name)
 		} else if !strings.Contains(err.Error(), "item entry") {
 			t.Errorf("%s: error %q does not name the item entry", name, err)
+		}
+	}
+}
+
+// TestDecodeBBSRefusesRetiredRLE: tag 2 was the run-length encoding, which
+// is retired. A v3 file that carries it — here a well-formed record — must
+// fail to load with an error that names the encoding and the way out.
+func TestDecodeBBSRefusesRetiredRLE(t *testing.T) {
+	data := withRLESlice(t, seedBBS(t))
+	_, err := decodeBBS(bufio.NewReader(bytes.NewReader(data)), fuzzHasher(), &iostat.Stats{})
+	if err == nil {
+		t.Fatal("a slice record tagged rle loaded")
+	}
+	for _, want := range []string{"rle", "delete index.bbs"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
 		}
 	}
 }

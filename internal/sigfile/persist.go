@@ -23,7 +23,7 @@ import (
 //	| m × slice, each: ones uint64 | enc byte | payload
 //	    enc 0 (dense):  ceil(n/64) uint64 words
 //	    enc 1 (sparse): count uint32 | count × uint32 ascending positions
-//	    enc 2 (rle):    pairs uint32 | pairs × (start uint32, len uint32)
+//	    enc 2:          reserved (was rle); refused on load
 //
 // All integers little-endian. Items are written in ascending order so the
 // file is deterministic for a given index state. flags bit 0 records the
@@ -139,8 +139,8 @@ func (b *BBS) writeTo(w io.Writer) error {
 func (b *BBS) writeSlice(w io.Writer, p int, s *bitvec.Slice, wordBuf []byte) error {
 	// A tiered slice persists from its thawed form: the cold file is
 	// derived data, the BBSSIG image is authoritative, so Save always
-	// writes resident payloads. (Positions/Runs would thaw internally, but
-	// a cold dense slice has no resident vector to alias.)
+	// writes resident payloads. (Positions would thaw internally, but a
+	// cold dense slice has no resident vector to alias.)
 	if s.IsCold() {
 		s = s.Thaw()
 	}
@@ -151,9 +151,7 @@ func (b *BBS) writeSlice(w io.Writer, p int, s *bitvec.Slice, wordBuf []byte) er
 	if _, err := w.Write([]byte{byte(s.Encoding())}); err != nil {
 		return fmt.Errorf("sigfile: write slice %d encoding: %w", p, err)
 	}
-	var u32 [4]byte
-	switch s.Encoding() {
-	case bitvec.EncDense:
+	if s.Encoding() == bitvec.EncDense {
 		fullWords := (b.n + 63) / 64
 		ws := s.DenseVector().Words()
 		for _, word := range ws {
@@ -168,29 +166,18 @@ func (b *BBS) writeSlice(w io.Writer, p int, s *bitvec.Slice, wordBuf []byte) er
 				return fmt.Errorf("sigfile: write slice %d padding: %w", p, err)
 			}
 		}
-	case bitvec.EncSparse:
-		pos := s.Positions()
-		binary.LittleEndian.PutUint32(u32[:], uint32(len(pos)))
+		return nil
+	}
+	var u32 [4]byte
+	pos := s.Positions()
+	binary.LittleEndian.PutUint32(u32[:], uint32(len(pos)))
+	if _, err := w.Write(u32[:]); err != nil {
+		return fmt.Errorf("sigfile: write slice %d position count: %w", p, err)
+	}
+	for _, v := range pos {
+		binary.LittleEndian.PutUint32(u32[:], v)
 		if _, err := w.Write(u32[:]); err != nil {
-			return fmt.Errorf("sigfile: write slice %d position count: %w", p, err)
-		}
-		for _, v := range pos {
-			binary.LittleEndian.PutUint32(u32[:], v)
-			if _, err := w.Write(u32[:]); err != nil {
-				return fmt.Errorf("sigfile: write slice %d positions: %w", p, err)
-			}
-		}
-	default: // bitvec.EncRLE
-		runs := s.Runs()
-		binary.LittleEndian.PutUint32(u32[:], uint32(len(runs)/2))
-		if _, err := w.Write(u32[:]); err != nil {
-			return fmt.Errorf("sigfile: write slice %d run count: %w", p, err)
-		}
-		for _, v := range runs {
-			binary.LittleEndian.PutUint32(u32[:], v)
-			if _, err := w.Write(u32[:]); err != nil {
-				return fmt.Errorf("sigfile: write slice %d runs: %w", p, err)
-			}
+			return fmt.Errorf("sigfile: write slice %d positions: %w", p, err)
 		}
 	}
 	return nil
@@ -339,9 +326,9 @@ func decodeBBS(r *bufio.Reader, h sighash.Hasher, stats *iostat.Stats) (*BBS, er
 	return b, nil
 }
 
-// readSlice decodes one v3 slice record. Compressed payloads are validated
-// structurally (ascending positions, maximal runs, bounds) and their
-// popcount is cross-checked against the persisted one; a dense payload's
+// readSlice decodes one v3 slice record. A sparse payload is validated
+// structurally (ascending positions within bounds) and its popcount is
+// cross-checked against the persisted one; a dense payload's
 // persisted popcount is trusted — skipping that recount is the point of
 // persisting it, and a wrong value cannot corrupt results, only the AND
 // ordering (which every result is invariant to).
@@ -386,25 +373,11 @@ func readSlice(r *bufio.Reader, n, words int, buf []byte) (*bitvec.Slice, int, e
 		}
 		return s, ones, nil
 	case bitvec.EncRLE:
-		pairs, err := readU32(r, buf)
-		if err != nil {
-			return nil, 0, fmt.Errorf("run count: %w", err)
-		}
-		if pairs > uint32(n) { // maximal runs are separated; more pairs than rows is corrupt
-			return nil, 0, fmt.Errorf("corrupt run count %d for %d rows", pairs, n)
-		}
-		runs, err := readU32s(r, 2*pairs, buf)
-		if err != nil {
-			return nil, 0, fmt.Errorf("runs: %w", err)
-		}
-		s, err := bitvec.SliceFromRuns(runs, n)
-		if err != nil {
-			return nil, 0, err
-		}
-		if s.Ones() != ones {
-			return nil, 0, fmt.Errorf("popcount %d disagrees with run total %d", ones, s.Ones())
-		}
-		return s, ones, nil
+		// The run-length encoding is retired and nothing reads it. The index
+		// is derived from the transaction store, so the way out is a rebuild:
+		// shard.Open indexes the store afresh when index.bbs is missing (the
+		// one thing lost is the live mask, so deleted rows come back).
+		return nil, 0, fmt.Errorf("encoding %d (%v) is retired and no longer read; delete index.bbs and reopen to rebuild it from the store (deleted rows come back live)", encB[0], bitvec.EncRLE)
 	default:
 		return nil, 0, fmt.Errorf("unknown encoding %d", encB[0])
 	}

@@ -38,10 +38,9 @@ type BBS struct {
 	denseVec []*bitvec.Vector
 
 	// compress is the storage policy: when set, Fold and SetCompression
-	// pick each slice's encoding (dense, sparse positions,
-	// or run-length) by payload size, and the AND chain runs the
-	// direct-on-compressed kernels. When clear every slice is dense — the
-	// classic layout. Either way Insert appends under the current encoding
+	// pick each slice's encoding (dense or sparse positions) by payload
+	// size, and the AND chain runs the direct-on-compressed kernels. When
+	// clear every slice is dense — the classic layout. Either way Insert appends under the current encoding
 	// with hysteresis (see bitvec.Slice), so a write-heavy phase cannot
 	// thrash representations.
 	compress bool
@@ -261,20 +260,16 @@ func (b *BBS) ResidentSliceBytes() int64 {
 	return total
 }
 
-// EncodingCounts returns how many slices are stored dense, sparse, and
-// run-length encoded.
-func (b *BBS) EncodingCounts() (dense, sparse, rle int) {
+// EncodingCounts returns how many slices are stored dense and sparse.
+func (b *BBS) EncodingCounts() (dense, sparse int) {
 	for _, s := range b.slices {
-		switch s.Encoding() {
-		case bitvec.EncSparse:
+		if s.Encoding() == bitvec.EncSparse {
 			sparse++
-		case bitvec.EncRLE:
-			rle++
-		default:
+		} else {
 			dense++
 		}
 	}
-	return dense, sparse, rle
+	return dense, sparse
 }
 
 // Compressed reports whether the adaptive-encoding policy is on.

@@ -206,13 +206,13 @@ func (v *View) publishStorage() {
 		return
 	}
 	var resident int64
-	dense, sparse, rle := 0, 0, 0
+	dense, sparse := 0, 0
 	for _, p := range v.parts {
 		resident += p.ResidentSliceBytes()
-		d, s, r := p.EncodingCounts()
-		dense, sparse, rle = dense+d, sparse+s, rle+r
+		d, s := p.EncodingCounts()
+		dense, sparse = dense+d, sparse+s
 	}
-	v.obs.SetIndexStorage(v.TotalBytes(), resident, dense, sparse, rle)
+	v.obs.SetIndexStorage(v.TotalBytes(), resident, dense, sparse)
 }
 
 // ChargeFullRead charges one sequential pass over every slice: slices are

@@ -44,28 +44,17 @@ func reencode(t *testing.T, b *BBS, enc bitvec.Encoding) {
 	for p, s := range b.slices {
 		v := s.Materialize()
 		v.Grow(b.n)
-		var pos, runs []uint32
-		v.ForEachSet(func(i int) bool {
-			pos = append(pos, uint32(i))
-			if n := len(runs); n > 0 && runs[n-2]+runs[n-1] == uint32(i) {
-				runs[n-1]++
-			} else {
-				runs = append(runs, uint32(i), 1)
+		r := bitvec.DenseSliceOf(v)
+		if enc == bitvec.EncSparse {
+			var pos []uint32
+			v.ForEachSet(func(i int) bool {
+				pos = append(pos, uint32(i))
+				return true
+			})
+			var err error
+			if r, err = bitvec.SliceFromPositions(pos, b.n); err != nil {
+				t.Fatalf("slice %d as %v: %v", p, enc, err)
 			}
-			return true
-		})
-		var r *bitvec.Slice
-		var err error
-		switch enc {
-		case bitvec.EncSparse:
-			r, err = bitvec.SliceFromPositions(pos, b.n)
-		case bitvec.EncRLE:
-			r, err = bitvec.SliceFromRuns(runs, b.n)
-		default:
-			r = bitvec.DenseSliceOf(v)
-		}
-		if err != nil {
-			t.Fatalf("slice %d as %v: %v", p, enc, err)
 		}
 		b.slices[p] = r
 		b.refreshDense(p)
@@ -82,9 +71,9 @@ func TestViewMatchesSingleIndex(t *testing.T) {
 	lens := []int{0, 1, 63, 64, 65, 130}
 	dead := map[int][]int{2: {0, 62}, 3: {63}, 5: {64, 65, 129}} // part -> local rows
 	h := sighash.NewFNV(96, 3)
-	encs := []bitvec.Encoding{bitvec.EncDense, bitvec.EncSparse, bitvec.EncRLE}
+	encs := []bitvec.Encoding{bitvec.EncDense, bitvec.EncSparse}
 
-	storages := []string{"dense", "sparse", "rle", "mixed", "cold"}
+	storages := []string{"dense", "sparse", "mixed", "cold"}
 	for _, storage := range storages {
 		t.Run(storage, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(5))
@@ -121,8 +110,6 @@ func TestViewMatchesSingleIndex(t *testing.T) {
 				switch storage {
 				case "sparse":
 					reencode(t, p, bitvec.EncSparse)
-				case "rle":
-					reencode(t, p, bitvec.EncRLE)
 				case "mixed":
 					reencode(t, p, encs[s%len(encs)])
 				case "cold":

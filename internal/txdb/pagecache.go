@@ -34,8 +34,8 @@ import (
 // unchanged.
 type pageCache struct {
 	mu       sync.Mutex
-	limit    int64                  // bytes; 0 = unbounded
-	lru      list.List              // front = most recently touched; values are int64 page numbers
+	limit    int64     // bytes; 0 = unbounded
+	lru      list.List // front = most recently touched; values are int64 page numbers
 	resident map[int64]*list.Element
 	virt     *pager.File // non-nil: residency delegated to the shared pager
 }
