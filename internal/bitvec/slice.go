@@ -55,8 +55,9 @@ const (
 	// EncSparse stores sorted set-bit positions as chunked byte offsets.
 	EncSparse
 	// EncRLE is the retired run-length tag. No Slice carries it; the value
-	// stays reserved so a v3 index file holding it is refused by name, and
-	// bbsperf (bench/) still names it.
+	// stays reserved because v3 index files written before its retirement
+	// may hold it (the loader re-encodes such slices), and bbsperf (bench/)
+	// still names it.
 	EncRLE
 )
 

@@ -80,7 +80,6 @@ func badItemEntries(full []byte) map[string][]byte {
 // uint32, len uint32). b must be dense, as seedBBS is.
 func withRLESlice(t testing.TB, b *BBS) []byte {
 	t.Helper()
-	full := encodeBBS(t, b)
 	for p, s := range b.slices {
 		if s.Ones() == 0 {
 			continue
@@ -95,18 +94,27 @@ func withRLESlice(t testing.TB, b *BBS) []byte {
 			}
 			return true
 		})
-		rec := binary.LittleEndian.AppendUint64(nil, uint64(v.Count()))
-		rec = append(rec, byte(bitvec.EncRLE))
-		rec = binary.LittleEndian.AppendUint32(rec, uint32(len(runs)/2))
-		for _, r := range runs {
-			rec = binary.LittleEndian.AppendUint32(rec, r)
-		}
-		off := sliceRecordOffset(b, p)
-		end := off + 8 + 1 + 8*((b.n+63)/64)
-		return slices.Concat(full[:off], rec, full[end:])
+		return withRunRecord(t, b, p, v.Count(), runs)
 	}
 	t.Fatal("no nonempty slice to rewrite")
 	return nil
+}
+
+// withRunRecord returns b's v3 encoding with slice p's dense record replaced
+// by a tag-2 record carrying the given popcount and (start, len) pairs,
+// which need not be well formed.
+func withRunRecord(t testing.TB, b *BBS, p, ones int, runs []uint32) []byte {
+	t.Helper()
+	full := encodeBBS(t, b)
+	rec := binary.LittleEndian.AppendUint64(nil, uint64(ones))
+	rec = append(rec, byte(bitvec.EncRLE))
+	rec = binary.LittleEndian.AppendUint32(rec, uint32(len(runs)/2))
+	for _, r := range runs {
+		rec = binary.LittleEndian.AppendUint32(rec, r)
+	}
+	off := sliceRecordOffset(b, p)
+	end := off + 8 + 1 + 8*((b.n+63)/64)
+	return slices.Concat(full[:off], rec, full[end:])
 }
 
 // FuzzDecodeBBS drives the persistence decoder with arbitrary bytes: it
@@ -171,18 +179,81 @@ func TestDecodeBBSRejectsBadItemEntries(t *testing.T) {
 	}
 }
 
-// TestDecodeBBSRefusesRetiredRLE: tag 2 was the run-length encoding, which
-// is retired. A v3 file that carries it — here a well-formed record — must
-// fail to load with an error that names the encoding and the way out.
-func TestDecodeBBSRefusesRetiredRLE(t *testing.T) {
-	data := withRLESlice(t, seedBBS(t))
-	_, err := decodeBBS(bufio.NewReader(bytes.NewReader(data)), fuzzHasher(), &iostat.Stats{})
-	if err == nil {
-		t.Fatal("a slice record tagged rle loaded")
+// TestDecodeBBSLoadsRetiredRLE: tag 2 was the run-length encoding, which
+// no writer produces any more, but indexes written before its retirement
+// still carry it. Such a record must load with the same bits and popcount,
+// re-encoded as the build-time rule picks: dense for the tiny seed (which
+// then re-encodes to the exact bytes of the dense original), sparse for a
+// rare slice over 1024 rows.
+func TestDecodeBBSLoadsRetiredRLE(t *testing.T) {
+	rare := New(fuzzHasher(), &iostat.Stats{})
+	for i := 0; i < 1024; i++ {
+		if i < 10 {
+			rare.Insert([]int32{1})
+		} else {
+			rare.Insert(nil)
+		}
 	}
-	for _, want := range []string{"rle", "delete index.bbs"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("error %q does not mention %q", err, want)
+	for _, tc := range []struct {
+		name string
+		b    *BBS
+		want bitvec.Encoding
+	}{
+		{"seed", seedBBS(t), bitvec.EncDense},
+		{"rare", rare, bitvec.EncSparse},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			data := withRLESlice(t, tc.b)
+			got, err := decodeBBS(bufio.NewReader(bytes.NewReader(data)), fuzzHasher(), &iostat.Stats{})
+			if err != nil {
+				t.Fatalf("decodeBBS: %v", err)
+			}
+			converted := 0
+			for p, s := range tc.b.slices {
+				g := got.slices[p]
+				if g.Ones() != s.Ones() || got.sliceOnes[p] != s.Ones() {
+					t.Errorf("slice %d: popcount %d (table %d), want %d", p, g.Ones(), got.sliceOnes[p], s.Ones())
+				}
+				gv, sv := g.Materialize(), s.Materialize()
+				gv.Grow(tc.b.n)
+				sv.Grow(tc.b.n)
+				if !gv.Equal(sv) {
+					t.Errorf("slice %d: bits differ", p)
+				}
+				if s.Ones() > 0 && converted == 0 {
+					converted++
+					if g.Encoding() != tc.want {
+						t.Errorf("converted slice %d has encoding %v, want %v", p, g.Encoding(), tc.want)
+					}
+				}
+			}
+			if tc.want == bitvec.EncDense && !bytes.Equal(encodeBBS(t, got), encodeBBS(t, tc.b)) {
+				t.Error("the converted index does not re-encode to the dense original's bytes")
+			}
+		})
+	}
+}
+
+// TestDecodeBBSRejectsCorruptRuns: a tag-2 record is read only if its runs
+// are non-empty, ascending, separated, within n and sum to its popcount.
+// seedBBS has n = 4 rows.
+func TestDecodeBBSRejectsCorruptRuns(t *testing.T) {
+	b := seedBBS(t)
+	for name, rec := range map[string]struct {
+		ones int
+		runs []uint32
+	}{
+		"empty run":           {2, []uint32{0, 2, 3, 0}},
+		"more runs than ones": {1, []uint32{0, 1, 2, 1}},
+		"touching runs":       {2, []uint32{0, 1, 1, 1}},
+		"descending runs":     {2, []uint32{2, 1, 0, 1}},
+		"run beyond n":        {2, []uint32{3, 2}},
+		"popcount above":      {3, []uint32{0, 2}},
+		"popcount below":      {1, []uint32{0, 2}},
+	} {
+		data := withRunRecord(t, b, 0, rec.ones, rec.runs)
+		if _, err := decodeBBS(bufio.NewReader(bytes.NewReader(data)), fuzzHasher(), &iostat.Stats{}); err == nil {
+			t.Errorf("%s: decoded without error", name)
 		}
 	}
 }

@@ -23,7 +23,8 @@ import (
 //	| m × slice, each: ones uint64 | enc byte | payload
 //	    enc 0 (dense):  ceil(n/64) uint64 words
 //	    enc 1 (sparse): count uint32 | count × uint32 ascending positions
-//	    enc 2:          reserved (was rle); refused on load
+//	    enc 2 (rle):    retired; still read, as pairs uint32 | pairs ×
+//	                    (start uint32, len uint32), and re-encoded on load
 //
 // All integers little-endian. Items are written in ascending order so the
 // file is deterministic for a given index state. flags bit 0 records the
@@ -202,9 +203,10 @@ func Load(path string, h sighash.Hasher, stats *iostat.Stats) (*BBS, error) {
 
 // decodeBBS reads one serialized BBS from r and verifies nothing trails it.
 // It is the reader-level half of Load, factored out so the fuzz target can
-// drive it with arbitrary bytes; nothing it allocates is sized by header
-// fields alone, so a corrupt header cannot force a giant allocation — reads
-// fail at the truncation point first.
+// drive it with arbitrary bytes; apart from a retired run-length record
+// (see readRetiredRuns), nothing it allocates is sized by header fields
+// alone, so a corrupt header cannot force a giant allocation — reads fail
+// at the truncation point first.
 func decodeBBS(r *bufio.Reader, h sighash.Hasher, stats *iostat.Stats) (*BBS, error) {
 	var magic [8]byte
 	if _, err := io.ReadFull(r, magic[:]); err != nil {
@@ -373,14 +375,53 @@ func readSlice(r *bufio.Reader, n, words int, buf []byte) (*bitvec.Slice, int, e
 		}
 		return s, ones, nil
 	case bitvec.EncRLE:
-		// The run-length encoding is retired and nothing reads it. The index
-		// is derived from the transaction store, so the way out is a rebuild:
-		// shard.Open indexes the store afresh when index.bbs is missing (the
-		// one thing lost is the live mask, so deleted rows come back).
-		return nil, 0, fmt.Errorf("encoding %d (%v) is retired and no longer read; delete index.bbs and reopen to rebuild it from the store (deleted rows come back live)", encB[0], bitvec.EncRLE)
+		return readRetiredRuns(r, n, ones, buf)
 	default:
 		return nil, 0, fmt.Errorf("unknown encoding %d", encB[0])
 	}
+}
+
+// readRetiredRuns decodes a slice record under the retired run-length tag,
+// which indexes written before its retirement may still carry: pairs uint32
+// | pairs × (start uint32, len uint32), runs non-empty, ascending, separated
+// and within n and 2^32, their lengths summing to the persisted popcount.
+// The runs are validated before anything is allocated, then set in a dense
+// vector that reaches only the last run's end: the one decoder allocation
+// sized by persisted fields rather than by bytes read, at most 2^32 bits.
+// The slice is re-encoded as the build-time rule picks, so the next Save
+// writes it as dense or sparse.
+func readRetiredRuns(r *bufio.Reader, n, ones int, buf []byte) (*bitvec.Slice, int, error) {
+	pairs, err := readU32(r, buf)
+	if err != nil {
+		return nil, 0, fmt.Errorf("run count: %w", err)
+	}
+	if int(pairs) > ones { // every run holds at least one bit
+		return nil, 0, fmt.Errorf("corrupt run count %d for popcount %d", pairs, ones)
+	}
+	runs, err := readU32s(r, 2*pairs, buf)
+	if err != nil {
+		return nil, 0, fmt.Errorf("runs: %w", err)
+	}
+	total, prevEnd := 0, -1
+	for i := 0; i < len(runs); i += 2 {
+		start, end := int(runs[i]), int(runs[i])+int(runs[i+1])
+		if end == start || start <= prevEnd || end > n || end > 1<<32 {
+			return nil, 0, fmt.Errorf("corrupt run [%d,%d) after %d in %d rows", start, end, prevEnd, n)
+		}
+		total += end - start
+		prevEnd = end
+	}
+	if total != ones {
+		return nil, 0, fmt.Errorf("popcount %d disagrees with run total %d", ones, total)
+	}
+	var v bitvec.Vector
+	v.Grow(prevEnd)
+	for i := 0; i < len(runs); i += 2 {
+		for p := int(runs[i]); p < int(runs[i])+int(runs[i+1]); p++ {
+			v.Set(p)
+		}
+	}
+	return bitvec.DenseSliceWithOnes(&v, ones).Recompress(n, true), ones, nil
 }
 
 // readWords reads count little-endian uint64 words. The slice grows as the

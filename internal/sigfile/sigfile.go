@@ -40,9 +40,9 @@ type BBS struct {
 	// compress is the storage policy: when set, Fold and SetCompression
 	// pick each slice's encoding (dense or sparse positions) by payload
 	// size, and the AND chain runs the direct-on-compressed kernels. When
-	// clear every slice is dense — the classic layout. Either way Insert appends under the current encoding
-	// with hysteresis (see bitvec.Slice), so a write-heavy phase cannot
-	// thrash representations.
+	// clear every slice is dense — the classic layout. Either way Insert
+	// appends under the current encoding with hysteresis (see bitvec.Slice),
+	// so a write-heavy phase cannot thrash representations.
 	compress bool
 
 	// sliceOnes[p] is the popcount of slice p, maintained incrementally by
