@@ -523,6 +523,7 @@ func BenchmarkAblationLayout(b *testing.B) {
 func BenchmarkAppend(b *testing.B) {
 	txs := benchDataset(b, benchD, benchV, 10)
 	db := NewInMemory(Options{M: benchM, K: benchK})
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tx := txs[i%len(txs)]

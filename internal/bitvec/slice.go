@@ -272,7 +272,10 @@ func (s *Slice) CloneFor(n int) *Slice {
 // arrive in non-decreasing order of i for a sparse slice — the BBS insert
 // path satisfies this by construction, as i is the transaction ordinal. A
 // sparse slice whose payload reaches the dense size promotes itself to
-// dense in place (the upper edge of the hysteresis band).
+// dense in place (the upper edge of the hysteresis band). On a dense slice
+// the test and the set are one load and one store of the bit's word.
+//
+//lint:hotpath
 func (s *Slice) AppendSet(i int) bool {
 	if i < 0 {
 		panic(fmt.Sprintf("bitvec: negative index %d", i))
@@ -285,10 +288,9 @@ func (s *Slice) AppendSet(i int) bool {
 			s.dense.Grow(i + 1)
 			s.n = i + 1
 		}
-		if s.dense.Get(i) {
+		if !s.dense.testAndSet(i) {
 			return false
 		}
-		s.dense.Set(i)
 		s.ones++
 		return true
 	}

@@ -133,6 +133,8 @@ func (b *BBS) Stats() *iostat.Stats { return b.stats }
 // stays short — and stays shared with the snapshot. The missing tail is
 // logically zero (no transaction set a bit there); the read paths apply it
 // through the zero-extending kernels (bitvec.AndCountZX).
+//
+//lint:hotpath
 func (b *BBS) Insert(items []int32) {
 	pos := b.n
 	b.n++
@@ -141,25 +143,26 @@ func (b *BBS) Insert(items []int32) {
 	}
 	// Fast path: txdb transactions arrive strictly ascending, so every item
 	// is distinct and counts can be bumped directly.
-	sorted := true
 	for i := 1; i < len(items); i++ {
 		if items[i] <= items[i-1] {
-			sorted = false
-			break
+			b.insertUnsorted(items, pos)
+			return
 		}
 	}
-	if sorted {
-		if len(items) > b.maxTxnItems {
-			b.maxTxnItems = len(items)
-		}
-		for _, it := range items {
-			b.itemCounts.add(it)
-			for _, p := range b.hasher.Positions(it) {
-				b.setSliceBit(p, pos)
-			}
-		}
-		return
+	if len(items) > b.maxTxnItems {
+		b.maxTxnItems = len(items)
 	}
+	for _, it := range items {
+		b.itemCounts.add(it)
+		for _, p := range b.hasher.Positions(it) {
+			b.setSliceBit(p, pos)
+		}
+	}
+}
+
+// insertUnsorted is Insert's path for items that are not strictly
+// ascending: it skips duplicates, so each distinct item counts once.
+func (b *BBS) insertUnsorted(items []int32, pos int) {
 	seen := make(map[int32]struct{}, len(items))
 	for _, it := range items {
 		if _, dup := seen[it]; dup {
@@ -182,6 +185,8 @@ func (b *BBS) Insert(items []int32) {
 // Insert), cloned first when a snapshot shares it, and appends under its
 // current encoding — a compressed slice whose payload outgrows the dense
 // layout promotes itself (the hysteresis upper edge).
+//
+//lint:hotpath
 func (b *BBS) setSliceBit(p, pos int) {
 	s := b.mutableSlice(p)
 	if s.AppendSet(pos) {

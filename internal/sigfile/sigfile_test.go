@@ -458,6 +458,7 @@ func BenchmarkInsert(b *testing.B) {
 	for i := range txs {
 		txs[i] = randomItems(rng, 10, 10000)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		idx.Insert(txs[i%1000])

@@ -89,8 +89,8 @@ func TestFNVConcurrent(t *testing.T) {
 
 func BenchmarkFNVPositionsCold(b *testing.B) {
 	b.ReportAllocs()
+	var buf []int
 	for i := 0; i < b.N; i++ {
-		h := FNV{m: 1600, k: 4, cache: map[int32][]int{}}
-		h.Positions(int32(i))
+		buf = appendFNVPositions(buf[:0], int32(i), 1600, 4)
 	}
 }

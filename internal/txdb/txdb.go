@@ -11,7 +11,7 @@ package txdb
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"bbsmine/internal/iostat"
 	"bbsmine/internal/pager"
@@ -29,11 +29,14 @@ type Transaction struct {
 }
 
 // NewTransaction builds a normalized transaction: items are sorted and
-// deduplicated. The input slice is not modified.
+// deduplicated. The input slice is not modified; input that is already
+// sorted skips the sort.
 func NewTransaction(tid int64, items []Item) Transaction {
 	out := make([]Item, len(items))
 	copy(out, items)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	if !slices.IsSorted(out) {
+		slices.Sort(out)
+	}
 	// Compact duplicates in place.
 	w := 0
 	for r := 0; r < len(out); r++ {

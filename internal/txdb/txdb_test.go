@@ -464,3 +464,18 @@ func BenchmarkFileStoreGet(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkNewTransactionSorted normalizes transactions that arrive sorted
+// and duplicate-free, the common shape on the Append path.
+func BenchmarkNewTransactionSorted(b *testing.B) {
+	rng := rand.New(rand.NewSource(5))
+	txs := make([][]Item, 1000)
+	for i := range txs {
+		txs[i] = randomTx(rng, int64(i), 20, 1000).Items
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		NewTransaction(int64(i), txs[i%len(txs)])
+	}
+}
