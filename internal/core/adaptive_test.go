@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"slices"
 	"testing"
 
 	"bbsmine/internal/bitvec"
 	"bbsmine/internal/mining"
 	"bbsmine/internal/obs"
+	"bbsmine/internal/sighash"
 	"bbsmine/internal/txdb"
 )
 
@@ -162,6 +164,65 @@ func TestCountQueries(t *testing.T) {
 	// Length-mismatched constraint errors.
 	if _, _, err := miner.CountConstrained([]txdb.Item{1}, bitvec.New(3)); err == nil {
 		t.Error("mismatched constraint accepted")
+	}
+}
+
+// countingHasher counts Positions calls, so a test can pin how many times
+// a query hashes its items.
+type countingHasher struct {
+	sighash.Hasher
+	calls int
+}
+
+func (h *countingHasher) Positions(it int32) []int {
+	h.calls++
+	return h.Hasher.Positions(it)
+}
+
+// distinctItems returns how many distinct items q holds.
+func distinctItems(q []txdb.Item) int {
+	set := slices.Clone(q)
+	slices.Sort(set)
+	return len(slices.Compact(set))
+}
+
+// TestCountHashesOnceAndDedupes pins the ad-hoc count's preamble over one
+// part and over two: each distinct item is hashed once per call, and an
+// itemset with a repeated item gets its deduplicated form's answer, plain
+// and constrained.
+func TestCountHashesOnceAndDedupes(t *testing.T) {
+	txs := make([]txdb.Transaction, 20)
+	for i := range txs {
+		txs[i] = txdb.NewTransaction(int64(i), []int32{1, 5, 9})
+	}
+	for _, lens := range [][]int{{20}, {10, 10}} {
+		h := &countingHasher{Hasher: sighash.NewMD5(64, 3)}
+		miner := buildPartsMiner(t, txs, h, lens)
+		constraint, err := BuildConstraint(miner.Store(), func(_ int, tx txdb.Transaction) bool {
+			return tx.TID%2 == 0
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []*bitvec.Vector{nil, constraint} {
+			want := 20
+			if c != nil {
+				want = 10
+			}
+			for _, q := range [][]txdb.Item{{5}, {5, 5}, {9, 1, 9}} {
+				h.calls = 0
+				est, exact, err := miner.CountConstrained(q, c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if est != want || exact != want {
+					t.Errorf("parts %v, constrained %t: Count(%v) = %d/%d, want %d/%d", lens, c != nil, q, est, exact, want, want)
+				}
+				if distinct := distinctItems(q); h.calls != distinct {
+					t.Errorf("parts %v: Count(%v) hashed %d items, want %d", lens, q, h.calls, distinct)
+				}
+			}
+		}
 	}
 }
 

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"bbsmine/internal/bitvec"
 	"bbsmine/internal/sighash"
@@ -22,18 +22,24 @@ func (m *Miner) Count(itemset []txdb.Item) (est, exact int, err error) {
 // CountConstrained answers the paper's second ad-hoc query: the count of an
 // itemset among the transactions marked in the constraint slice (e.g. "TIDs
 // divisible by 7"). A nil constraint means no restriction.
+//
+// The itemset is hashed once: the same positions size the slice-read charge
+// and drive the chain. A repeated item counts once (an itemset is a set), so
+// it is deduplicated before the probes test containment.
 func (m *Miner) CountConstrained(itemset []txdb.Item, constraint *bitvec.Vector) (est, exact int, err error) {
-	sorted := append([]txdb.Item(nil), itemset...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	if constraint != nil && constraint.Len() != m.idx.Len() {
+		return 0, 0, fmt.Errorf("core: constraint length %d != index length %d", constraint.Len(), m.idx.Len())
+	}
+	sorted := slices.Clone(itemset)
+	slices.Sort(sorted)
+	sorted = slices.Compact(sorted)
+	pos := sighash.SignatureBits(m.idx.Hasher(), sorted)
 
 	// An ad-hoc query touches only the slices of the itemset's signature
 	// (plus the constraint slice); charge those reads — this is exactly the
 	// I/O advantage over Apriori's full database scan (Figure 13).
-	m.idx.ChargeSliceReads(len(sighash.SignatureBits(m.idx.Hasher(), sorted)))
-	if constraint != nil && constraint.Len() != m.idx.Len() {
-		return 0, 0, fmt.Errorf("core: constraint length %d != index length %d", constraint.Len(), m.idx.Len())
-	}
-	est, vec := m.idx.CountItemSet(sorted)
+	m.idx.ChargeSliceReads(len(pos))
+	est, vec := m.idx.CountSignature(pos)
 	if constraint != nil && est > 0 {
 		// The constraint slice is AND-ed after the item slices: one more
 		// slice read, one more AND.
@@ -46,8 +52,8 @@ func (m *Miner) CountConstrained(itemset []txdb.Item, constraint *bitvec.Vector)
 	}
 	exact = 0
 	var getErr error
-	vec.ForEachSet(func(pos int) bool {
-		tx, err := m.store.Get(pos)
+	vec.ForEachSet(func(row int) bool {
+		tx, err := m.store.Get(row)
 		m.stats.AddProbe()
 		if err != nil {
 			getErr = err

@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 
+	"bbsmine/internal/bitvec"
 	"bbsmine/internal/iostat"
+	"bbsmine/internal/obs"
 	"bbsmine/internal/pager"
 	"bbsmine/internal/sigfile"
 	"bbsmine/internal/sighash"
@@ -28,6 +30,7 @@ type DB struct {
 	dir        string            // "" when in-memory
 	stats      *iostat.Stats
 	hasher     sighash.Hasher
+	q          countScratch
 }
 
 // NewMem returns a volatile sharded DB over in-memory stores.
@@ -151,35 +154,101 @@ func (db *DB) Merged() (*sigfile.View, txdb.Store, error) {
 // mining view; the accounting reflects the N per-shard slice reads that a
 // sharded deployment actually performs.
 func (db *DB) Count(items []int32) (est, exact int, err error) {
-	sorted := append([]int32(nil), items...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	bits := len(sighash.SignatureBits(db.hasher, sorted))
-	for s := 0; s < db.idx.Shards(); s++ {
-		db.idx.Part(s).ChargeSliceReads(bits)
+	return db.count(items, nil)
+}
+
+// CountConstrained is Count among the rows a constraint marks. cons is the
+// constraint split by shard, in shard order: cons[s] marks shard s's local
+// positions and has its length (sigfile.View.Split of a block-order
+// constraint). Each shard ANDs its block after its own chain, charged as one
+// more slice read and one more AND of that shard, the way Count charges the
+// chains.
+func (db *DB) CountConstrained(items []int32, cons []*bitvec.Vector) (est, exact int, err error) {
+	if len(cons) != db.Shards() {
+		return 0, 0, fmt.Errorf("shard: constraint has %d blocks, database has %d shards", len(cons), db.Shards())
 	}
-	est, dsts := db.idx.CountItemSet(sorted)
+	for s, c := range cons {
+		if n := db.idx.parts[s].Len(); c.Len() != n {
+			return 0, 0, fmt.Errorf("shard: constraint block %d covers %d rows, shard %d has %d", s, c.Len(), s, n)
+		}
+	}
+	return db.count(items, cons)
+}
+
+// count is the one body behind Count and CountConstrained. It sorts and
+// deduplicates the itemset into scratch (an itemset is a set, and
+// Transaction.Contains would look for a repeated item twice), hashes it
+// once — the positions size every shard's slice-read charge and drive every
+// shard's chain — runs each shard's rarest-first chain into that shard's
+// result vector, ANDs the shard's constraint block if there is one, and
+// probes the surviving rows shard by shard. Once the scratch has grown to
+// the itemset and the shards, a count allocates nothing.
+//
+//lint:hotpath
+func (db *DB) count(items []int32, cons []*bitvec.Vector) (est, exact int, err error) {
+	q := &db.q
+	q.items = append(q.items[:0], items...)
+	slices.Sort(q.items)
+	q.items = slices.Compact(q.items)
+	q.pos = sighash.AppendSignatureBits(q.pos[:0], db.hasher, q.items)
+	db.fitResults()
+	x := db.idx
+	trace := x.obs.Tracing()
+	for s, p := range x.parts {
+		p.ChargeSliceReads(len(q.pos))
+		n := p.CountPositions(q.dsts[s], q.pos)
+		if cons != nil && n > 0 {
+			p.ChargeSliceReads(1)
+			db.stats.AddSliceAnd()
+			n = q.dsts[s].AndCount(cons[s])
+		}
+		est += n
+		x.obs.AddShardCount(s)
+		if trace {
+			x.obs.Emit(obs.Event{Kind: "shardcount", Subtree: -1, Shard: obs.ShardTag(s), Items: q.items, Est: n})
+		}
+	}
 	if est == 0 {
 		return 0, 0, nil
 	}
-	for s, v := range dsts {
-		var getErr error
-		v.ForEachSet(func(local int) bool {
+	for s, dst := range q.dsts {
+		for local, ok := dst.NextSet(0); ok; local, ok = dst.NextSet(local + 1) {
 			tx, err := db.stores[s].Get(local)
 			db.stats.AddProbe()
 			if err != nil {
-				getErr = err
-				return false
+				return 0, 0, fmt.Errorf("shard: probing shard %d: %w", s, err)
 			}
-			if tx.Contains(sorted) {
+			if tx.Contains(q.items) {
 				exact++
 			}
-			return true
-		})
-		if getErr != nil {
-			return 0, 0, fmt.Errorf("shard: probing shard %d: %w", s, getErr)
 		}
 	}
 	return est, exact, nil
+}
+
+// countScratch is what count reuses from call to call: the itemset, sorted
+// and deduplicated; its signature positions; one result vector per shard.
+// A DB serves one call at a time, so one set per DB is enough.
+type countScratch struct {
+	items []int32
+	pos   []int
+	dsts  []*bitvec.Vector
+}
+
+// fitResults readies count's result vectors: one per shard, none longer
+// than its shard. A shard only grows between counts, which the chain's reset
+// absorbs in place; Compact shrinks one, and a vector cannot shrink, so its
+// vector is replaced.
+func (db *DB) fitResults() {
+	parts := db.idx.parts
+	if len(db.q.dsts) != len(parts) {
+		db.q.dsts = make([]*bitvec.Vector, len(parts))
+	}
+	for s, p := range parts {
+		if d := db.q.dsts[s]; d == nil || d.Len() > p.Len() {
+			db.q.dsts[s] = bitvec.New(p.Len())
+		}
+	}
 }
 
 // Compact rewrites a persistent single-shard database without its deleted

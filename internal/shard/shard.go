@@ -19,7 +19,6 @@ package shard
 import (
 	"fmt"
 
-	"bbsmine/internal/bitvec"
 	"bbsmine/internal/iostat"
 	"bbsmine/internal/obs"
 	"bbsmine/internal/sigfile"
@@ -136,40 +135,6 @@ func (x *Index) IsLive(pos int) bool {
 // SetObserver attaches (nil: detaches) a registry for per-shard fan-out
 // accounting. Call between runs, not during one.
 func (x *Index) SetObserver(o *obs.Registry) { x.obs = o }
-
-// CountItemSet estimates the itemset's support by deterministic scatter-
-// gather: each shard ANDs its own slices, and the per-shard estimates merge
-// by shard index into one sum. The returned vectors are the per-shard
-// candidate masks, in shard order — the set bits of vector s are local
-// positions of shard s. By the paper's Lemma 4 applied per shard, the sum
-// never undercounts the true support.
-func (x *Index) CountItemSet(items []int32) (int, []*bitvec.Vector) {
-	dsts := make([]*bitvec.Vector, len(x.parts))
-	for i := range dsts {
-		dsts[i] = bitvec.New(x.parts[i].Len())
-	}
-	var posBuf []int
-	return x.CountIntoBuf(dsts, items, &posBuf), dsts
-}
-
-// CountIntoBuf is CountItemSet with caller-owned per-shard result vectors
-// and a shared position scratch, for loops that estimate many itemsets.
-// With tracing on, each shard's contribution becomes a shard-tagged
-// shardcount event, so a sampled trace shows how an estimate split across
-// the shards.
-func (x *Index) CountIntoBuf(dsts []*bitvec.Vector, items []int32, posBuf *[]int) int {
-	est := 0
-	trace := x.obs.Tracing()
-	for s, p := range x.parts {
-		n := p.CountIntoBuf(dsts[s], items, posBuf)
-		est += n
-		x.obs.AddShardCount(s)
-		if trace {
-			x.obs.Emit(obs.Event{Kind: "shardcount", Subtree: -1, Shard: obs.ShardTag(s), Items: items, Est: n})
-		}
-	}
-	return est
-}
 
 // SetCompression sets the adaptive storage policy on every shard and
 // re-encodes each shard's slices to match (see sigfile.SetCompression).

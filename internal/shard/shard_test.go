@@ -394,22 +394,30 @@ func TestCompactSingleShard(t *testing.T) {
 // it off.
 func TestCountFanOutTracesPerShard(t *testing.T) {
 	const shards = 3
-	x, err := NewIndex(sighash.NewFNV(64, 2), shards, &iostat.Stats{})
+	db, err := NewMem(sighash.NewFNV(64, 2), shards, &iostat.Stats{})
 	if err != nil {
-		t.Fatalf("NewIndex: %v", err)
+		t.Fatalf("NewMem: %v", err)
 	}
 	for _, tx := range genTxs(7, 30, 5, 12) {
-		x.Insert(tx.Items)
+		if err := db.Append(tx); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	// No tracer: counting emits nothing and costs no event construction.
 	reg := obs.New()
-	x.SetObserver(reg)
-	est, _ := x.CountItemSet([]int32{1, 2})
+	db.Index().SetObserver(reg)
+	est, _, err := db.Count([]int32{1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	var buf bytes.Buffer
 	reg.SetTracer(obs.NewTracer(&buf, 1))
-	est2, _ := x.CountItemSet([]int32{1, 2})
+	est2, _, err := db.Count([]int32{1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if est2 != est {
 		t.Fatalf("tracing changed the estimate: %d vs %d", est2, est)
 	}

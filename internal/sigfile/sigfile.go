@@ -389,11 +389,23 @@ func (b *BBS) CountInto(dst *bitvec.Vector, items []int32) int {
 //
 //lint:hotpath
 func (b *BBS) CountIntoBuf(dst *bitvec.Vector, items []int32, posBuf *[]int) int {
+	*posBuf = sighash.AppendSignatureBits((*posBuf)[:0], b.hasher, items)
+	return b.CountPositions(dst, *posBuf)
+}
+
+// CountPositions is CountIntoBuf for an itemset already hashed: pos holds
+// its distinct signature positions (sighash.AppendSignatureBits), which is
+// how a sharded count hashes once and runs every part's chain on the same
+// positions. pos is reordered in place, rarest-first by this index's
+// popcounts; the order is a function of the set of positions alone, so
+// parts sharing one pos each get their own order.
+//
+//lint:hotpath
+func (b *BBS) CountPositions(dst *bitvec.Vector, pos []int) int {
 	b.stats.AddCountCall()
 	est := b.resetResult(dst)
-	*posBuf = sighash.AppendSignatureBits((*posBuf)[:0], b.hasher, items)
-	b.OrderRarestFirst(*posBuf)
-	for _, p := range *posBuf {
+	b.OrderRarestFirst(pos)
+	for _, p := range pos {
 		est = b.AndSlice(dst, p)
 		if est == 0 {
 			break

@@ -313,9 +313,15 @@ func (v *View) NewResult() *bitvec.Vector {
 // CountItemSet estimates the number of rows containing the itemset (paper
 // Fig. 1) and returns the freshly allocated block-order candidate vector.
 func (v *View) CountItemSet(items []int32) (int, *bitvec.Vector) {
+	return v.CountSignature(sighash.SignatureBits(v.Hasher(), items))
+}
+
+// CountSignature is CountItemSet for an itemset already hashed: pos holds
+// its distinct signature positions (sighash.AppendSignatureBits), reordered
+// in place. A caller that also charges the reads by len(pos) hashes once.
+func (v *View) CountSignature(pos []int) (int, *bitvec.Vector) {
 	dst := bitvec.New(v.Len())
-	var buf []int
-	return v.CountIntoBuf(dst, v.NewAccs(), items, &buf), dst
+	return v.countChain(dst, v.NewAccs(), pos), dst
 }
 
 // CountIntoBuf is BBS.CountIntoBuf over the parts, with the run's telemetry:
@@ -327,16 +333,24 @@ func (v *View) CountItemSet(items []int32) (int, *bitvec.Vector) {
 //
 //lint:hotpath
 func (v *View) CountIntoBuf(dst *bitvec.Vector, accs []*bitvec.Vector, items []int32, posBuf *[]int) int {
+	*posBuf = sighash.AppendSignatureBits((*posBuf)[:0], v.Hasher(), items)
+	return v.countChain(dst, accs, *posBuf)
+}
+
+// countChain is CountIntoBuf's chain over the signature positions pos,
+// which it reorders rarest-first.
+//
+//lint:hotpath
+func (v *View) countChain(dst *bitvec.Vector, accs []*bitvec.Vector, pos []int) int {
 	v.stats.AddCountCall()
 	est := 0
 	for s, p := range v.parts {
 		est += p.resetResult(accs[s])
 	}
-	*posBuf = sighash.AppendSignatureBits((*posBuf)[:0], v.Hasher(), items)
-	v.OrderRarestFirst(*posBuf)
+	v.OrderRarestFirst(pos)
 	var k obs.KernelSample
 	done := 0
-	for _, p := range *posBuf {
+	for _, p := range pos {
 		if v.obs != nil {
 			v.TallyAnd(&k, accs, p)
 		}
@@ -350,7 +364,7 @@ func (v *View) CountIntoBuf(dst *bitvec.Vector, accs []*bitvec.Vector, items []i
 		}
 	}
 	if v.obs != nil {
-		v.obs.ObserveChain(k, *posBuf, done)
+		v.obs.ObserveChain(k, pos, done)
 	}
 	v.Join(dst, accs)
 	return est

@@ -152,7 +152,8 @@ func (db *Database) MineApprox(opts MineOptions) ([]Pattern, error) {
 // itemset — frequent or not — using one index lookup plus targeted probes.
 // The count fans out: each shard ANDs its own slices and probes its own
 // candidates, and the per-shard results merge by shard index (one shard is
-// the fan-out of one).
+// the fan-out of one). The itemset is a set: a repeated item counts once.
+// A warm Count allocates nothing.
 func (db *Database) Count(items []int32) (estimate, exact int, err error) {
 	return db.sdb.Count(items)
 }
@@ -173,16 +174,18 @@ func (db *Database) CountWhere(items []int32, pred func(tid int64) bool) (estima
 // queries and constrained mining. It is bound to the database state at
 // creation time: appending transactions invalidates it.
 type Constraint struct {
-	vec *bitvecVector
-	n   int
+	vec   *bitvecVector   // the mining view's row order, for MineConstrained
+	parts []*bitvecVector // vec split by shard, for CountConstrained
+	n     int
 }
 
 // NewConstraint materializes a constraint from a predicate over TIDs. The
-// constraint is laid out in the mining view's row order (the shards' rows in
-// block order), which is what constrained counting and mining consume; it is
+// constraint is laid out twice: in the mining view's row order (the shards'
+// rows in block order), which constrained mining consumes, and split into
+// one block per shard, which a constrained count ANDs shard by shard. It is
 // opaque to callers either way.
 func (db *Database) NewConstraint(pred func(tid int64) bool) (*Constraint, error) {
-	_, store, err := db.sdb.Merged()
+	view, store, err := db.sdb.Merged()
 	if err != nil {
 		return nil, err
 	}
@@ -192,20 +195,19 @@ func (db *Database) NewConstraint(pred func(tid int64) bool) (*Constraint, error
 	if err != nil {
 		return nil, err
 	}
-	return &Constraint{vec: v, n: db.Len()}, nil
+	parts := view.NewAccs()
+	view.Split(parts, v)
+	return &Constraint{vec: v, parts: parts, n: db.Len()}, nil
 }
 
 // CountConstrained counts itemset occurrences under a previously built
-// constraint.
+// constraint: Count's fan-out, each shard ANDing its block of the
+// constraint after its own slices. A warm call allocates nothing.
 func (db *Database) CountConstrained(items []int32, c *Constraint) (estimate, exact int, err error) {
 	if c.n != db.Len() {
 		return 0, 0, fmt.Errorf("bbsmine: constraint built over %d transactions, database now has %d", c.n, db.Len())
 	}
-	m, err := db.miner()
-	if err != nil {
-		return 0, 0, err
-	}
-	return m.CountConstrained(items, c.vec)
+	return db.sdb.CountConstrained(items, c.parts)
 }
 
 // MineConstrained mines frequent patterns restricted to the constrained
