@@ -29,7 +29,9 @@
 package bbsmine
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 
 	"bbsmine/internal/core"
 	"bbsmine/internal/iostat"
@@ -79,6 +81,11 @@ type Database struct {
 	sdb   *shard.DB
 	stats *iostat.Stats
 	pager *pager.Pager // non-nil while the index storage is tiered
+
+	// The rest of the Tier call, kept so Compact can re-tier the rebuilt
+	// index the same way.
+	tierDir     string
+	tierTouches []uint64
 }
 
 // Open opens (or creates) a persistent database in dir. If an index file
@@ -146,7 +153,22 @@ func (db *Database) Delete(pos int) error { return db.sdb.Delete(pos) }
 // built earlier are invalidated (their length no longer matches). Only
 // persistent unsharded databases can be compacted: dropping rows would
 // renumber them across shards and break the round-robin routing.
-func (db *Database) Compact() error { return db.sdb.Compact() }
+//
+// A tiered database stays tiered: the old index is untiered first — its
+// cold file closed, its hot-tier reservation returned — and the rebuilt
+// one is tiered into the same pool with the arguments Tier was given, so
+// the cold file is rewritten in the database directory.
+func (db *Database) Compact() error {
+	if db.pager == nil || db.Live() == db.Len() {
+		return db.sdb.Compact()
+	}
+	pg, dir, touches := db.pager, db.tierDir, db.tierTouches
+	if err := db.Untier(); err != nil {
+		return err
+	}
+	err := db.sdb.Compact()
+	return errors.Join(err, db.tier(pg, dir, touches))
+}
 
 // Get returns the transaction at ordinal position pos (0-based insertion
 // order) as (tid, items).
@@ -200,13 +222,18 @@ func (db *Database) Tier(memBudget int64, scratchDir string, touches []uint64) e
 	if db.pager != nil {
 		return fmt.Errorf("bbsmine: database already tiered")
 	}
-	pg := pager.New(memBudget)
-	if err := db.sdb.Tier(pg, scratchDir, memBudget/2, touches); err != nil {
+	return db.tier(pager.New(memBudget), scratchDir, slices.Clone(touches))
+}
+
+// tier splits the index into tiers on pg, half of whose budget pins hot
+// slices.
+func (db *Database) tier(pg *pager.Pager, scratchDir string, touches []uint64) error {
+	if err := db.sdb.Tier(pg, scratchDir, pg.Budget()/2, touches); err != nil {
 		// A failed multi-shard pass may have tiered a prefix; roll it back.
 		_ = db.sdb.Untier()
 		return err
 	}
-	db.pager = pg
+	db.pager, db.tierDir, db.tierTouches = pg, scratchDir, touches
 	return nil
 }
 

@@ -92,8 +92,7 @@ func run(args []string) error {
 		maxInflight = fs.Int("max-inflight", 2, "concurrent cold mines")
 		maxQueue    = fs.Int("max-queue", 8, "cold mines allowed to queue before rejection")
 		timeout     = fs.Duration("timeout", 30*time.Second, "per-mine deadline (0 = unbounded)")
-		pageCache   = fs.Int64("page-cache", 64<<20, "data-file page cache bound in bytes (superseded by -mem-budget)")
-		memBudget   = fs.Int64("mem-budget", 0, "tier the served index to this byte budget: hot slices stay pinned, cold slices fault from per-shard cold files, and slice frames plus data-file pages share one pool (0 = fully resident)")
+		memBudget   = fs.Int64("mem-budget", 0, "tier the served index to this byte budget: hot slices stay pinned, cold slices fault from per-shard cold files, and slice frames plus transaction pages share one pool (0 = fully resident)")
 
 		reqlogPath = fs.String("reqlog", "", "write one JSON line per served request (id, class, verdict, stage timings) to this file")
 		tracePath  = fs.String("trace", "", "write sampled trace events (mining + request/apply/commit) to this file")
@@ -125,7 +124,6 @@ func run(args []string) error {
 		MaxInFlight:    *maxInflight,
 		MaxQueue:       *maxQueue,
 		RequestTimeout: *timeout,
-		PageCacheLimit: *pageCache,
 		MemBudget:      *memBudget,
 		ColdDir:        *dir, // cold files are derived data; they live beside the index
 	}
@@ -403,7 +401,7 @@ func runBench(out string, scale float64, cachedReps, workers, shards int, compre
 		}
 		records = append(records, srecs...)
 	}
-	return appendBenchRecords(out, records)
+	return exp.MergeRecords(out, records)
 }
 
 // benchSharded raises an N-shard server on a scratch directory, streams the
@@ -479,45 +477,4 @@ func benchSharded(ctx context.Context, p exp.Params, txs []txdb.Transaction, wor
 		{Scheme: "DFP-server-sharded-cached", Tau: cold.Tau, WallNs: p50, P50Ns: p50, P99Ns: p99,
 			Patterns: len(coldPatterns), Epoch: cold.Epoch, Shards: shards, Speedup: float64(coldNs) / float64(p50)},
 	}, nil
-}
-
-// appendBenchRecords merges the server records into the existing bench
-// JSON (an array of per-scheme records), replacing earlier server records
-// with the same scheme name so reruns do not accumulate.
-func appendBenchRecords(path string, records []serverBenchRecord) error {
-	var existing []json.RawMessage
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, &existing); err != nil {
-			return fmt.Errorf("parsing %s: %w", path, err)
-		}
-	} else if !errors.Is(err, os.ErrNotExist) {
-		return fmt.Errorf("reading %s: %w", path, err)
-	}
-
-	replaced := make(map[string]bool, len(records))
-	for _, r := range records {
-		replaced[r.Scheme] = true
-	}
-	merged := make([]json.RawMessage, 0, len(existing)+len(records))
-	for _, raw := range existing {
-		var probe struct {
-			Scheme string `json:"scheme"`
-		}
-		if err := json.Unmarshal(raw, &probe); err == nil && replaced[probe.Scheme] {
-			continue
-		}
-		merged = append(merged, raw)
-	}
-	for _, r := range records {
-		raw, err := json.Marshal(r)
-		if err != nil {
-			return fmt.Errorf("encoding bench record: %w", err)
-		}
-		merged = append(merged, raw)
-	}
-	data, err := json.MarshalIndent(merged, "", "  ")
-	if err != nil {
-		return fmt.Errorf("encoding %s: %w", path, err)
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

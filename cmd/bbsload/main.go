@@ -103,7 +103,7 @@ func run(args []string) error {
 	}
 	records := buildRecords(*workload, *rps, *duration, *seed, res)
 	if *out != "" {
-		if err := exp.MergeLoadRecords(*out, records); err != nil {
+		if err := exp.MergeRecords(*out, records); err != nil {
 			return err
 		}
 		fmt.Printf("merged %d load records into %s\n", len(records), *out)

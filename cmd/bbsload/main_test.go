@@ -146,7 +146,7 @@ func TestFireAgainstLiveEngine(t *testing.T) {
 
 	// The merged record file round-trips through the compare gate.
 	out := filepath.Join(t.TempDir(), "BENCH_results.json")
-	if err := exp.MergeLoadRecords(out, records); err != nil {
+	if err := exp.MergeRecords(out, records); err != nil {
 		t.Fatalf("merge: %v", err)
 	}
 	if err := runCompare(out, out, 0.2, 0); err != nil {

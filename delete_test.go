@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"bbsmine/internal/mining"
+	"bbsmine/internal/sighash"
 	"bbsmine/internal/txdb"
 )
 
@@ -182,5 +183,72 @@ func TestDeletedDatabasePersistsTombstones(t *testing.T) {
 	defer db2.Close()
 	if db2.Live() != 19 {
 		t.Errorf("Live = %d after reopen, want 19", db2.Live())
+	}
+}
+
+// TestCompactTieredDatabase pins that compacting a tiered database leaves
+// it tiered over the rebuilt index: Tiered() agrees with TierStats, the
+// pool holds no reservation for the discarded index's hot tier — it holds
+// what tiering the survivors from scratch reserves — and counts equal a
+// brute-force scan of the survivors.
+func TestCompactTieredDatabase(t *testing.T) {
+	const m, k, budget = 128, 3, 8 << 10
+	db, err := Open(t.TempDir(), Options{M: m, K: k})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	txs := fillRandom(t, db, 24, 1200, 7, 30)
+	if err := db.Tier(budget, "", nil); err != nil {
+		t.Fatal(err)
+	}
+	var rows []countRow
+	for pos, tx := range txs {
+		if pos%5 == 0 {
+			if err := db.Delete(pos); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		rows = append(rows, countRow{tid: tx.TID, items: tx.Items, live: true})
+	}
+	if err := db.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if db.Len() != len(rows) {
+		t.Fatalf("after Compact: %d rows, want %d", db.Len(), len(rows))
+	}
+
+	fresh, err := Open(t.TempDir(), Options{M: m, K: k})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	for _, r := range rows {
+		if err := fresh.Append(r.tid, r.items); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fresh.Tier(budget, "", nil); err != nil {
+		t.Fatal(err)
+	}
+	got, want := db.TierStats(), fresh.TierStats()
+	if !db.Tiered() || got.SlicesCold == 0 {
+		t.Fatalf("after Compact: Tiered() = %v with %d cold slices", db.Tiered(), got.SlicesCold)
+	}
+	if got.ReservedBytes != want.ReservedBytes || got.SlicesCold != want.SlicesCold || got.ColdBytes != want.ColdBytes {
+		t.Fatalf("after Compact: reserved %d B, %d cold slices, %d cold B; tiering the survivors afresh gives %d B, %d, %d B",
+			got.ReservedBytes, got.SlicesCold, got.ColdBytes, want.ReservedBytes, want.SlicesCold, want.ColdBytes)
+	}
+
+	h := sighash.NewMD5(m, k)
+	for _, q := range [][]int32{nil, {1}, {2, 5}, {7, 11, 13}, {3, 3}, {29}, {31}} {
+		est, exact, err := db.Count(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if we, wx := bruteCount(h, rows, q, nil); est != we || exact != wx {
+			t.Errorf("Count(%v) = %d/%d, brute force %d/%d", q, est, exact, we, wx)
+		}
 	}
 }

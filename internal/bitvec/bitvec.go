@@ -160,9 +160,35 @@ func (v *Vector) Grow(n int) {
 		copy(w, v.words)
 		v.words = w
 	} else {
-		v.words = v.words[:need]
+		v.words = v.words[:need] // past its length the storage reads 0; see shrinkWords
 	}
 	v.n = n
+}
+
+// Resize sets the vector's length to exactly n bits, keeping its storage:
+// bits below min(n, Len) keep their values and bits past the old length
+// read 0. Unlike Grow it also shrinks, which is how a reused result vector
+// follows an index that got shorter.
+func (v *Vector) Resize(n int) {
+	if n >= v.n {
+		v.Grow(n)
+		return
+	}
+	if n < 0 {
+		panic(fmt.Sprintf("bitvec: negative length %d", n))
+	}
+	v.dropSummary()
+	v.shrinkWords(wordsFor(n))
+	v.n = n
+	v.trimTail()
+}
+
+// shrinkWords cuts the backing words to need, zeroing what it cuts off:
+// Grow reuses the capacity past the length without clearing it, so that
+// storage must read 0.
+func (v *Vector) shrinkWords(need int) {
+	clear(v.words[need:])
+	v.words = v.words[:need]
 }
 
 // Append adds a single bit at the end of the vector.
@@ -262,9 +288,12 @@ func (v *Vector) sameLen(other *Vector) {
 // large enough. After the call v.Len() == other.Len().
 func (v *Vector) CopyFrom(other *Vector) {
 	need := len(other.words)
-	if cap(v.words) < need {
+	switch {
+	case cap(v.words) < need:
 		v.words = make([]uint64, need)
-	} else {
+	case need < len(v.words):
+		v.shrinkWords(need)
+	default:
 		v.words = v.words[:need]
 	}
 	copy(v.words, other.words)

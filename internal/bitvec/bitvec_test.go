@@ -125,6 +125,30 @@ func TestGrowTailIsZero(t *testing.T) {
 	}
 }
 
+// TestResizeShrinksAndRegrowsZero pins Resize both ways: shrinking keeps
+// the low bits, and growing back — by Resize or by Grow, also after a
+// CopyFrom shrink — reads 0 where the longer vector had bits set.
+func TestResizeShrinksAndRegrowsZero(t *testing.T) {
+	v := New(200)
+	v.SetAll()
+	v.Resize(70)
+	if v.Len() != 70 || v.Count() != 70 {
+		t.Fatalf("after Resize(70): Len %d, Count %d, want 70/70", v.Len(), v.Count())
+	}
+	v.Resize(200)
+	if v.Len() != 200 || v.Count() != 70 {
+		t.Fatalf("after Resize back to 200: Len %d, Count %d, want 200/70", v.Len(), v.Count())
+	}
+
+	w := New(300)
+	w.SetAll()
+	w.CopyFrom(New(10))
+	w.Grow(300)
+	if got := w.Count(); got != 0 {
+		t.Fatalf("CopyFrom shrink then Grow: Count = %d, want 0", got)
+	}
+}
+
 func TestAppend(t *testing.T) {
 	var v Vector
 	pattern := []bool{true, false, true, true, false}

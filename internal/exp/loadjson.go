@@ -84,10 +84,12 @@ func ReadLoadRecords(path string) ([]LoadRecord, error) {
 	return out, nil
 }
 
-// MergeLoadRecords merges records into the bench JSON at path (created if
-// absent), replacing earlier records with the same scheme key so reruns do
-// not accumulate. Mining bench records in the same file are preserved.
-func MergeLoadRecords(path string, records []LoadRecord) error {
+// MergeRecords merges records of any JSON shape that carries the shared
+// "scheme" key into the bench JSON array at path (created if absent): an
+// existing entry whose scheme one of the records has is dropped, every
+// other entry is kept in place, and the records are appended in order, so
+// reruns do not accumulate. bbsload's and bbsd's records share the file.
+func MergeRecords[R any](path string, records []R) error {
 	var existing []json.RawMessage
 	if data, err := os.ReadFile(path); err == nil {
 		if err := json.Unmarshal(data, &existing); err != nil {
@@ -96,32 +98,43 @@ func MergeLoadRecords(path string, records []LoadRecord) error {
 	} else if !errors.Is(err, os.ErrNotExist) {
 		return fmt.Errorf("exp: reading %s: %w", path, err)
 	}
+	fresh := make([]json.RawMessage, len(records))
 	replaced := make(map[string]bool, len(records))
-	for _, r := range records {
-		replaced[r.Scheme] = true
+	for i, r := range records {
+		raw, err := json.Marshal(r)
+		if err != nil {
+			return fmt.Errorf("exp: encoding bench record: %w", err)
+		}
+		fresh[i] = raw
+		if scheme, ok := schemeOf(raw); ok {
+			replaced[scheme] = true
+		}
 	}
 	merged := make([]json.RawMessage, 0, len(existing)+len(records))
 	for _, raw := range existing {
-		var probe struct {
-			Scheme string `json:"scheme"`
-		}
-		if err := json.Unmarshal(raw, &probe); err == nil && replaced[probe.Scheme] {
+		if scheme, ok := schemeOf(raw); ok && replaced[scheme] {
 			continue
 		}
 		merged = append(merged, raw)
 	}
-	for _, r := range records {
-		raw, err := json.Marshal(r)
-		if err != nil {
-			return fmt.Errorf("exp: encoding load record: %w", err)
-		}
-		merged = append(merged, raw)
-	}
+	merged = append(merged, fresh...)
 	data, err := json.MarshalIndent(merged, "", "  ")
 	if err != nil {
 		return fmt.Errorf("exp: encoding %s: %w", path, err)
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
+}
+
+// schemeOf reads a bench record's "scheme" merge key; ok is false for an
+// entry that is not a JSON object.
+func schemeOf(raw json.RawMessage) (scheme string, ok bool) {
+	var probe struct {
+		Scheme string `json:"scheme"`
+	}
+	if err := json.Unmarshal(raw, &probe); err != nil {
+		return "", false
+	}
+	return probe.Scheme, true
 }
 
 // CompareLoad gates a fresh run against a baseline: for every scheme key

@@ -24,11 +24,11 @@ func TestMergeLoadRecordsPreservesBenchRecords(t *testing.T) {
 	if err := os.WriteFile(path, []byte(seed), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := MergeLoadRecords(path, []LoadRecord{sampleLoadRecord("load-mixed-read", 5e6, 0)}); err != nil {
+	if err := MergeRecords(path, []LoadRecord{sampleLoadRecord("load-mixed-read", 5e6, 0)}); err != nil {
 		t.Fatalf("merge: %v", err)
 	}
 	// Re-merge with a new value: the load record is replaced, not duplicated.
-	if err := MergeLoadRecords(path, []LoadRecord{sampleLoadRecord("load-mixed-read", 7e6, 0)}); err != nil {
+	if err := MergeRecords(path, []LoadRecord{sampleLoadRecord("load-mixed-read", 7e6, 0)}); err != nil {
 		t.Fatalf("re-merge: %v", err)
 	}
 	data, err := os.ReadFile(path)

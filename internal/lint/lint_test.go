@@ -213,7 +213,7 @@ func TestAnalyzerScopes(t *testing.T) {
 		{SnapshotSafety, "bbsmine/internal/shard", true},
 		{SnapshotSafety, "bbsmine/internal/sigfile", true}, // the master/snapshot split lives here
 		{SnapshotSafety, "bbsmine/internal/core", true},
-		{SnapshotSafety, "bbsmine/internal/pager", true}, // epoch-pinned frames back serve snapshots
+		{SnapshotSafety, "bbsmine/internal/pager", true}, // cold frames serve snapshot reads
 		{SnapshotSafety, "bbsmine/internal/obs", false},
 		{SnapshotSafety, "bbsmine/internal/bitvec", false},
 		{CtxFlow, "bbsmine/internal/core", true},

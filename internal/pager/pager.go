@@ -7,17 +7,15 @@
 // (faulting it from the cold file read-through if absent), the caller
 // streams the bytes, and Release unpins it. Eviction is second-chance
 // CLOCK: a sweep clears reference bits and reclaims the first frame that
-// is unpinned, unreferenced, and not tagged by a live epoch. A fault into a
-// full pool reclaims its victim first and reads the new page into the
-// victim's buffer, so a steady-state fault is one pread plus table and ring
-// bookkeeping — no allocation. Pinning is strictly a performance lever —
-// every page can always be re-faulted from its sealed cold file — so over-
-// or under-retention can never change a result, only move I/O.
-//
-// Epoch tags integrate the pool with serve's snapshot lifecycle: the
-// publisher acquires a tag per published snapshot, frames touched while a
-// tag is live inherit the newest live tag, and ReleaseEpoch (when the last
-// query over that snapshot drains) makes those frames evictable again.
+// is unpinned and unreferenced. A fault into a full pool reclaims its
+// victim first and reads the new page into the victim's buffer, so a
+// steady-state fault is one pread plus table and ring bookkeeping — no
+// allocation. Pinning is strictly a performance lever — every page can
+// always be re-faulted from its sealed cold file — so over- or
+// under-retention can never change a result, only move I/O. That is also
+// why nothing outside a pin protects a frame: a serve snapshot reading a
+// cold tier depends on the sealed file staying open, never on its pages
+// staying resident.
 //
 // Cold files are derived data, rebuilt from the authoritative index at
 // tiering time, and are written with a crash-safe ordering: payload pages
@@ -61,21 +59,20 @@ type frameKey struct {
 	page int64
 }
 
-// frame is one resident page. pins, ref, epoch and slot are all guarded by
+// frame is one resident page. pins, ref and slot are all guarded by
 // the owning Pager's mu; data is filled at fault time and read-only until
 // the frame leaves the table, so pinned readers may use it outside the
 // lock. The CLOCK sweep only ever evicts an unpinned frame, and a fault
 // then recycles it, struct and buffer; frames dropped with their file
 // (dropFile, pinned or not) are left to the GC instead.
 type frame struct {
-	file  *File
-	page  int64
-	data  []byte // nil for virtual frames (residency model only)
-	size  int64
-	pins  int    // guarded by Pager.mu
-	ref   bool   // CLOCK second-chance bit; guarded by Pager.mu
-	epoch uint64 // newest live epoch tag seen at pin time; guarded by Pager.mu
-	slot  int    // index in Pager.ring; guarded by Pager.mu
+	file *File
+	page int64
+	data []byte // nil for virtual frames (residency model only)
+	size int64
+	pins int  // guarded by Pager.mu
+	ref  bool // CLOCK second-chance bit; guarded by Pager.mu
+	slot int  // index in Pager.ring; guarded by Pager.mu
 }
 
 // Pager is the shared buffer pool. All methods are safe for concurrent use
@@ -91,10 +88,6 @@ type Pager struct {
 	hand     int      // CLOCK hand; guarded by mu
 	resident int64    // sum of frame sizes; guarded by mu
 	free     []*frame // unpinned ex-frames, each owning a PageSize buffer, awaiting reuse; guarded by mu
-
-	epochs   map[uint64]struct{} // live epoch tags; guarded by mu
-	epochSeq uint64              // guarded by mu
-	newest   uint64              // newest live tag, 0 while none; guarded by mu
 
 	// Counters are atomics so Stats and /metrics read them without the
 	// pool lock; residentGauge mirrors heldLocked() for the same reason.
@@ -112,7 +105,6 @@ func New(budget int64) *Pager {
 	return &Pager{
 		budget: budget,
 		frames: make(map[frameKey]*frame),
-		epochs: make(map[uint64]struct{}),
 	}
 }
 
@@ -162,63 +154,12 @@ func (p *Pager) Stats() Stats {
 	}
 }
 
-// AcquireEpoch mints a fresh live epoch tag. Frames pinned or touched
-// while any tag is live inherit the newest live tag and are exempt from
-// eviction until that tag is released. Returns 0 on a nil receiver, which
-// ReleaseEpoch treats as "no tag".
-func (p *Pager) AcquireEpoch() uint64 {
-	if p == nil {
-		return 0
-	}
-	p.mu.Lock()
-	p.epochSeq++
-	tag := p.epochSeq
-	p.epochs[tag] = struct{}{}
-	p.newest = tag
-	p.mu.Unlock()
-	return tag
-}
-
-// ReleaseEpoch retires a tag minted by AcquireEpoch: frames carrying it
-// become evictable again (unless re-tagged by a newer live snapshot in
-// the meantime). Safe to call with 0 or on nil.
-func (p *Pager) ReleaseEpoch(tag uint64) {
-	if p == nil || tag == 0 {
-		return
-	}
-	p.mu.Lock()
-	delete(p.epochs, tag)
-	if p.newest == tag {
-		p.newest = 0
-		//lint:ignore determinism max over the live set; order cannot change the maximum
-		for t := range p.epochs {
-			if t > p.newest {
-				p.newest = t
-			}
-		}
-	}
-	p.evictLocked()
-	p.mu.Unlock()
-}
-
-// epochLiveLocked reports whether tag still protects a frame. Caller holds mu.
-func (p *Pager) epochLiveLocked(tag uint64) bool {
-	if tag == 0 {
-		return false
-	}
-	_, ok := p.epochs[tag]
-	return ok
-}
-
 // pinLocked records a hit on an existing frame. Caller holds mu.
 func (p *Pager) pinLocked(fr *frame, pin bool) {
 	if pin {
 		fr.pins++
 	}
 	fr.ref = true
-	if p.newest != 0 {
-		fr.epoch = p.newest
-	}
 }
 
 // heldLocked is the memory the pool answers for: resident frames plus
@@ -233,9 +174,6 @@ func (p *Pager) admitLocked(fr *frame) {
 	p.ring = append(p.ring, fr)
 	p.frames[frameKey{fr.file, fr.page}] = fr
 	p.resident += fr.size
-	if p.newest != 0 {
-		fr.epoch = p.newest
-	}
 	p.faults.Add(1)
 	p.evictLocked()
 }
@@ -243,8 +181,8 @@ func (p *Pager) admitLocked(fr *frame) {
 // evictLocked shrinks the pool until held+reserved fits the budget:
 // recycled buffers go to the GC first, then frames are reclaimed — and
 // dropped rather than recycled, since the pool has to get smaller — until
-// it fits or the CLOCK sweep finds nothing evictable (every frame pinned or
-// epoch-protected). Then the pool runs soft-over-budget rather than block,
+// it fits or the CLOCK sweep finds nothing evictable (every frame pinned).
+// Then the pool runs soft-over-budget rather than block,
 // since pinning is advisory and correctness never depends on the bound.
 // Caller holds mu.
 func (p *Pager) evictLocked() {
@@ -259,7 +197,7 @@ func (p *Pager) evictLocked() {
 // victimLocked advances the CLOCK hand until it reclaims one frame, which
 // it removes from the table and returns. Two revolutions bound the sweep —
 // one to clear reference bits, one to reclaim — and nil means every frame
-// is pinned or epoch-protected. Caller holds mu.
+// is pinned. Caller holds mu.
 func (p *Pager) victimLocked() *frame {
 	for scans := 2 * len(p.ring); scans > 0; scans-- {
 		if p.hand >= len(p.ring) {
@@ -267,7 +205,7 @@ func (p *Pager) victimLocked() *frame {
 		}
 		fr := p.ring[p.hand]
 		switch {
-		case fr.pins > 0 || p.epochLiveLocked(fr.epoch):
+		case fr.pins > 0:
 			p.hand++
 		case fr.ref:
 			fr.ref = false

@@ -76,7 +76,6 @@ const (
 	defaultMaxInFlight  = 2
 	defaultMaxQueue     = 8
 	defaultCacheEntries = 128
-	defaultPageCache    = 64 << 20
 	writeQueueDepth     = 128
 )
 
@@ -124,10 +123,6 @@ type Options struct {
 	CacheEntries int
 	// RequestTimeout bounds each mine's run time (0 = unbounded).
 	RequestTimeout time.Duration
-	// PageCacheLimit bounds the durable stores' page caches in bytes
-	// (default 64 MiB), split evenly across the shards that have files.
-	// Ignored when MemBudget is set: tiered mode pools all residency.
-	PageCacheLimit int64
 	// MemBudget, when > 0, enables tiered slice storage: each shard's
 	// index is split into an obs-driven hot tier and an on-disk cold tier
 	// (cold files under ColdDir), and slice frames plus transaction-store
@@ -151,30 +146,16 @@ type Options struct {
 // point. Queries clone from it; the shard's commit loop replaces it
 // wholesale.
 //
-// Under tiered storage a snapshot also owns a pager epoch tag: frames a
-// query faults while the snapshot is current inherit the tag and stay
-// evict-exempt until the snapshot is superseded AND its last query drains
-// (refs: one publisher ref dropped at replacement, one per in-flight
-// mine). A query can race the drain — load the pointer after the tag was
-// already released — which is benign by design: pager pinning is advisory,
-// so an unprotected snapshot re-faults pages instead of misreading them,
-// and the released CAS keeps the tag from being freed twice.
+// Under tiered storage a snapshot's cold slices read through the shared
+// pager from the shard's cold file, so the snapshot depends on that file
+// staying open — never on any frame staying resident: an evicted page is
+// re-faulted, not misread. The engine tiers once, in New, and never
+// re-tiers or untiers, so the cold file stays open past Close and outlives
+// every snapshot.
 type snapshot struct {
-	epoch    uint64
-	idx      *sigfile.BBS
-	log      *txdb.LogView
-	pg       *pager.Pager // nil when tiering is off
-	pagerTag uint64
-	refs     atomic.Int64
-	released atomic.Bool
-}
-
-func (sn *snapshot) retain() { sn.refs.Add(1) }
-
-func (sn *snapshot) release() {
-	if sn.refs.Add(-1) == 0 && sn.released.CompareAndSwap(false, true) {
-		sn.pg.ReleaseEpoch(sn.pagerTag)
-	}
+	epoch uint64
+	idx   *sigfile.BBS
+	log   *txdb.LogView
 }
 
 // engineShard is one shard's serving state: the master index and log its
@@ -186,8 +167,7 @@ type engineShard struct {
 	log       *txdb.AppendLog
 	file      *txdb.FileStore
 	indexPath string
-	pg        *pager.Pager // nil when tiering is off
-	logVirt   *pager.File  // virtual residency file attached to published log views
+	logVirt   *pager.File // virtual residency file attached to published log views
 	snap      atomic.Pointer[snapshot]
 	writeCh   chan *shardWrite
 	loopDone  chan struct{}
@@ -296,28 +276,6 @@ func New(opts Options) (*Engine, error) {
 			if err := p.Index.Tier(pg, cold, perShard, touches); err != nil {
 				return nil, fmt.Errorf("serve: tiering shard %d: %w", s, err)
 			}
-			if p.File != nil {
-				p.File.AttachPager(pg.Virtual(fmt.Sprintf("txdb/shard-%d", s)))
-			}
-		}
-	} else {
-		files := 0
-		for _, p := range parts {
-			if p.File != nil {
-				files++
-			}
-		}
-		if files > 0 {
-			limit := opts.PageCacheLimit
-			if limit <= 0 {
-				limit = defaultPageCache
-			}
-			per := limit / int64(files)
-			for _, p := range parts {
-				if p.File != nil {
-					p.File.SetCacheLimit(per)
-				}
-			}
 		}
 	}
 	e := &Engine{
@@ -344,7 +302,6 @@ func New(opts Options) (*Engine, error) {
 			log:       p.Log,
 			file:      p.File,
 			indexPath: p.IndexPath,
-			pg:        pg,
 			logVirt:   pg.Virtual(fmt.Sprintf("log/shard-%d", s)),
 			writeCh:   make(chan *shardWrite, writeQueueDepth),
 			loopDone:  make(chan struct{}),
@@ -390,24 +347,17 @@ func New(opts Options) (*Engine, error) {
 
 // publish snapshots the shard's master state. Called from New and the
 // shard's own commit loop only — the per-shard single-writer rule is what
-// makes Snapshot/View safe here. Each published snapshot carries a fresh
-// pager epoch tag and the publisher's ref; the replaced snapshot loses
-// that ref, so its tag drains once its last in-flight query finishes.
+// makes Snapshot/View safe here.
 func (sh *engineShard) publish() {
 	next := &snapshot{
-		epoch:    sh.idx.Epoch(),
-		idx:      sh.idx.Snapshot(),
-		log:      sh.log.View(),
-		pg:       sh.pg,
-		pagerTag: sh.pg.AcquireEpoch(),
+		epoch: sh.idx.Epoch(),
+		idx:   sh.idx.Snapshot(),
+		log:   sh.log.View(),
 	}
 	if sh.logVirt != nil {
 		next.log.AttachPager(sh.logVirt)
 	}
-	next.refs.Store(1)
-	if old := sh.snap.Swap(next); old != nil {
-		old.release()
-	}
+	sh.snap.Store(next)
 }
 
 // Shards returns the engine's shard count.
@@ -1240,16 +1190,6 @@ func (e *Engine) mineView(snaps []*snapshot) (*sigfile.View, txdb.Store, error) 
 // (queue stage), per-request deadline, private mining view (bind stage),
 // then core.Mine (mine stage).
 func (e *Engine) mine(ctx context.Context, snaps []*snapshot, req QueryRequest, scheme core.Scheme, tau int, sp *Span) (*core.Result, error) {
-	// Hold each snapshot's pager epoch for the duration of the mine, so
-	// cold pages this query faults stay evict-exempt until it finishes.
-	for _, sn := range snaps {
-		sn.retain()
-	}
-	defer func() {
-		for _, sn := range snaps {
-			sn.release()
-		}
-	}()
 	queued := e.clock.Now()
 	release, err := e.admit(ctx)
 	sp.addStage(obs.StageQueue, e.clock.Now().Sub(queued).Nanoseconds())

@@ -235,19 +235,16 @@ type countScratch struct {
 	dsts  []*bitvec.Vector
 }
 
-// fitResults readies count's result vectors: one per shard, none longer
-// than its shard. A shard only grows between counts, which the chain's reset
-// absorbs in place; Compact shrinks one, and a vector cannot shrink, so its
-// vector is replaced.
+// fitResults allocates count's result vectors once, one per shard. The
+// chain's reset sizes each to its shard on every count, so a shard that
+// grows, or shrinks at a Compact, keeps its vector.
 func (db *DB) fitResults() {
-	parts := db.idx.parts
-	if len(db.q.dsts) != len(parts) {
-		db.q.dsts = make([]*bitvec.Vector, len(parts))
+	if len(db.q.dsts) == len(db.idx.parts) {
+		return
 	}
-	for s, p := range parts {
-		if d := db.q.dsts[s]; d == nil || d.Len() > p.Len() {
-			db.q.dsts[s] = bitvec.New(p.Len())
-		}
+	db.q.dsts = make([]*bitvec.Vector, len(db.idx.parts))
+	for s, p := range db.idx.parts {
+		db.q.dsts[s] = bitvec.New(p.Len())
 	}
 }
 

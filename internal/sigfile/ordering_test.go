@@ -168,3 +168,32 @@ func TestCountIntoWrapsBuf(t *testing.T) {
 		}
 	}
 }
+
+// A result vector longer than the index — reused from a bigger one, say —
+// comes back exactly the index's length, and the estimate is its popcount:
+// no stale tail row survives, for the empty itemset (every live row) too,
+// with and without deletions.
+func TestCountPositionsSizesLongDst(t *testing.T) {
+	rng := rand.New(rand.NewSource(85))
+	idx, txs := randomIndex(rng, 128, 4, 150)
+	var posBuf []int
+	for _, deleted := range []bool{false, true} {
+		if deleted {
+			for _, pos := range []int{3, 40, 149} {
+				if err := idx.Delete(pos, txs[pos]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for _, items := range [][]int32{nil, {}, randomItems(rng, 1, 500), randomItems(rng, 3, 500)} {
+			dst := bitvec.New(idx.Len() + 130)
+			dst.SetAll()
+			posBuf = sighash.AppendSignatureBits(posBuf[:0], idx.hasher, items)
+			est := idx.CountPositions(dst, posBuf)
+			if dst.Len() != idx.Len() || est != dst.Count() {
+				t.Fatalf("deleted=%v, itemset %v: dst has %d bits and %d set, estimate %d; the index has %d rows",
+					deleted, items, dst.Len(), dst.Count(), est, idx.Len())
+			}
+		}
+	}
+}

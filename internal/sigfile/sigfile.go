@@ -421,13 +421,15 @@ func (b *BBS) CountPositions(dst *bitvec.Vector, pos []int) int {
 }
 
 // resetResult makes dst the identity for slice AND-ing — every live row, as
-// NewResult returns it — and returns the number of rows it marks.
+// NewResult returns it — and returns the number of rows it marks. dst comes
+// out exactly b.n bits long whatever its length going in, so a caller may
+// reuse one vector across indexes of any size.
 func (b *BBS) resetResult(dst *bitvec.Vector) int {
-	dst.Grow(b.n)
 	if b.live != nil {
 		dst.CopyFrom(b.live)
 		return b.Live()
 	}
+	dst.Resize(b.n)
 	dst.SetAll()
 	return b.n
 }

@@ -8,7 +8,6 @@ import (
 	"os"
 
 	"bbsmine/internal/iostat"
-	"bbsmine/internal/pager"
 )
 
 // FileStore is the persistent Store: an append-only record file plus the
@@ -193,10 +192,6 @@ func (s *FileStore) Append(tx Transaction) error {
 
 // SetCacheLimit implements CacheLimiter.
 func (s *FileStore) SetCacheLimit(bytes int64) { s.cache.setLimit(bytes, s.stats) }
-
-// AttachPager implements PagerBacked: page residency moves to the shared
-// pager pool and the store stops charging its private page-cache tallies.
-func (s *FileStore) AttachPager(f *pager.File) { s.cache.attachPager(f, s.stats) }
 
 // Sync flushes the file to stable storage.
 func (s *FileStore) Sync() error { return s.f.Sync() }
