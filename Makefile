@@ -45,7 +45,8 @@ vet:
 ## determinism, snapshot immutability, ctx flow, goroutine lifecycle and
 ## hot-path allocation (see internal/lint/README.md for the catalogue).
 ## Exit 1 means findings; fix them or suppress with
-## //lint:ignore <analyzer> <reason>.
+## //lint:ignore <analyzer> <reason>. ./... reaches the nested bench/
+## module too (bbsperf).
 lint:
 	$(GO) run ./cmd/bbslint ./...
 

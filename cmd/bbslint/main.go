@@ -1,22 +1,22 @@
 // Command bbslint runs the project's static-analysis suite (internal/lint)
 // over the module: ten analyzers that enforce the concurrency, determinism
 // and snapshot-immutability invariants of the mining engine and its
-// serving layer. It is built on the standard library alone — no
-// go/packages, no external deps — so the module stays dependency-free.
+// serving layer. It is built on the standard library and the go command
+// alone — no go/packages, no external deps — so the module stays
+// dependency-free.
 //
 // Usage:
 //
 //	bbslint [flags] [patterns]
 //
-// Patterns are package directories, optionally ending in /... for a whole
-// subtree; the default is ./... (the module of the current directory).
-//
-// The driver analyzes packages in parallel (-parallel) and caches
-// per-package facts and findings on disk keyed by content hash (-cache),
-// so warm runs skip type-checking packages whose transitive sources are
-// unchanged. Output is deterministic at any parallelism: -json emitted at
-// -parallel 1 and -parallel 4 is byte-identical, and CI asserts exactly
-// that.
+// Patterns are go command package patterns; the default is ./... . go list
+// expands them (skipping testdata, applying build constraints), and a
+// directory pattern ending in /... also covers the modules nested below it,
+// so ./... at the repository root lints the bench/ module too. Every run
+// type-checks its packages from source in one sequential pass, with the
+// standard library read from compiler export data; there is no cache to go
+// stale when an analyzer changes. Output is sorted by position, so equal
+// finding sets render byte-identically.
 //
 // Exit codes: 0 — no findings; 1 — findings reported; 2 — usage or load
 // error.
@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 
@@ -53,15 +52,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fs.PrintDefaults()
 	}
 	var (
-		listFlag     = fs.Bool("list", false, "list the analyzers and exit")
-		testsFlag    = fs.Bool("tests", false, "also analyze in-package _test.go files")
-		enable       = fs.String("analyzers", "", "comma-separated subset of analyzers to run (default: all)")
-		parallelFlag = fs.Int("parallel", 0, "worker count for package analysis (0 = GOMAXPROCS)")
-		jsonFlag     = fs.Bool("json", false, "emit findings as JSON on stdout instead of text")
-		sarifFlag    = fs.String("sarif", "", "also write findings as SARIF 2.1.0 to this file (- for stdout)")
-		cacheFlag    = fs.String("cache", "", "fact/finding cache directory (default: user cache dir; 'off' disables)")
-		supprFlag    = fs.Bool("suppressions", false, "print per-analyzer suppression directive counts and exit")
-		verboseFlag  = fs.Bool("v", false, "print driver statistics to stderr")
+		listFlag  = fs.Bool("list", false, "list the analyzers and exit")
+		enable    = fs.String("analyzers", "", "comma-separated subset of analyzers to run (default: all)")
+		jsonFlag  = fs.Bool("json", false, "emit findings as JSON on stdout instead of text")
+		sarifFlag = fs.String("sarif", "", "also write findings as SARIF 2.1.0 to this file (- for stdout)")
+		supprFlag = fs.Bool("suppressions", false, "print per-analyzer suppression directive counts and exit")
 	)
 	if err := fs.Parse(args); err != nil {
 		return exitUsage
@@ -95,29 +90,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 		patterns = []string{"./..."}
 	}
 
-	loader, err := lint.NewLoader(".")
+	loader := lint.NewLoader()
+	pkgs, err := loader.Load(patterns...)
 	if err != nil {
 		fmt.Fprintf(stderr, "bbslint: %v\n", err)
 		return exitUsage
 	}
-	loader.IncludeTests = *testsFlag
-
-	paths, err := loader.Expand(patterns)
-	if err != nil {
-		fmt.Fprintf(stderr, "bbslint: %v\n", err)
-		return exitUsage
-	}
-	if len(paths) == 0 {
+	if len(pkgs) == 0 {
 		fmt.Fprintf(stderr, "bbslint: no packages match %v\n", patterns)
 		return exitUsage
 	}
 
 	if *supprFlag {
-		counts, err := lint.DirectiveCounts(loader, paths)
-		if err != nil {
-			fmt.Fprintf(stderr, "bbslint: %v\n", err)
-			return exitUsage
-		}
+		counts := lint.DirectiveCounts(pkgs)
 		names := make([]string, 0, len(counts))
 		total := 0
 		for name, n := range counts {
@@ -132,22 +117,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return exitClean
 	}
 
-	driver := &lint.Driver{
-		Loader:    loader,
-		Analyzers: analyzers,
-		Parallel:  *parallelFlag,
-		CacheDir:  cacheDir(*cacheFlag),
-	}
-	findings, err := driver.RunPaths(paths)
-	if err != nil {
-		fmt.Fprintf(stderr, "bbslint: %v\n", err)
-		return exitUsage
-	}
-	if *verboseFlag {
-		s := driver.Stats
-		fmt.Fprintf(stderr, "bbslint: %d packages (%d type-checked), facts %d computed/%d cached, findings %d computed/%d cached\n",
-			s.Packages, s.Loaded, s.FactsComputed, s.FactsCached, s.FindingsComputed, s.FindingsCached)
-	}
+	findings := lint.Run(pkgs, analyzers)
 
 	if *sarifFlag != "" {
 		w := stdout
@@ -187,22 +157,4 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return exitFindings
 	}
 	return exitClean
-}
-
-// cacheDir resolves the -cache flag: "off" disables the cache, empty picks
-// a per-user default, anything else is used as given. Cache failures only
-// cost speed, so an unresolvable default silently disables caching.
-func cacheDir(flagValue string) string {
-	switch flagValue {
-	case "off":
-		return ""
-	case "":
-		base, err := os.UserCacheDir()
-		if err != nil {
-			return ""
-		}
-		return filepath.Join(base, "bbslint")
-	default:
-		return flagValue
-	}
 }

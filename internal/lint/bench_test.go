@@ -4,46 +4,17 @@ import (
 	"testing"
 )
 
-// BenchmarkLint measures a full driver run over the repository, the way
-// `make lint` executes it: cold type-checks all 28-odd packages from
-// scratch; warm serves every fact and finding from a primed content-hash
-// cache and type-checks nothing. The warm number is what developers feel.
+// BenchmarkLint measures a full lint run over the repository, the way
+// `make lint` executes it: one go list per module (the root module and
+// the nested bench/ module), a source type-check of every module package
+// they list (31 at the time of writing; the standard library comes from
+// export data), then the whole analyzer suite.
 func BenchmarkLint(b *testing.B) {
-	expand := func() []string {
-		loader, err := NewLoader(".")
+	for i := 0; i < b.N; i++ {
+		pkgs, err := NewLoader().Load("../../...")
 		if err != nil {
 			b.Fatal(err)
 		}
-		paths, err := loader.Expand([]string{"../../..."})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return paths
+		Run(pkgs, Analyzers())
 	}
-
-	run := func(b *testing.B, cacheDir string) {
-		loader, err := NewLoader(".")
-		if err != nil {
-			b.Fatal(err)
-		}
-		d := &Driver{Loader: loader, Analyzers: Analyzers(), CacheDir: cacheDir}
-		if _, err := d.RunPaths(expand()); err != nil {
-			b.Fatal(err)
-		}
-	}
-
-	b.Run("cold", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			run(b, "")
-		}
-	})
-
-	b.Run("warm", func(b *testing.B) {
-		cacheDir := b.TempDir()
-		run(b, cacheDir) // prime
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			run(b, cacheDir)
-		}
-	})
 }

@@ -86,3 +86,21 @@ func suppressed(f Finding, dirs []directive) bool {
 	}
 	return false
 }
+
+// DirectiveCounts tallies the //lint:ignore and //lint:file-ignore
+// directives per analyzer across the packages. Malformed directives count
+// under "bbslint". It backs `bbslint -suppressions` / `make
+// lint-fix-scope`, which keep suppression creep visible in review.
+func DirectiveCounts(pkgs []*Package) map[string]int {
+	counts := map[string]int{}
+	for _, pkg := range pkgs {
+		dirs, bad := collectDirectives(pkg.Fset, pkg.Files)
+		for _, d := range dirs {
+			counts[d.analyzer]++
+		}
+		if len(bad) > 0 {
+			counts["bbslint"] += len(bad)
+		}
+	}
+	return counts
+}

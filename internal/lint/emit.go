@@ -9,7 +9,7 @@ import (
 
 // jsonFinding is the machine-readable rendering of one finding. Paths are
 // module-root-relative with forward slashes so the output is stable across
-// checkouts — CI diffs the -json output of two runs byte for byte.
+// checkouts.
 type jsonFinding struct {
 	Analyzer string `json:"analyzer"`
 	File     string `json:"file"`

@@ -36,10 +36,8 @@
 // which methods mutate them — that analyses of dependent packages consume
 // through Pass.Fact. Facts are computed for every module-local package in
 // dependency order regardless of Applies, so a diagnostic in internal/serve
-// can know that sigfile.BBS.Insert mutates its receiver. The Driver in
-// driver.go runs packages in parallel and caches facts and findings on
-// disk keyed by content hash; Run below is the small sequential entry
-// point the tests use.
+// can know that sigfile.BBS.Insert mutates its receiver. Run is the one
+// driver: a sequential in-memory pass over packages the Loader type-checked.
 //
 // Findings can be suppressed at the reporting site:
 //
@@ -73,12 +71,8 @@ type Analyzer struct {
 	Run func(*Pass)
 	// Facts, when non-nil, computes the package's exported fact. It runs
 	// before any diagnostics, for every module-local package in dependency
-	// order, so Run can read its imports' facts through Pass.Fact. The
-	// returned value must round-trip through encoding/json.
+	// order, so Run can read its imports' facts through Pass.Fact.
 	Facts func(*Pass) any
-	// NewFact returns a zero fact value (a pointer) for decoding cached
-	// facts. Required when Facts is set.
-	NewFact func() any
 }
 
 // Pass carries one analyzer's view of one type-checked package.
@@ -90,7 +84,7 @@ type Pass struct {
 	Info     *types.Info
 
 	findings *[]Finding
-	facts    *FactStore
+	facts    factStore
 }
 
 // Reportf records a finding at pos.
@@ -106,10 +100,15 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // path — the pass's own package or any module-local dependency — or nil if
 // none was exported.
 func (p *Pass) Fact(pkgPath string) any {
-	if p.facts == nil {
-		return nil
-	}
-	return p.facts.get(p.Analyzer.Name, pkgPath)
+	return p.facts[factKey{p.Analyzer.Name, pkgPath}]
+}
+
+// factStore holds the per-(analyzer, package) facts of one run.
+type factStore map[factKey]any
+
+type factKey struct {
+	analyzer string
+	pkg      string
 }
 
 // Finding is one reported violation.
@@ -148,10 +147,10 @@ func Analyzers() []*Analyzer {
 // Facts are computed first, sequentially, for the supplied packages and
 // every module-local package they (transitively) import, in dependency
 // order — the loader has those dependencies cached from type-checking.
-// This is the simple in-memory path; cmd/bbslint uses the parallel,
-// disk-cached Driver.
+// Output is deterministic: findings are sorted by (file, line, column,
+// analyzer, message), a total order.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
-	store := NewFactStore()
+	store := factStore{}
 	computeFacts(factUniverse(pkgs), analyzers, store)
 
 	var findings []Finding
@@ -164,7 +163,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
 
 // analyzePackage runs every applicable analyzer over one package, applies
 // suppressions and returns the surviving findings, unsorted.
-func analyzePackage(pkg *Package, analyzers []*Analyzer, store *FactStore) []Finding {
+func analyzePackage(pkg *Package, analyzers []*Analyzer, store factStore) []Finding {
 	dirs, findings := collectDirectives(pkg.Fset, pkg.Files)
 	for _, a := range analyzers {
 		if a.Applies != nil && !a.Applies(pkg.Path) {
@@ -188,7 +187,7 @@ func analyzePackage(pkg *Package, analyzers []*Analyzer, store *FactStore) []Fin
 
 // computeFacts evaluates every fact-exporting analyzer over the packages,
 // which must already be in dependency order (imports before importers).
-func computeFacts(ordered []*Package, analyzers []*Analyzer, store *FactStore) {
+func computeFacts(ordered []*Package, analyzers []*Analyzer, store factStore) {
 	for _, pkg := range ordered {
 		for _, a := range analyzers {
 			if a.Facts == nil {
@@ -203,7 +202,7 @@ func computeFacts(ordered []*Package, analyzers []*Analyzer, store *FactStore) {
 				facts:    store,
 			}
 			if fact := a.Facts(pass); fact != nil {
-				store.put(a.Name, pkg.Path, fact)
+				store[factKey{a.Name, pkg.Path}] = fact
 			}
 		}
 	}
@@ -224,9 +223,7 @@ func factUniverse(pkgs []*Package) []*Package {
 			return
 		}
 		for _, imp := range p.Types.Imports() {
-			if dep := p.loader.cached(imp.Path()); dep != nil {
-				add(dep)
-			}
+			add(p.loader.cache[imp.Path()])
 		}
 	}
 	for _, p := range pkgs {
@@ -264,7 +261,7 @@ func factUniverse(pkgs []*Package) []*Package {
 }
 
 // sortFindings orders findings by position, then analyzer, then message —
-// a total order, so concurrent runs at any parallelism render identically.
+// a total order.
 func sortFindings(findings []Finding) {
 	sort.Slice(findings, func(i, j int) bool {
 		a, b := findings[i], findings[j]

@@ -4,19 +4,33 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 )
 
-// loadFixture type-checks one fixture package under testdata/src.
+// The fixture packages, loaded once: one go list over testdata/src/...
+var fixtures struct {
+	once sync.Once
+	pkgs map[string]*Package
+	err  error
+}
+
+// loadFixture returns one type-checked fixture package under testdata/src.
 func loadFixture(t *testing.T, rel string) *Package {
 	t.Helper()
-	loader, err := NewLoader(".")
-	if err != nil {
-		t.Fatalf("NewLoader: %v", err)
+	fixtures.once.Do(func() {
+		pkgs, err := NewLoader().Load("./testdata/src/...")
+		fixtures.pkgs, fixtures.err = map[string]*Package{}, err
+		for _, pkg := range pkgs {
+			fixtures.pkgs[pkg.Path] = pkg
+		}
+	})
+	if fixtures.err != nil {
+		t.Fatalf("loading the fixtures: %v", fixtures.err)
 	}
-	pkg, err := loader.Load("bbsmine/internal/lint/testdata/src/" + rel)
-	if err != nil {
-		t.Fatalf("Load(%s): %v", rel, err)
+	pkg := fixtures.pkgs["bbsmine/internal/lint/testdata/src/"+rel]
+	if pkg == nil {
+		t.Fatalf("no fixture package %s", rel)
 	}
 	return pkg
 }
@@ -276,37 +290,47 @@ func TestFormatVerbs(t *testing.T) {
 	}
 }
 
+// TestDriverFactsCrossPackage runs the cross-package fact fixture the way
+// bbslint does: only the consumer is a target, so the publisher is loaded
+// as a dependency, its facts computed but its diagnostics not run. The
+// consumer's line-11 diagnostic exists only if the facts flowed.
+func TestDriverFactsCrossPackage(t *testing.T) {
+	pkgs, err := NewLoader().Load("./testdata/src/snapshotsafety/xpkg/internal/serve")
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	if len(pkgs) != 1 {
+		t.Fatalf("Load returned %d packages, want only the consumer", len(pkgs))
+	}
+	findings := Run(pkgs, Analyzers())
+	if len(findings) != 1 || findings[0].Analyzer != "snapshotsafety" || findings[0].Pos.Line != 11 {
+		t.Fatalf("findings = %v, want the line-11 cross-package snapshotsafety diagnostic", findings)
+	}
+}
+
 // TestExpandSkipsTestdata makes sure a recursive pattern never descends
-// into fixture trees — go build ignores testdata, and so must bbslint.
+// into fixture trees: go list's ./... skips testdata, and so bbslint does.
 func TestExpandSkipsTestdata(t *testing.T) {
-	loader, err := NewLoader(".")
+	pkgs, err := NewLoader().Load("./...")
 	if err != nil {
-		t.Fatalf("NewLoader: %v", err)
+		t.Fatalf("Load(./...): %v", err)
 	}
-	paths, err := loader.Expand([]string{"./..."})
-	if err != nil {
-		t.Fatalf("Expand: %v", err)
+	if len(pkgs) == 0 {
+		t.Fatal("Load(./...) returned no packages")
 	}
-	if len(paths) == 0 {
-		t.Fatal("Expand(./...) returned no packages")
-	}
-	for _, p := range paths {
-		if strings.Contains(p, "testdata") {
-			t.Errorf("Expand(./...) descended into %s", p)
+	for _, p := range pkgs {
+		if strings.Contains(p.Path, "testdata") {
+			t.Errorf("Load(./...) descended into %s", p.Path)
 		}
 	}
 }
 
-// TestLoadErrors covers the loader's failure modes.
+// TestLoadErrors covers the loader's failure modes: a pattern naming a
+// missing directory is an error, under /... too.
 func TestLoadErrors(t *testing.T) {
-	loader, err := NewLoader(".")
-	if err != nil {
-		t.Fatalf("NewLoader: %v", err)
-	}
-	if _, err := loader.Load("bbsmine/internal/lint/no/such/dir"); err == nil {
-		t.Error("Load of a missing directory succeeded")
-	}
-	if _, err := loader.Expand([]string{"/no/such/dir"}); err == nil {
-		t.Error("Expand of a missing directory succeeded")
+	for _, pat := range []string{"./no/such/dir", "./no/such/dir/...", "/no/such/dir"} {
+		if _, err := NewLoader().Load(pat); err == nil {
+			t.Errorf("Load(%s) succeeded", pat)
+		}
 	}
 }

@@ -1,22 +1,27 @@
 package lint
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
+	"io/fs"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // Package is one loaded, type-checked package ready for analysis.
 type Package struct {
-	Path  string // import path within the module
+	Path  string // import path
 	Dir   string // absolute directory
 	Fset  *token.FileSet
 	Files []*ast.File
@@ -26,239 +31,149 @@ type Package struct {
 	loader *Loader // back-reference for fact-universe walks; nil in hand-built packages
 }
 
-// Loader parses and type-checks packages of one module using only the
-// standard library: module-local imports are resolved against the module
-// root by path mapping, standard-library imports through the compiler
-// source importer. There is no go/packages and no external dependency —
-// the price is that only the host module and the standard library are
-// loadable, which is exactly the closed world this repository lives in.
-//
-// The package cache and the standard-library importer are mutex-guarded,
-// so the Driver may type-check independent packages concurrently (it
-// schedules them in dependency order, so a package's module-local imports
-// are always cached before its own check begins). The recursive Load path
-// remains sequential.
+// Loader parses and type-checks packages with the standard library and the
+// go command alone — no go/packages, no external dependency. One
+// `go list -deps -export -json` per module expands the patterns (skipping
+// testdata, applying build constraints) and lists every dependency
+// deps-first. Standard-library packages are imported from the compiler
+// export data go list reports; every other package is parsed and
+// type-checked from source in go list's order, so its imports are always
+// loaded before it. Loading is sequential.
 type Loader struct {
-	ModulePath string
+	// ModuleRoot is the directory of the main module the first Load ran
+	// in; findings render relative to it.
 	ModuleRoot string
-	// IncludeTests makes Load parse in-package _test.go files as well.
-	// External test packages (package foo_test) are always skipped: they
-	// cannot be type-checked together with the package under test.
-	IncludeTests bool
 
-	fset *token.FileSet
-	std  *lockedImporter
-
-	mu      sync.Mutex
-	cache   map[string]*Package
-	loading map[string]bool
+	fset   *token.FileSet
+	std    types.Importer    // the standard library, from export data
+	export map[string]string // standard-library import path → export data file
+	cache  map[string]*Package
 }
 
-// lockedImporter serializes the compiler source importer, which is not
-// documented as safe for concurrent use. Standard-library packages load
-// once and are cached inside it, so the serialization only gates first
-// loads.
-type lockedImporter struct {
-	mu  sync.Mutex
-	std types.ImporterFrom
-}
-
-func (li *lockedImporter) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
-	li.mu.Lock()
-	defer li.mu.Unlock()
-	return li.std.ImportFrom(path, dir, mode)
-}
-
-// NewLoader locates the enclosing module of dir (walking up to the go.mod)
-// and returns a loader for it.
-func NewLoader(dir string) (*Loader, error) {
-	abs, err := filepath.Abs(dir)
-	if err != nil {
-		return nil, err
+// NewLoader returns an empty loader.
+func NewLoader() *Loader {
+	l := &Loader{
+		fset:   token.NewFileSet(),
+		export: map[string]string{},
+		cache:  map[string]*Package{},
 	}
-	root := abs
-	for {
-		if _, err := os.Stat(filepath.Join(root, "go.mod")); err == nil {
-			break
+	l.std = importer.ForCompiler(l.fset, "gc", func(path string) (io.ReadCloser, error) {
+		file := l.export[path]
+		if file == "" {
+			return nil, fmt.Errorf("lint: no export data for %s", path)
 		}
-		parent := filepath.Dir(root)
-		if parent == root {
-			return nil, fmt.Errorf("lint: no go.mod found in or above %s", abs)
-		}
-		root = parent
-	}
-	modPath, err := modulePath(filepath.Join(root, "go.mod"))
-	if err != nil {
-		return nil, err
-	}
-	fset := token.NewFileSet()
-	return &Loader{
-		ModulePath: modPath,
-		ModuleRoot: root,
-		fset:       fset,
-		std:        &lockedImporter{std: importer.ForCompiler(fset, "source", nil).(types.ImporterFrom)},
-		cache:      map[string]*Package{},
-		loading:    map[string]bool{},
-	}, nil
+		return os.Open(file)
+	})
+	return l
 }
 
-// modulePath extracts the module path from a go.mod file.
-func modulePath(gomod string) (string, error) {
-	data, err := os.ReadFile(gomod)
-	if err != nil {
-		return "", err
-	}
-	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if rest, ok := strings.CutPrefix(line, "module "); ok {
-			return strings.Trim(strings.TrimSpace(rest), `"`), nil
-		}
-	}
-	return "", fmt.Errorf("lint: no module directive in %s", gomod)
-}
-
-// Fset returns the loader's shared file set.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
-
-// Dir maps an import path of this module to its directory.
-func (l *Loader) Dir(importPath string) string {
-	return filepath.Join(l.ModuleRoot, filepath.FromSlash(strings.TrimPrefix(importPath, l.ModulePath)))
-}
-
-// local reports whether the import path belongs to this module.
-func (l *Loader) local(path string) bool {
-	return path == l.ModulePath || strings.HasPrefix(path, l.ModulePath+"/")
-}
-
-// cached returns the already-loaded package for the path, or nil.
-func (l *Loader) cached(importPath string) *Package {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.cache[importPath]
-}
-
-// importStd resolves a standard-library import through the serialized
-// source importer.
-func (l *Loader) importStd(path, dir string, mode types.ImportMode) (*types.Package, error) {
-	return l.std.ImportFrom(path, dir, mode)
-}
-
-// importPathOf maps an absolute directory inside the module to its import path.
-func (l *Loader) importPathOf(dir string) (string, error) {
-	rel, err := filepath.Rel(l.ModuleRoot, dir)
-	if err != nil || strings.HasPrefix(rel, "..") {
-		return "", fmt.Errorf("lint: %s is outside module %s", dir, l.ModuleRoot)
-	}
-	if rel == "." {
-		return l.ModulePath, nil
-	}
-	return l.ModulePath + "/" + filepath.ToSlash(rel), nil
-}
-
-// Import implements types.Importer.
+// Import implements types.Importer: packages loaded from source resolve to
+// themselves, everything else to the standard library's export data.
 func (l *Loader) Import(path string) (*types.Package, error) {
-	return l.ImportFrom(path, "", 0)
+	if pkg := l.cache[path]; pkg != nil {
+		return pkg.Types, nil
+	}
+	return l.std.Import(path)
 }
 
-// ImportFrom implements types.ImporterFrom: module-local packages load
-// through the loader itself, everything else through the source importer.
-func (l *Loader) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
-	if l.local(path) {
-		pkg, err := l.Load(path)
+// Load resolves the patterns the way the go command does in the current
+// directory, and returns the matching packages type-checked and sorted by
+// import path. go list stops at a nested go.mod, so a directory pattern
+// ending in /... also lists every module nested below its directory.
+func (l *Loader) Load(patterns ...string) ([]*Package, error) {
+	paths, err := l.list("", patterns)
+	if err != nil {
+		return nil, err
+	}
+	for _, pat := range patterns {
+		base, ok := strings.CutSuffix(pat, "/...")
+		if !ok || !build.IsLocalImport(base) && !filepath.IsAbs(base) {
+			continue
+		}
+		roots, err := nestedModules(base)
 		if err != nil {
 			return nil, err
 		}
-		return pkg.Types, nil
-	}
-	return l.importStd(path, dir, mode)
-}
-
-// cacheOnlyImporter resolves module-local imports strictly from the loader
-// cache. The Driver type-checks packages in dependency order, so a miss
-// means its import scan and the type-checker disagree about the import
-// graph — an internal error worth failing loudly on, not recursing past.
-type cacheOnlyImporter struct{ l *Loader }
-
-func (c cacheOnlyImporter) Import(path string) (*types.Package, error) {
-	return c.ImportFrom(path, "", 0)
-}
-
-func (c cacheOnlyImporter) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
-	if c.l.local(path) {
-		if pkg := c.l.cached(path); pkg != nil {
-			return pkg.Types, nil
+		for _, root := range roots {
+			more, err := l.list(root, []string{"./..."})
+			if err != nil {
+				return nil, err
+			}
+			paths = append(paths, more...)
 		}
-		return nil, fmt.Errorf("lint: internal error: %s not preloaded", path)
 	}
-	return c.l.importStd(path, dir, mode)
+	sort.Strings(paths)
+	var pkgs []*Package
+	for i, path := range paths {
+		if i == 0 || path != paths[i-1] {
+			pkgs = append(pkgs, l.cache[path])
+		}
+	}
+	return pkgs, nil
 }
 
-// Load parses and type-checks the package at the given module import path,
-// recursively loading module-local imports. Sequential: concurrent loading
-// goes through the Driver, which schedules loadOne in dependency order.
-func (l *Loader) Load(importPath string) (*Package, error) {
-	l.mu.Lock()
-	if pkg, ok := l.cache[importPath]; ok {
-		l.mu.Unlock()
-		return pkg, nil
+// listed is the part of go list's JSON output the loader reads.
+type listed struct {
+	ImportPath string
+	Dir        string
+	GoFiles    []string
+	Standard   bool
+	DepOnly    bool
+	Export     string
+	Module     *struct {
+		Dir  string
+		Main bool
 	}
-	if l.loading[importPath] {
-		l.mu.Unlock()
-		return nil, fmt.Errorf("lint: import cycle through %s", importPath)
-	}
-	l.loading[importPath] = true
-	l.mu.Unlock()
-	defer func() {
-		l.mu.Lock()
-		delete(l.loading, importPath)
-		l.mu.Unlock()
-	}()
-	return l.parseAndCheck(importPath, l)
 }
 
-// loadOne type-checks one package whose module-local imports are already
-// cached. It is the Driver's concurrent entry point.
-func (l *Loader) loadOne(importPath string) (*Package, error) {
-	if pkg := l.cached(importPath); pkg != nil {
-		return pkg, nil
-	}
-	return l.parseAndCheck(importPath, cacheOnlyImporter{l})
-}
-
-// parseAndCheck does the real work of loading: select files, parse, run
-// the type checker with the given import resolver, and cache the result.
-func (l *Loader) parseAndCheck(importPath string, imp types.Importer) (*Package, error) {
-	dir := l.Dir(importPath)
-	names, err := l.goFileNames(dir)
+// list runs go list in dir (the current directory when empty), records
+// the standard library's export data, type-checks everything else, and
+// returns the import paths the patterns matched.
+func (l *Loader) list(dir string, patterns []string) ([]string, error) {
+	args := append([]string{"list", "-deps", "-export", "-json=ImportPath,Dir,GoFiles,Standard,DepOnly,Export,Module"}, patterns...)
+	cmd := exec.Command("go", args...)
+	cmd.Dir = dir
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("lint: go list %s: %w\n%s", strings.Join(patterns, " "), err, bytes.TrimSpace(stderr.Bytes()))
 	}
-
-	var files []*ast.File
-	pkgName := ""
-	for _, n := range names {
-		f, err := parser.ParseFile(l.fset, filepath.Join(dir, n), nil, parser.ParseComments)
-		if err != nil {
-			return nil, fmt.Errorf("lint: %w", err)
+	var matched []string
+	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+		var p listed
+		if err := dec.Decode(&p); err != nil {
+			return nil, fmt.Errorf("lint: decoding go list output: %w", err)
 		}
-		name := f.Name.Name
-		if strings.HasSuffix(n, "_test.go") && strings.HasSuffix(name, "_test") {
-			continue // external test package; not checkable with the package proper
+		if l.ModuleRoot == "" && p.Module != nil && p.Module.Main {
+			l.ModuleRoot = p.Module.Dir
 		}
-		if pkgName == "" {
-			pkgName = name
-		}
-		if name != pkgName {
-			// Mixed-package directory (main + library is the usual cause);
-			// keep the first package's files and skip strays.
+		if p.Standard {
+			l.export[p.ImportPath] = p.Export
 			continue
+		}
+		if l.cache[p.ImportPath] == nil {
+			if err := l.check(p); err != nil {
+				return nil, err
+			}
+		}
+		if !p.DepOnly {
+			matched = append(matched, p.ImportPath)
+		}
+	}
+	return matched, nil
+}
+
+// check parses and type-checks one listed package and caches it.
+func (l *Loader) check(p listed) error {
+	files := make([]*ast.File, 0, len(p.GoFiles))
+	for _, name := range p.GoFiles {
+		f, err := parser.ParseFile(l.fset, filepath.Join(p.Dir, name), nil, parser.ParseComments)
+		if err != nil {
+			return fmt.Errorf("lint: %w", err)
 		}
 		files = append(files, f)
 	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("lint: no Go files in %s", dir)
-	}
-
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Defs:       map[*ast.Ident]types.Object{},
@@ -268,137 +183,44 @@ func (l *Loader) parseAndCheck(importPath string, imp types.Importer) (*Package,
 	}
 	var typeErrs []error
 	conf := types.Config{
-		Importer: imp,
+		Importer: l,
 		Error:    func(err error) { typeErrs = append(typeErrs, err) },
 	}
-	tpkg, _ := conf.Check(importPath, l.fset, files, info)
+	tpkg, _ := conf.Check(p.ImportPath, l.fset, files, info)
 	if len(typeErrs) > 0 {
-		return nil, fmt.Errorf("lint: type-checking %s: %w", importPath, typeErrs[0])
+		return fmt.Errorf("lint: type-checking %s: %w", p.ImportPath, typeErrs[0])
 	}
-
-	pkg := &Package{
-		Path:   importPath,
-		Dir:    dir,
+	l.cache[p.ImportPath] = &Package{
+		Path:   p.ImportPath,
+		Dir:    p.Dir,
 		Fset:   l.fset,
 		Files:  files,
 		Types:  tpkg,
 		Info:   info,
 		loader: l,
 	}
-	l.mu.Lock()
-	l.cache[importPath] = pkg
-	l.mu.Unlock()
-	return pkg, nil
+	return nil
 }
 
-// goFileNames lists the loadable Go file names of dir in sorted order,
-// applying the same filters Load and the Driver's import scan share.
-func (l *Loader) goFileNames(dir string) ([]string, error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("lint: %w", err)
-	}
-	var names []string
-	for _, e := range ents {
-		n := e.Name()
-		if e.IsDir() || !strings.HasSuffix(n, ".go") || strings.HasPrefix(n, ".") || strings.HasPrefix(n, "_") {
-			continue
-		}
-		if !l.IncludeTests && strings.HasSuffix(n, "_test.go") {
-			continue
-		}
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names, nil
-}
-
-// Expand resolves command-line patterns to import paths. A pattern is a
-// directory, optionally suffixed "/..." to include the whole subtree;
-// "./..." is the customary whole-module form. Walks skip testdata, vendor,
-// hidden and underscore directories — unless the walk is rooted inside one,
-// which is how the fixture packages are addressed explicitly.
-func (l *Loader) Expand(patterns []string) ([]string, error) {
-	var out []string
-	seen := map[string]bool{}
-	for _, pat := range patterns {
-		recursive := false
-		if strings.HasSuffix(pat, "/...") || pat == "..." {
-			recursive = true
-			pat = strings.TrimSuffix(strings.TrimSuffix(pat, "..."), "/")
-			if pat == "" {
-				pat = "."
-			}
-		}
-		abs, err := filepath.Abs(pat)
+// nestedModules returns the roots of the modules nested below dir. Like
+// the go command's /... it skips testdata, vendor, hidden and underscore
+// directories.
+func nestedModules(dir string) ([]string, error) {
+	var roots []string
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
-			return nil, err
+			return fmt.Errorf("lint: %w", err)
 		}
-		if fi, err := os.Stat(abs); err != nil || !fi.IsDir() {
-			return nil, fmt.Errorf("lint: %s is not a directory", pat)
-		}
-		dirs := []string{abs}
-		if recursive {
-			dirs, err = walkDirs(abs)
-			if err != nil {
-				return nil, err
-			}
-		}
-		for _, d := range dirs {
-			if !hasGoFiles(d, l.IncludeTests) {
-				continue
-			}
-			ip, err := l.importPathOf(d)
-			if err != nil {
-				return nil, err
-			}
-			if !seen[ip] {
-				seen[ip] = true
-				out = append(out, ip)
-			}
-		}
-	}
-	sort.Strings(out)
-	return out, nil
-}
-
-// walkDirs lists root and every analyzable subdirectory beneath it.
-func walkDirs(root string) ([]string, error) {
-	var dirs []string
-	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if !d.IsDir() {
+		if !d.IsDir() || path == dir {
 			return nil
 		}
-		if path != root {
-			n := d.Name()
-			if n == "testdata" || n == "vendor" || strings.HasPrefix(n, ".") || strings.HasPrefix(n, "_") {
-				return filepath.SkipDir
-			}
+		if n := d.Name(); n == "testdata" || n == "vendor" || strings.HasPrefix(n, ".") || strings.HasPrefix(n, "_") {
+			return filepath.SkipDir
 		}
-		dirs = append(dirs, path)
+		if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+			roots = append(roots, path)
+		}
 		return nil
 	})
-	return dirs, err
-}
-
-// hasGoFiles reports whether dir directly contains loadable Go files.
-func hasGoFiles(dir string, includeTests bool) bool {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return false
-	}
-	for _, e := range ents {
-		n := e.Name()
-		if e.IsDir() || !strings.HasSuffix(n, ".go") || strings.HasPrefix(n, ".") || strings.HasPrefix(n, "_") {
-			continue
-		}
-		if !includeTests && strings.HasSuffix(n, "_test.go") {
-			continue
-		}
-		return true
-	}
-	return false
+	return roots, err
 }

@@ -39,9 +39,8 @@ var SnapshotSafety = &Analyzer{
 			pathHasSegment(path, "internal/core") ||
 			pathHasSegment(path, "internal/pager")
 	},
-	Run:     runSnapshotSafety,
-	Facts:   snapshotFacts,
-	NewFact: func() any { return new(snapshotFact) },
+	Run:   runSnapshotSafety,
+	Facts: snapshotFacts,
 }
 
 // snapshotFact is the per-package fact: which functions publish and which
@@ -50,10 +49,10 @@ var SnapshotSafety = &Analyzer{
 type snapshotFact struct {
 	// Publishers maps a function key to "published" (its result is a
 	// shared snapshot) or "holds" (its result is a container of them).
-	Publishers map[string]string `json:"publishers,omitempty"`
+	Publishers map[string]string
 	// Mutators maps a type key to the methods that mutate their receiver,
 	// directly or through same-type method calls.
-	Mutators map[string][]string `json:"mutators,omitempty"`
+	Mutators map[string][]string
 }
 
 // Publication levels, ordered: a bigger level is more published.

@@ -67,7 +67,7 @@ var (
 	ErrInvalid = errors.New("serve: invalid request")
 	// ErrOverloaded marks a query rejected by admission control.
 	ErrOverloaded = errors.New("serve: overloaded")
-	// ErrClosed marks a write that arrived after Close began.
+	// ErrClosed marks a write or query that arrived after Close began.
 	ErrClosed = errors.New("serve: engine closed")
 )
 
@@ -149,9 +149,9 @@ type Options struct {
 // Under tiered storage a snapshot's cold slices read through the shared
 // pager from the shard's cold file, so the snapshot depends on that file
 // staying open — never on any frame staying resident: an evicted page is
-// re-faulted, not misread. The engine tiers once, in New, and never
-// re-tiers or untiers, so the cold file stays open past Close and outlives
-// every snapshot.
+// re-faulted, not misread. The engine tiers once, in New, and closes the
+// cold file only in Close, once it holds every admission slot: no mine is
+// left to read a snapshot, and no query is admitted after.
 type snapshot struct {
 	epoch uint64
 	idx   *sigfile.BBS
@@ -189,15 +189,15 @@ type Engine struct {
 	timeout  time.Duration
 	cache    *queryCache
 	pager    *pager.Pager  // shared frame pool; nil when tiering is off
-	admitCh  chan struct{} // in-flight mine slots
+	admitCh  chan struct{} // in-flight mine slots; Close takes them all
+	done     chan struct{} // closed when Close begins
 	queueLen atomic.Int64
 	wedged   atomic.Pointer[wedgeState] // set on an apply I/O error; fails all later writes
 
 	// The router: assigns global ordinals, validates requests whole,
 	// splits them across the shards and tracks tombstones. rmu also orders
-	// writeCh sends against close(writeCh).
+	// writeCh sends against close(writeCh), and both against close(done).
 	rmu     sync.Mutex
-	closed  bool
 	nextPos int          // next global ordinal to assign
 	dead    map[int]bool // every tombstoned global position, seeded at New
 }
@@ -291,6 +291,7 @@ func New(opts Options) (*Engine, error) {
 		cache:    newQueryCache(cacheEntries, opts.Observe),
 		pager:    pg,
 		admitCh:  make(chan struct{}, maxInFlight),
+		done:     make(chan struct{}),
 		nextPos:  total,
 		dead:     make(map[int]bool),
 	}
@@ -417,26 +418,32 @@ func (e *Engine) Epoch() uint64 { return epochSum(e.loadSnaps()) }
 // order.
 func (e *Engine) EpochVector() []uint64 { return epochVector(e.loadSnaps()) }
 
-// Close stops accepting writes, drains and commits what is already queued
-// in every shard, syncs the data files and saves the indexes where an
-// IndexPath is set. In-flight queries finish against their snapshots. Safe
-// to call more than once.
+// Close stops accepting writes and queries, drains and commits what is
+// already queued in every shard, and waits for the mines in flight. Then it
+// syncs the data files, saves the indexes where an IndexPath is set and
+// closes each shard's cold file on a tiered engine. A query that arrives
+// once Close has begun fails with ErrClosed. Safe to call more than once.
 func (e *Engine) Close() error {
 	e.rmu.Lock()
-	if e.closed {
+	if e.isClosed() {
 		e.rmu.Unlock()
 		for _, sh := range e.shards {
 			<-sh.loopDone
 		}
 		return nil
 	}
-	e.closed = true
+	close(e.done)
 	for _, sh := range e.shards {
 		close(sh.writeCh)
 	}
 	e.rmu.Unlock()
 	for _, sh := range e.shards {
 		<-sh.loopDone
+	}
+	// Holding every admission slot, Close knows no mine is in flight and
+	// none can start, so nothing reads the cold files any more.
+	for i := 0; i < cap(e.admitCh); i++ {
+		e.admitCh <- struct{}{}
 	}
 	var firstErr error
 	for _, sh := range e.shards {
@@ -450,8 +457,22 @@ func (e *Engine) Close() error {
 				firstErr = fmt.Errorf("serve: saving shard %d's index: %w", sh.id, err)
 			}
 		}
+		// After the save, which reads the cold pages.
+		if err := sh.idx.CloseTier(); err != nil && firstErr == nil {
+			firstErr = fmt.Errorf("serve: closing shard %d's cold file: %w", sh.id, err)
+		}
 	}
 	return firstErr
+}
+
+// isClosed reports whether Close has begun.
+func (e *Engine) isClosed() bool {
+	select {
+	case <-e.done:
+		return true
+	default:
+		return false
+	}
 }
 
 // ---- write path ----
@@ -552,7 +573,7 @@ func (e *Engine) applyInner(ctx context.Context, req TxnsRequest, sp *Span) (Txn
 	job := &applyJob{epochs: make(map[int]uint64), done: make(chan struct{})}
 
 	e.rmu.Lock()
-	if e.closed {
+	if e.isClosed() {
 		e.rmu.Unlock()
 		return TxnsResponse{}, ErrClosed
 	}
@@ -1072,6 +1093,9 @@ func (e *Engine) query(ctx context.Context, req QueryRequest) (reply, error) {
 }
 
 func (e *Engine) queryInner(ctx context.Context, req QueryRequest, sp *Span) (reply, error) {
+	if e.isClosed() {
+		return reply{}, ErrClosed
+	}
 	scheme, err := parseScheme(req.Scheme)
 	if err != nil {
 		return reply{}, err
@@ -1262,6 +1286,8 @@ func (e *Engine) admit(ctx context.Context) (func(), error) {
 				return nil
 			case <-ctx.Done():
 				return fmt.Errorf("serve: queued query abandoned: %w", ctx.Err())
+			case <-e.done:
+				return ErrClosed
 			}
 		}()
 		if err != nil {

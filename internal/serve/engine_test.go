@@ -357,9 +357,9 @@ func TestCloseRejectsWritesAndIsIdempotent(t *testing.T) {
 	if err := e.Close(); err != nil {
 		t.Fatalf("second close: %v", err)
 	}
-	// Queries still work against the last snapshot.
-	if _, err := e.Query(context.Background(), QueryRequest{Scheme: "SFS", MinSupportCount: 1}); err != nil {
-		t.Fatalf("query after close: %v", err)
+	// Queries are refused too: a tiered engine's cold files are closed.
+	if _, err := e.Query(context.Background(), QueryRequest{Scheme: "SFS", MinSupportCount: 1}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("query after close returned %v, want ErrClosed", err)
 	}
 }
 

@@ -2,7 +2,10 @@ package serve
 
 import (
 	"context"
+	"errors"
+	"os"
 	"reflect"
+	"sync"
 	"testing"
 
 	"bbsmine/internal/obs"
@@ -262,5 +265,84 @@ func TestMemBudgetBoundsShardedEngineMine(t *testing.T) {
 	if ps := tiered.pager.Stats(); ps.ResidentBytes+ps.ReservedBytes > budget || ps.Evictions == 0 {
 		t.Errorf("after a write the pool holds %d frame + %d reserved bytes under a %d-byte budget (%d evictions)",
 			ps.ResidentBytes, ps.ReservedBytes, budget, ps.Evictions)
+	}
+}
+
+// openFDs counts the process's open file descriptors.
+func openFDs(t *testing.T) int {
+	t.Helper()
+	ents, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("cannot count descriptors: %v", err)
+	}
+	return len(ents)
+}
+
+// TestCloseReleasesColdFiles pins that Close closes every shard's cold
+// file and hands the pool back: three mined and closed 4-shard tiered
+// engines leave the process's descriptor count where it started.
+func TestCloseReleasesColdFiles(t *testing.T) {
+	txs := genTxns(33, 2400, 40, 6)
+	openFDs(t) // the first directory read may open the runtime's poller
+	before := openFDs(t)
+	for i := 0; i < 3; i++ {
+		e := newShardedTestEngine(t, txs, 256, 3, 4, Options{
+			MemBudget: testMemBudget,
+			ColdDir:   t.TempDir(),
+		})
+		if _, err := e.Query(context.Background(), QueryRequest{Scheme: "DFP", MinSupportCount: 50}); err != nil {
+			t.Fatalf("engine %d: %v", i, err)
+		}
+		if err := e.Close(); err != nil {
+			t.Fatalf("engine %d: Close: %v", i, err)
+		}
+		if ps := e.pager.Stats(); ps.ResidentBytes != 0 || ps.ReservedBytes != 0 {
+			t.Errorf("engine %d: pool holds %d frame + %d reserved bytes after Close", i, ps.ResidentBytes, ps.ReservedBytes)
+		}
+	}
+	if after := openFDs(t); after != before {
+		t.Errorf("open descriptors went from %d to %d over three closed tiered engines", before, after)
+	}
+}
+
+// TestQueryRacingClose: a query that races Close on a tiered engine gets an
+// answer or ErrClosed — never a panic from reading a closed cold file.
+func TestQueryRacingClose(t *testing.T) {
+	txs := genTxns(33, 2400, 40, 6)
+	e := newShardedTestEngine(t, txs, 256, 3, 4, Options{
+		MemBudget: testMemBudget,
+		ColdDir:   t.TempDir(),
+	})
+	answered := make(chan struct{}) // closed once any query returns
+	var once sync.Once
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				// Distinct thresholds miss the cache, so most queries mine.
+				req := QueryRequest{Scheme: "SFS", MinSupportCount: 30 + (13*g+i)%60}
+				_, err := e.Query(context.Background(), req)
+				once.Do(func() { close(answered) })
+				if errors.Is(err, ErrClosed) {
+					return
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(g)
+	}
+	<-answered
+	if err := e.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Errorf("query racing Close: %v", err)
 	}
 }

@@ -183,6 +183,18 @@ func (b *BBS) Untier() error {
 		}
 		b.refreshDense(p)
 	}
+	return b.CloseTier()
+}
+
+// CloseTier ends a tiered index's storage without thawing it: it returns
+// the hot-tier reservation and closes the cold file. Cold slices, in the
+// index and in every snapshot of it, can no longer be read, so call it only
+// once nothing will query the index again, and after saving it: Save reads
+// the cold pages. Untier is the way back to a resident index.
+func (b *BBS) CloseTier() error {
+	if b.tierPager == nil {
+		return nil
+	}
 	b.tierPager.Reserve(-b.tierReserved)
 	b.tierReserved = 0
 	b.tierPager = nil
