@@ -41,9 +41,9 @@ race:
 vet:
 	$(GO) vet ./...
 
-## lint: the project-specific analyzers — ten checks covering concurrency,
-## determinism, snapshot immutability, ctx flow, goroutine lifecycle and
-## hot-path allocation (see internal/lint/README.md for the catalogue).
+## lint: the project-specific analyzers — seven checks covering concurrency,
+## determinism, error handling, snapshot immutability and hot-path
+## allocation (see internal/lint/README.md for the catalogue).
 ## Exit 1 means findings; fix them or suppress with
 ## //lint:ignore <analyzer> <reason>. ./... reaches the nested bench/
 ## module too (bbsperf).
@@ -52,7 +52,8 @@ lint:
 
 ## lint-fix-scope: per-analyzer counts of //lint:ignore suppression
 ## directives — the debt the linter is not seeing. Keep it flat or
-## shrinking.
+## shrinking: TestSuppressionBudget (cmd/bbslint) fails unless each count
+## equals the Suppressions column of internal/lint/README.md.
 lint-fix-scope:
 	$(GO) run ./cmd/bbslint -suppressions ./...
 

@@ -1,8 +1,8 @@
 // Command bbslint runs the project's static-analysis suite (internal/lint)
-// over the module: ten analyzers that enforce the concurrency, determinism
-// and snapshot-immutability invariants of the mining engine and its
-// serving layer. It is built on the standard library and the go command
-// alone — no go/packages, no external deps — so the module stays
+// over the module: seven analyzers that enforce the concurrency,
+// determinism and snapshot-immutability invariants of the mining engine
+// and its serving layer. It is built on the standard library and the go
+// command alone — no go/packages, no external deps — so the module stays
 // dependency-free.
 //
 // Usage:
@@ -14,9 +14,10 @@
 // directory pattern ending in /... also covers the modules nested below it,
 // so ./... at the repository root lints the bench/ module too. Every run
 // type-checks its packages from source in one sequential pass, with the
-// standard library read from compiler export data; there is no cache to go
-// stale when an analyzer changes. Output is sorted by position, so equal
-// finding sets render byte-identically.
+// standard library read from compiler export data; no module package is
+// compiled, and there is no cache to go stale when an analyzer changes.
+// Output is sorted by position, so equal finding sets render
+// byte-identically.
 //
 // Exit codes: 0 — no findings; 1 — findings reported; 2 — usage or load
 // error.

@@ -1,10 +1,15 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
+	"os"
+	"strconv"
 	"strings"
 	"testing"
+
+	"bbsmine/internal/lint"
 )
 
 const fixtures = "../../internal/lint/testdata/src/"
@@ -99,7 +104,7 @@ func TestList(t *testing.T) {
 	_, stdout, _ := runLint(t, "-list")
 	for _, name := range []string{
 		"atomicfield", "pooledvec", "lockdiscipline", "determinism", "errwrap",
-		"obsdiscipline", "snapshotsafety", "ctxflow", "goroutinelife", "hotpathalloc",
+		"snapshotsafety", "hotpathalloc",
 	} {
 		if !strings.Contains(stdout, name) {
 			t.Errorf("-list output lacks %s", name)
@@ -113,6 +118,98 @@ func TestRepoClean(t *testing.T) {
 	code, stdout, stderr := runLint(t, "../../...")
 	if code != 0 {
 		t.Errorf("bbslint over the repo: exit %d\n%s%s", code, stdout, stderr)
+	}
+}
+
+// TestSuppressionBudget holds the repository to the suppression counts the
+// README's analyzer table declares: adding (or removing) a //lint:ignore
+// means updating that table's Suppressions column in the same change.
+func TestSuppressionBudget(t *testing.T) {
+	code, stdout, stderr := runLint(t, "-suppressions", "../../...")
+	if code != 0 {
+		t.Fatalf("bbslint -suppressions over the repo: exit %d\n%s", code, stderr)
+	}
+	got := map[string]int{}
+	for _, line := range strings.Split(strings.TrimSpace(stdout), "\n") {
+		fields := strings.Fields(line)
+		n, err := strconv.Atoi(fields[len(fields)-1])
+		if len(fields) != 2 || err != nil {
+			t.Fatalf("-suppressions line %q is not <analyzer> <count>", line)
+		}
+		got[fields[0]] = n
+	}
+	want := readmeSuppressions(t)
+	for _, a := range lint.Analyzers() {
+		if _, ok := want[a.Name]; !ok {
+			t.Errorf("README analyzer table has no row for %s", a.Name)
+		}
+	}
+	for name, n := range want {
+		if got[name] != n {
+			t.Errorf("%s: %d suppressions, README says %d", name, got[name], n)
+		}
+	}
+	for name, n := range got {
+		if _, ok := want[name]; !ok && name != "total" {
+			t.Errorf("%d suppressions under %s, which the README table does not list", n, name)
+		}
+	}
+}
+
+// readmeSuppressions reads the Suppressions column of the analyzer table in
+// internal/lint/README.md: the first table whose header has that column.
+func readmeSuppressions(t *testing.T) map[string]int {
+	t.Helper()
+	f, err := os.Open("../../internal/lint/README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	col := -1
+	counts := map[string]int{}
+	for sc := bufio.NewScanner(f); sc.Scan(); {
+		cells := strings.Split(sc.Text(), "|")
+		switch {
+		case col < 0:
+			for i, c := range cells {
+				if strings.TrimSpace(c) == "Suppressions" {
+					col = i
+				}
+			}
+		case !strings.HasPrefix(sc.Text(), "|"):
+			return counts
+		case strings.HasPrefix(cells[1], " `"):
+			n, err := strconv.Atoi(strings.TrimSpace(cells[col]))
+			if err != nil {
+				t.Fatalf("README row %q: Suppressions cell: %v", sc.Text(), err)
+			}
+			counts[strings.Trim(strings.TrimSpace(cells[1]), "`")] = n
+		}
+	}
+	t.Fatal("README.md has no analyzer table with a Suppressions column")
+	return nil
+}
+
+// TestNothingCompiled: the loader type-checks module packages from source
+// and compiles none of them. The fixture module's function has no body,
+// which go/types accepts and the compiler rejects, so a loader that asked
+// the go command to build it would fail the run with "missing function
+// body" (go vet passes it).
+func TestNothingCompiled(t *testing.T) {
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir("../../internal/lint/testdata/bodiless"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := os.Chdir(wd); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if code, stdout, stderr := runLint(t, "./..."); code != 0 {
+		t.Errorf("bbslint ./... in the bodiless module: exit %d, want 0\n%s%s", code, stdout, stderr)
 	}
 }
 

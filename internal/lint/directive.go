@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"strings"
@@ -15,9 +16,10 @@ type directive struct {
 }
 
 // collectDirectives parses every suppression directive in the files and
-// reports malformed ones (missing analyzer or reason) as findings under the
-// "bbslint" name, so a typo'd suppression fails loudly instead of silently
-// not suppressing.
+// reports malformed ones (missing analyzer or reason) and ones naming no
+// analyzer of the suite as findings under the "bbslint" name, so a typo'd
+// suppression, or one an analyzer's deletion left behind, fails loudly
+// instead of silently not suppressing.
 func collectDirectives(fset *token.FileSet, files []*ast.File) ([]directive, []Finding) {
 	var dirs []directive
 	var bad []Finding
@@ -50,6 +52,14 @@ func collectDirectives(fset *token.FileSet, files []*ast.File) ([]directive, []F
 					})
 					continue
 				}
+				if !isAnalyzer(fields[0]) {
+					bad = append(bad, Finding{
+						Analyzer: "bbslint",
+						Pos:      fset.Position(c.Pos()),
+						Message:  fmt.Sprintf("suppression names unknown analyzer %q", fields[0]),
+					})
+					continue
+				}
 				dirs = append(dirs, directive{
 					file:     pos.Filename,
 					line:     pos.Line,
@@ -60,6 +70,16 @@ func collectDirectives(fset *token.FileSet, files []*ast.File) ([]directive, []F
 		}
 	}
 	return dirs, bad
+}
+
+// isAnalyzer reports whether name is one of the suite's analyzers.
+func isAnalyzer(name string) bool {
+	for _, a := range Analyzers() {
+		if a.Name == name {
+			return true
+		}
+	}
+	return false
 }
 
 // applySuppressions drops findings[from:] that a directive covers: a
@@ -88,9 +108,10 @@ func suppressed(f Finding, dirs []directive) bool {
 }
 
 // DirectiveCounts tallies the //lint:ignore and //lint:file-ignore
-// directives per analyzer across the packages. Malformed directives count
-// under "bbslint". It backs `bbslint -suppressions` / `make
-// lint-fix-scope`, which keep suppression creep visible in review.
+// directives per analyzer across the packages. Malformed directives, and
+// those naming an unknown analyzer, count under "bbslint". It backs
+// `bbslint -suppressions` / `make lint-fix-scope`, which keep suppression
+// creep visible in review.
 func DirectiveCounts(pkgs []*Package) map[string]int {
 	counts := map[string]int{}
 	for _, pkg := range pkgs {

@@ -96,7 +96,7 @@ type sarifLocation struct {
 }
 
 // EmitSARIF writes the findings as a SARIF 2.1.0 log with one rule per
-// analyzer (plus the "bbslint" pseudo-rule for malformed suppressions),
+// analyzer (plus the "bbslint" pseudo-rule for bad suppressions),
 // suitable for CI annotation uploads.
 func EmitSARIF(w io.Writer, findings []Finding, analyzers []*Analyzer, moduleRoot string) error {
 	var run sarifRun
@@ -107,7 +107,7 @@ func EmitSARIF(w io.Writer, findings []Finding, analyzers []*Analyzer, moduleRoo
 		run.Tool.Driver.Rules = append(run.Tool.Driver.Rules, r)
 	}
 	dir := sarifRule{ID: "bbslint"}
-	dir.Desc.Text = "suppression directives must name an analyzer and a reason"
+	dir.Desc.Text = "suppression directives must name an analyzer of the suite and a reason"
 	run.Tool.Driver.Rules = append(run.Tool.Driver.Rules, dir)
 
 	run.Results = make([]sarifResult, 0, len(findings))

@@ -1,5 +1,5 @@
 // Package lint is the project's static-analysis suite: a small analyzer
-// framework plus the ten analyzers that encode the engine's concurrency
+// framework plus the seven analyzers that encode the engine's concurrency
 // and determinism invariants — the unwritten rules the parallel mining
 // engine (internal/core), the bit-sliced index (internal/sigfile/shard)
 // and the serving layer (internal/serve) rely on, and that ordinary tests
@@ -21,14 +21,11 @@
 //	                (no global-source draws, no rand.Seed, no time-seeded
 //	                sources; clock reads and flag-seeded draws are fine)
 //	errwrap         every package (discard rule scoped to internal/txdb,
-//	                internal/sigfile, internal/serve, internal/shard)
-//	obsdiscipline   internal/core, internal/sigfile, internal/serve,
-//	                internal/shard (not internal/obs itself); cmd/bbsload
-//	                for the import ban only, its clock reads are waived
+//	                internal/sigfile, internal/serve, internal/shard,
+//	                internal/pager)
 //	snapshotsafety  internal/core, internal/sigfile, internal/serve,
-//	                internal/shard (facts exported from every package)
-//	ctxflow         internal/core, internal/serve, internal/shard
-//	goroutinelife   internal/serve, internal/shard
+//	                internal/shard, internal/pager (facts exported from
+//	                every package)
 //	hotpathalloc    every package (only //lint:hotpath functions checked)
 //
 // Analyzers may export per-package facts (Analyzer.Facts): serializable
@@ -132,17 +129,15 @@ func Analyzers() []*Analyzer {
 		LockDiscipline,
 		Determinism,
 		ErrWrap,
-		ObsDiscipline,
 		SnapshotSafety,
-		CtxFlow,
-		GoroutineLife,
 		HotPathAlloc,
 	}
 }
 
 // Run applies each analyzer to each package it covers and returns the
 // surviving findings (suppressions applied), sorted by position. Malformed
-// suppression directives are themselves reported, under the "bbslint" name.
+// suppression directives, and those naming no analyzer of the suite, are
+// themselves reported, under the "bbslint" name.
 //
 // Facts are computed first, sequentially, for the supplied packages and
 // every module-local package they (transitively) import, in dependency

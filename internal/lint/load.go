@@ -33,12 +33,13 @@ type Package struct {
 
 // Loader parses and type-checks packages with the standard library and the
 // go command alone — no go/packages, no external dependency. One
-// `go list -deps -export -json` per module expands the patterns (skipping
+// `go list -deps -json` per module expands the patterns (skipping
 // testdata, applying build constraints) and lists every dependency
-// deps-first. Standard-library packages are imported from the compiler
-// export data go list reports; every other package is parsed and
-// type-checked from source in go list's order, so its imports are always
-// loaded before it. Loading is sequential.
+// deps-first without compiling anything. Standard-library packages are
+// imported from the compiler export data a second, `-export` go list
+// reports for them alone; every other package is parsed and type-checked
+// from source in the first list's order, so its imports are always loaded
+// before it. Loading is sequential.
 type Loader struct {
 	// ModuleRoot is the directory of the main module the first Load ran
 	// in; findings render relative to it.
@@ -126,30 +127,38 @@ type listed struct {
 	}
 }
 
-// list runs go list in dir (the current directory when empty), records
+// list runs go list in dir (the current directory when empty), fetches
 // the standard library's export data, type-checks everything else, and
-// returns the import paths the patterns matched.
+// returns the import paths the patterns matched. The package listing does
+// not compile anything; only the standard-library dependencies are listed
+// again with -export, so a module package the compiler would reject (but
+// go/types accepts) still lints, and an edit costs no rebuild.
 func (l *Loader) list(dir string, patterns []string) ([]string, error) {
-	args := append([]string{"list", "-deps", "-export", "-json=ImportPath,Dir,GoFiles,Standard,DepOnly,Export,Module"}, patterns...)
-	cmd := exec.Command("go", args...)
-	cmd.Dir = dir
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	out, err := cmd.Output()
+	pkgs, err := goList(dir, "-deps", "-json=ImportPath,Dir,GoFiles,Standard,DepOnly,Module", patterns)
 	if err != nil {
-		return nil, fmt.Errorf("lint: go list %s: %w\n%s", strings.Join(patterns, " "), err, bytes.TrimSpace(stderr.Bytes()))
+		return nil, err
+	}
+	var std []string
+	for _, p := range pkgs {
+		if p.Standard && l.export[p.ImportPath] == "" {
+			std = append(std, p.ImportPath)
+		}
+	}
+	if len(std) > 0 {
+		exports, err := goList(dir, "-export", "-json=ImportPath,Export", std)
+		if err != nil {
+			return nil, err
+		}
+		for _, p := range exports {
+			l.export[p.ImportPath] = p.Export
+		}
 	}
 	var matched []string
-	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
-		var p listed
-		if err := dec.Decode(&p); err != nil {
-			return nil, fmt.Errorf("lint: decoding go list output: %w", err)
-		}
+	for _, p := range pkgs {
 		if l.ModuleRoot == "" && p.Module != nil && p.Module.Main {
 			l.ModuleRoot = p.Module.Dir
 		}
 		if p.Standard {
-			l.export[p.ImportPath] = p.Export
 			continue
 		}
 		if l.cache[p.ImportPath] == nil {
@@ -162,6 +171,28 @@ func (l *Loader) list(dir string, patterns []string) ([]string, error) {
 		}
 	}
 	return matched, nil
+}
+
+// goList runs `go list <flag> <fields> <patterns>` in dir and decodes its
+// package stream, which -deps orders imports before importers.
+func goList(dir, flag, fields string, patterns []string) ([]listed, error) {
+	cmd := exec.Command("go", append([]string{"list", flag, fields}, patterns...)...)
+	cmd.Dir = dir
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("lint: go list %s: %w\n%s", strings.Join(patterns, " "), err, bytes.TrimSpace(stderr.Bytes()))
+	}
+	var pkgs []listed
+	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+		var p listed
+		if err := dec.Decode(&p); err != nil {
+			return nil, fmt.Errorf("lint: decoding go list output: %w", err)
+		}
+		pkgs = append(pkgs, p)
+	}
+	return pkgs, nil
 }
 
 // check parses and type-checks one listed package and caches it.

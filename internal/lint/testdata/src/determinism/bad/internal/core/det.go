@@ -15,5 +15,5 @@ func Mine(counts map[int]int) (int64, int) {
 	for _, c := range counts { // want: map iteration order
 		total += c
 	}
-	return stamp, total
+	return stamp + int64(time.Since(time.Time{})), total // want: wall clock
 }

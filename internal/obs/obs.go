@@ -22,10 +22,10 @@
 //     Result counters. The TestParallelDeterminism suite runs with tracing
 //     enabled to pin this.
 //
-// internal/core and internal/sigfile never call time.Now or expvar
-// directly (the bbslint obsdiscipline analyzer enforces it): wall-clock
-// intervals go through Tick/PhaseDone, whose Tick is zero — and therefore
-// free — on a nil registry.
+// internal/core and internal/sigfile never call time.Now directly (the
+// bbslint determinism analyzer enforces it): wall-clock intervals go
+// through Tick/PhaseDone, whose Tick is zero — and therefore free — on a
+// nil registry.
 package obs
 
 import (

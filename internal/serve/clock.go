@@ -1,7 +1,6 @@
 package serve
 
 //lint:file-ignore determinism the wall clock lives behind the Clock seam; mining results never read it
-//lint:file-ignore obsdiscipline SystemClock is the package's one sanctioned wall-clock read; engine code consumes the interface
 
 import "time"
 
