@@ -75,7 +75,10 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzSignatureBits$$' -fuzztime $(FUZZTIME) ./internal/sighash
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBBS$$' -fuzztime $(FUZZTIME) ./internal/sigfile
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime $(FUZZTIME) ./internal/txdb
+	$(GO) test -run '^$$' -fuzz '^FuzzReadRecord$$' -fuzztime $(FUZZTIME) ./internal/txdb
+	$(GO) test -run '^$$' -fuzz '^FuzzParseBasketLine$$' -fuzztime $(FUZZTIME) ./internal/txdb
 	$(GO) test -run '^$$' -fuzz '^FuzzSetWords$$' -fuzztime $(FUZZTIME) ./internal/bitvec
+	$(GO) test -run '^$$' -fuzz '^FuzzGrowAppend$$' -fuzztime $(FUZZTIME) ./internal/bitvec
 
 ## check: everything CI gates on — build, gofmt, vet, lint, tests (root
 ## module and bench/), race

@@ -378,68 +378,6 @@ func BenchmarkFig13(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationEarlyExit — the below-τ early exit in slice AND-ing.
-func BenchmarkAblationEarlyExit(b *testing.B) {
-	txs := benchDataset(b, benchD, benchV, 10)
-	tau := benchTauCount(len(txs))
-	for _, cfg := range []struct {
-		name string
-		off  bool
-	}{{"on", false}, {"off", true}} {
-		b.Run(cfg.name, func(b *testing.B) {
-			miner := benchMiner(b, txs, benchM, benchK)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := miner.Mine(core.Config{MinSupport: tau, Scheme: core.DFP, NoEarlyExit: cfg.off}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblationIncrementalAnd — reusing the parent's residual vector vs
-// recomputing each candidate's intersection from scratch.
-func BenchmarkAblationIncrementalAnd(b *testing.B) {
-	txs := benchDataset(b, benchD, benchV, 10)
-	tau := benchTauCount(len(txs))
-	for _, cfg := range []struct {
-		name string
-		off  bool
-	}{{"on", false}, {"off", true}} {
-		b.Run(cfg.name, func(b *testing.B) {
-			miner := benchMiner(b, txs, benchM, benchK)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := miner.Mine(core.Config{MinSupport: tau, Scheme: core.DFP, NoIncrementalAnd: cfg.off}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblationSliceOrdering — AND-ing each candidate's slices
-// rarest-first (ascending popcount) vs in hash-position order.
-func BenchmarkAblationSliceOrdering(b *testing.B) {
-	txs := benchDataset(b, benchD, benchV, 10)
-	tau := benchTauCount(len(txs))
-	for _, cfg := range []struct {
-		name string
-		off  bool
-	}{{"on", false}, {"off", true}} {
-		b.Run(cfg.name, func(b *testing.B) {
-			miner := benchMiner(b, txs, benchM, benchK)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := miner.Mine(core.Config{MinSupport: tau, Scheme: core.DFP, NoSliceOrdering: cfg.off}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationK — hash functions per item.
 func BenchmarkAblationK(b *testing.B) {
 	txs := benchDataset(b, benchD, benchV, 10)

@@ -23,6 +23,23 @@ func runLint(t *testing.T, args ...string) (code int, stdout, stderr string) {
 	return code, out.String(), errb.String()
 }
 
+// chdir changes the working directory for the rest of the test.
+func chdir(t *testing.T, dir string) {
+	t.Helper()
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(dir); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := os.Chdir(wd); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
 // TestExitCodes pins the driver contract: 0 clean, 1 findings, 2 usage or
 // load errors.
 func TestExitCodes(t *testing.T) {
@@ -196,20 +213,19 @@ func readmeSuppressions(t *testing.T) map[string]int {
 // the go command to build it would fail the run with "missing function
 // body" (go vet passes it).
 func TestNothingCompiled(t *testing.T) {
-	wd, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Chdir("../../internal/lint/testdata/bodiless"); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		if err := os.Chdir(wd); err != nil {
-			t.Fatal(err)
-		}
-	})
+	chdir(t, "../../internal/lint/testdata/bodiless")
 	if code, stdout, stderr := runLint(t, "./..."); code != 0 {
 		t.Errorf("bbslint ./... in the bodiless module: exit %d, want 0\n%s%s", code, stdout, stderr)
+	}
+}
+
+// TestNestedModulePattern: from the repository root, a /... pattern rooted
+// at the nested bench module's directory lints that module, as ./... does
+// (a pattern that matched no package would exit 2).
+func TestNestedModulePattern(t *testing.T) {
+	chdir(t, "../..")
+	if code, stdout, stderr := runLint(t, "./bench/..."); code != 0 {
+		t.Errorf("bbslint ./bench/... from the root: exit %d, want 0\n%s%s", code, stdout, stderr)
 	}
 }
 

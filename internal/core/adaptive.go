@@ -19,24 +19,7 @@ import (
 //     still-uncertain candidate and prunes those below τ, before the normal
 //     refinement runs on the survivors.
 func (m *Miner) mineAdaptive(cfg Config) (*Result, error) {
-	keep := int(cfg.MemoryBudget / m.idx.SliceBytes())
-	// Sanity floor: a MemBBS narrower than a few times the signature
-	// density has no pruning power — folded slices saturate, every estimate
-	// approaches |D|, and filtering degenerates into enumerating the
-	// powerset of the frequent items. The binding case is the *heaviest*
-	// transaction, whose ~k·|items| positions can cover most of a narrow
-	// fold and survive every itemset's AND, so the floor is 4× the largest
-	// per-transaction signature footprint (and at least 4× the average).
-	floor := 4 * m.idx.Hasher().K() * m.idx.MaxTransactionItems()
-	if f := int(4*m.idx.AverageSignatureBits()) + 1; f > floor {
-		floor = f
-	}
-	if keep < floor {
-		keep = floor
-	}
-	if keep > m.idx.M() {
-		keep = m.idx.M()
-	}
+	keep := m.foldWidth(cfg.MemoryBudget)
 	// The full index cannot stay resident under this budget: it is streamed
 	// (once by the fold, once by the postprocessing pass) and evicted.
 	m.idx.EvictCache()
@@ -123,4 +106,18 @@ func traceReverify(o *obs.Registry, c Pattern, est int, verdict string) {
 	}
 	o.Emit(obs.Event{Kind: "reverify", Verdict: verdict, Subtree: -1,
 		Depth: len(c.Items), Items: c.Items, Est: est})
+}
+
+// foldWidth is the number of slices the adaptive mode's MemBBS keeps under
+// the memory budget.
+func (m *Miner) foldWidth(budget int64) int {
+	// Sanity floor: a MemBBS narrower than a few times the signature
+	// density has no pruning power — folded slices saturate, every estimate
+	// approaches |D|, and filtering degenerates into enumerating the
+	// powerset of the frequent items. The binding case is the *heaviest*
+	// transaction, whose ~k·|items| positions can cover most of a narrow
+	// fold and survive every itemset's AND, so the floor is 4× the largest
+	// per-transaction signature footprint (and at least 4× the average).
+	floor := max(4*m.idx.Hasher().K()*m.idx.MaxTransactionItems(), int(4*m.idx.AverageSignatureBits())+1)
+	return min(max(int(budget/m.idx.SliceBytes()), floor), m.idx.M())
 }

@@ -44,7 +44,7 @@ func BenchmarkEvalChain(b *testing.B) {
 	r, _ := sweptRun(b, m, mining.MinSupportCount(0.01, len(txs)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.evalChain(r.rootVec, r.rootEst, r.items[i%len(r.items)])
+		r.evalChain(r.items[i%len(r.items)])
 	}
 }
 

@@ -15,8 +15,9 @@
 // the item's slices), and below it an extension is evaluated as one AND of
 // two resident residuals — the current itemset's and the one the extension
 // item was left with as a sibling at the parent node — the same slice
-// intersection bit for bit (see run.filter). The slice-chain evaluation
-// remains as the ablation path and the tests' oracle.
+// intersection bit for bit (see run.filter). The tests check every
+// evaluation against the slice chain that Count and the adaptive
+// re-verification run (sigfile.View.CountIntoBuf).
 //
 // The index is a sigfile.View: one part, or the N shards of a sharded
 // database read in place. Only the slice chain sees the parts; everything it
@@ -39,12 +40,14 @@
 // one worker per CPU). The enumeration fans out at the root — every
 // surviving level-1 extension's subtree is an independent task, since a
 // subtree depends only on its own residual vector and the read-only level-1
-// alphabet — and refinement fans out with it: probe fetches split by
-// position range, SequentialScan verification sharded over per-worker
-// counters. Workers share nothing mutable except the concurrency-safe
-// vector pool and the atomic iostat counters; the root's residuals are shared
-// read-only operands, and each worker keeps a private evaluation buffer and
-// extension buffers so the AND hot path stays allocation-free.
+// alphabet — and so do the probes (fetches split by position range) and the
+// adaptive re-verification (candidates shared over a queue). The level-1
+// sweep and SequentialScan stay on the calling goroutine: a scan batch is
+// one pass counted by one mining.Counter. Workers share nothing mutable
+// except the concurrency-safe vector pool and the atomic iostat counters;
+// the root's residuals are shared read-only operands, and each worker keeps
+// a private evaluation buffer and extension buffers so the AND hot path
+// stays allocation-free.
 //
 // The engine is deterministic: partial results merge in the sequential
 // enumeration order and every Result counter is a sum over independent
@@ -124,10 +127,12 @@ type Config struct {
 	Constraint *bitvec.Vector
 	// MaxLen bounds pattern length; 0 means unbounded.
 	MaxLen int
-	// Workers bounds the mining worker pool. 0 (the default) uses one
-	// worker per available CPU (runtime.GOMAXPROCS(0)); 1 forces the
-	// sequential engine. The Result is identical for every value — see the
-	// package documentation's determinism guarantee.
+	// Workers bounds the worker pool that mines the level-1 subtrees,
+	// fans out large probes and re-verifies adaptive candidates. 0 (the
+	// default) uses one worker per available CPU (runtime.GOMAXPROCS(0));
+	// 1 forces the sequential engine. The level-1 sweep and SequentialScan
+	// run on one goroutine whatever the value. The Result is identical for
+	// every value — see the package documentation's determinism guarantee.
 	Workers int
 
 	// Observe, when non-nil, receives the run's telemetry: the
@@ -137,22 +142,6 @@ type Config struct {
 	// predictable branch. Telemetry never changes the Result — the
 	// determinism tests run with it on.
 	Observe *obs.Registry
-
-	// The ablation knobs; none changes a Result. The first two move the
-	// enumeration below level 1 from sibling residuals to the slice-chain
-	// evaluator of the level-1 sweep (run.evalChain).
-	//
-	// NoEarlyExit ANDs every slice of every evaluated extension into the
-	// parent's residual, without the below-τ early exit.
-	NoEarlyExit bool
-	// NoIncrementalAnd recomputes each candidate's slice intersection from
-	// the root (all members' slices) instead of from the parent's residual.
-	NoIncrementalAnd bool
-	// NoSliceOrdering ANDs a chain's slices in ascending position order
-	// instead of rarest-first (ascending per-slice popcount), so the early
-	// exit fires as late as the seed's. Ad-hoc CountItemSet queries always
-	// order rarest-first.
-	NoSliceOrdering bool
 }
 
 // Pattern is one mined itemset. Support is exact when Exact is true;

@@ -44,10 +44,7 @@ type run struct {
 	est1  []int       // BBS estimate of each alphabet item's support
 	act1  []int       // exact support of each alphabet item (dual filter info)
 
-	// chain selects evalChain over evalSibling below level 1 (the
-	// NoIncrementalAnd and NoEarlyExit ablations); pos is its position scratch.
-	chain bool
-	pos   []int
+	pos []int // the level-1 sweep's signature positions (evalChain)
 
 	// buf is the evaluation buffer. An extension that reaches τ takes it as
 	// its residual and a fresh one comes from the pool.
@@ -97,8 +94,9 @@ type run struct {
 	traceSubtree int
 
 	// accs are the slice chain's accumulators, one part-length vector per
-	// part of the index: the run's own for as long as it evaluates chains (a
-	// run needs one set for its lifetime, so there is nothing to pool).
+	// part of the index: the run's own for the level-1 sweep or the adaptive
+	// re-verification (one set serves a whole pass, so there is nothing to
+	// pool).
 	accs []*bitvec.Vector
 }
 
@@ -115,7 +113,6 @@ func newRun(m *Miner, idx *sigfile.View, cfg Config) *run {
 		tau:          cfg.MinSupport,
 		workers:      cfg.workerCount(),
 		vecs:         bitvec.NewPool(idx.Len()),
-		chain:        cfg.NoIncrementalAnd || cfg.NoEarlyExit,
 		itemset:      make([]txdb.Item, 0, pathCap),
 		obs:          cfg.Observe,
 		traceSubtree: -1,
@@ -279,7 +276,7 @@ func (r *run) sweep() []ext {
 			r.skipped++
 			continue
 		}
-		est := r.evalChain(r.rootVec, r.rootEst, it)
+		est := r.evalChain(it)
 		if est >= r.tau {
 			seeds = append(seeds, ext{gi: len(r.items), est: est, vec: r.buf})
 			r.buf = r.vecs.Get()
@@ -316,32 +313,21 @@ func (r *run) evalSibling(parentVec, sib *bitvec.Vector) int {
 	return r.buf.AndCount(sib)
 }
 
-// evalChain is the slice-chain evaluator, the paper's CountItemSet as
-// written: AND the slices the item's signature selects into a copy of the
-// parent's residual, rarest first, and stop once the count falls below τ.
-// The level-1 sweep evaluates with it, and so do the ablation knobs below
-// level 1 — NoIncrementalAnd restarts from the root over every member's
-// slices (the tests' oracle for evalSibling), NoEarlyExit runs each chain to
-// its end, NoSliceOrdering keeps ascending position order.
+// evalChain is the level-1 sweep's evaluator, the paper's CountItemSet as
+// written for {it}: AND the slices its signature selects into a copy of the
+// root, rarest first, and stop once the count falls below τ.
 //
-// The chain reads the index's parts in place: the parent's residual is split
-// into the per-part accumulators, each position is AND-ed into all of them
-// before the next (the summed count is the single index's at every step, so
-// the exit and the verdict are too), and a chain that reaches τ lays them
-// into r.buf in block order; below τ the caller discards the evaluation.
-func (r *run) evalChain(parentVec *bitvec.Vector, parentEst int, it txdb.Item) int {
+// The chain reads the index's parts in place: the root is split into the
+// per-part accumulators, each position is AND-ed into all of them before the
+// next (the summed count is the single index's at every step, so the exit
+// and the verdict are too), and a chain that reaches τ lays them into r.buf
+// in block order; below τ the caller discards the evaluation.
+func (r *run) evalChain(it txdb.Item) int {
 	r.m.stats.AddCountCall()
-	est, members := parentEst, append(r.itemset, it)
-	if r.cfg.NoIncrementalAnd {
-		parentVec, est = r.rootVec, r.rootEst
-	} else {
-		members = members[len(r.itemset):]
-	}
-	r.pos = sighash.AppendSignatureBits(r.pos[:0], r.idx.Hasher(), members)
-	if !r.cfg.NoSliceOrdering {
-		r.idx.OrderRarestFirst(r.pos)
-	}
-	r.idx.Split(r.accs, parentVec)
+	est := r.rootEst
+	r.pos = sighash.AppendSignatureBits(r.pos[:0], r.idx.Hasher(), append(r.itemset, it))
+	r.idx.OrderRarestFirst(r.pos)
+	r.idx.Split(r.accs, r.rootVec)
 	done := 0
 	for _, p := range r.pos {
 		if r.obs != nil {
@@ -349,7 +335,7 @@ func (r *run) evalChain(parentVec *bitvec.Vector, parentEst int, it txdb.Item) i
 		}
 		est = r.idx.AndSlice(r.accs, p)
 		done++
-		if est < r.tau && !r.cfg.NoEarlyExit {
+		if est < r.tau {
 			break
 		}
 	}
@@ -414,12 +400,7 @@ func (r *run) expandNode(alphabet []ext, parentVec *bitvec.Vector, parentEst, pa
 	exts := r.exts[depth][:0]
 	for i := range alphabet {
 		sib := &alphabet[i]
-		var est int
-		if r.chain {
-			est = r.evalChain(parentVec, parentEst, r.items[sib.gi])
-		} else {
-			est = r.evalSibling(parentVec, sib.vec)
-		}
+		est := r.evalSibling(parentVec, sib.vec)
 		if est < r.tau {
 			if r.obs.Tracing() {
 				r.obs.Emit(obs.Event{Kind: "verdict", Verdict: "below_tau", Subtree: r.traceSubtree,

@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"bbsmine/internal/bitvec"
-	"bbsmine/internal/mining"
 	"bbsmine/internal/txdb"
 )
 
@@ -17,9 +16,9 @@ import (
 // level-1 arrays, never on what a sibling's subtree computes (the paper's
 // GenerateAndFilter removes an item from I only for its own subtree). The
 // engine therefore expands the root sequentially, turns every descending
-// extension into a subtree task, and runs the tasks on a bounded worker pool;
-// refinement fans out the same way (probe fetches split by position range,
-// scan verification sharded across per-worker counters).
+// extension into a subtree task, and runs the tasks on a bounded worker pool.
+// A large probe fans its fetches out by position range, and the adaptive
+// re-verification shares its candidates over a queue.
 //
 // Determinism: subtree tasks share no mutable state, every Result counter
 // is a sum of per-task counts, and partial results are merged in the
@@ -31,10 +30,6 @@ import (
 // worth fanning out: fetching a handful of transactions costs less than the
 // goroutine handoff.
 const probeFanOutMin = 256
-
-// scanChunk is the number of transactions handed to a counting worker at a
-// time during parallel SequentialScan verification.
-const scanChunk = 512
 
 // workerCount resolves Config.Workers: 0 (or negative) means one worker per
 // available CPU.
@@ -104,9 +99,6 @@ func (r *run) filterParallel(exts []ext) {
 			defer wg.Done()
 			wr := r.workerRun()
 			wr.buf = r.vecs.Get()
-			if wr.chain {
-				wr.accs = r.idx.NewAccs()
-			}
 			for seq := range queue {
 				results[seq] = wr.mineSubtree(seq, exts[tasks[seq]:])
 			}
@@ -139,8 +131,7 @@ func (r *run) filterParallel(exts []ext) {
 // (miner, index, config, alphabet arrays, vector pool) plus a private path
 // and private extension buffers, so the worker's AND hot path stays
 // allocation-free across the tasks it processes. A worker that enumerates
-// is lent an evaluation buffer (buf) by its caller, and gets chain
-// accumulators of its own if it evaluates slice chains.
+// is lent an evaluation buffer (buf) by its caller.
 func (r *run) workerRun() *run {
 	return &run{
 		m:              r.m,
@@ -153,9 +144,6 @@ func (r *run) workerRun() *run {
 		items:          r.items,
 		est1:           r.est1,
 		act1:           r.act1,
-		chain:          r.chain,
-		rootVec:        r.rootVec,
-		rootEst:        r.rootEst,
 		disableProbing: r.disableProbing,
 		inWorker:       true,
 		itemset:        make([]txdb.Item, 0, pathCap),
@@ -314,69 +302,4 @@ func probeParallel(m *Miner, vec *bitvec.Vector, itemset []txdb.Item, workers in
 		exact += c
 	}
 	return exact, nil
-}
-
-// batchSupport answers exact-support lookups for one SequentialScan batch.
-// The sequential path is a single mining.Counter; the parallel path keeps
-// one counter per worker over the same candidates, counts disjoint chunks
-// of the scan, and sums per-worker supports — the totals are identical.
-type batchSupport struct {
-	counters []*mining.Counter
-}
-
-// Support returns the batch-wide exact support of a candidate.
-func (b *batchSupport) Support(items []txdb.Item) int {
-	sup := 0
-	for _, c := range b.counters {
-		sup += c.Support(items)
-	}
-	return sup
-}
-
-// countBatchParallel runs the verification pass for one batch with the scan
-// as producer and the workers counting disjoint transaction chunks against
-// per-worker counters.
-func (m *Miner) countBatchParallel(candidates []Pattern, workers int) (*batchSupport, error) {
-	counters := make([]*mining.Counter, workers)
-	for w := range counters {
-		counters[w] = mining.NewCounter()
-		for _, c := range candidates {
-			counters[w].Add(c.Items)
-		}
-	}
-
-	chunks := make(chan []txdb.Transaction, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(counter *mining.Counter) {
-			defer wg.Done()
-			for chunk := range chunks {
-				for _, tx := range chunk {
-					counter.CountTransaction(tx.Items)
-				}
-			}
-		}(counters[w])
-	}
-
-	chunk := make([]txdb.Transaction, 0, scanChunk)
-	err := m.store.Scan(func(pos int, tx txdb.Transaction) bool {
-		if m.idx.IsLive(pos) {
-			chunk = append(chunk, tx)
-			if len(chunk) == scanChunk {
-				chunks <- chunk
-				chunk = make([]txdb.Transaction, 0, scanChunk)
-			}
-		}
-		return true
-	})
-	if len(chunk) > 0 {
-		chunks <- chunk
-	}
-	close(chunks)
-	wg.Wait()
-	if err != nil {
-		return nil, err
-	}
-	return &batchSupport{counters: counters}, nil
 }

@@ -13,14 +13,7 @@ import (
 // memory are loaded, one pass counts them, and the process repeats until
 // every candidate is verified. It returns the surviving patterns with exact
 // supports and the number of false drops.
-//
-// With cfg.Workers resolving to more than one worker, each batch's counting
-// work is sharded: the scan stays a single sequential pass (one producer),
-// but the per-transaction candidate matching — the CPU cost of the batch —
-// is spread over per-worker counters whose supports are summed. Batch
-// boundaries and the returned patterns are identical either way.
 func (m *Miner) sequentialScan(candidates []Pattern, cfg Config) ([]Pattern, int, error) {
-	workers := cfg.workerCount()
 	scanTick := cfg.Observe.Tick()
 	var verified []Pattern
 	drops := 0
@@ -29,21 +22,13 @@ func (m *Miner) sequentialScan(candidates []Pattern, cfg Config) ([]Pattern, int
 			return nil, 0, err
 		}
 		end := m.batchEnd(candidates, start, cfg.MemoryBudget)
-		sup, err := m.countBatch(candidates[start:end], workers)
+		counter, err := m.countBatch(candidates[start:end])
 		if err != nil {
 			return nil, 0, fmt.Errorf("core: verification scan: %w", err)
 		}
-		if cfg.Observe != nil {
-			var tx, matched int64
-			for _, c := range sup.counters {
-				ctx, cm := c.Tally()
-				tx += ctx
-				matched += cm
-			}
-			cfg.Observe.AddScanBatch(tx, matched)
-		}
+		cfg.Observe.AddScanBatch(counter.Tally())
 		for _, c := range candidates[start:end] {
-			s := sup.Support(c.Items)
+			s := counter.Support(c.Items)
 			if s >= cfg.MinSupport {
 				verified = append(verified, Pattern{Items: c.Items, Support: s, Exact: true})
 			} else {
@@ -57,12 +42,9 @@ func (m *Miner) sequentialScan(candidates []Pattern, cfg Config) ([]Pattern, int
 	return verified, drops, nil
 }
 
-// countBatch runs the verification pass over one batch of candidates and
-// returns the support lookup, sharding across workers when configured.
-func (m *Miner) countBatch(batch []Pattern, workers int) (*batchSupport, error) {
-	if workers > 1 && len(batch) > 1 {
-		return m.countBatchParallel(batch, workers)
-	}
+// countBatch runs the verification pass over one batch of candidates: one
+// scan of the live transactions, counted by one counter.
+func (m *Miner) countBatch(batch []Pattern) (*mining.Counter, error) {
 	counter := mining.NewCounter()
 	for _, c := range batch {
 		counter.Add(c.Items)
@@ -76,7 +58,7 @@ func (m *Miner) countBatch(batch []Pattern, workers int) (*batchSupport, error) 
 	if err != nil {
 		return nil, err
 	}
-	return &batchSupport{counters: []*mining.Counter{counter}}, nil
+	return counter, nil
 }
 
 // batchEnd returns the end of the batch starting at start such that the

@@ -54,7 +54,7 @@ func buildPartsMiner(t testing.TB, txs []txdb.Transaction, h sighash.Hasher, len
 // the Result and the funnel of a mine over one index holding the same rows
 // in the same order — parts nowhere near each other's length (an empty one,
 // a one-row one, word-boundary straddles), every scheme, constrained,
-// adaptive, ablated, sequential and parallel.
+// adaptive, sequential and parallel.
 func TestPartsMineMatchesSingleIndex(t *testing.T) {
 	txs := questDB(t, 600, 200)
 	tau := mining.MinSupportCount(0.015, len(txs))
@@ -69,19 +69,16 @@ func TestPartsMineMatchesSingleIndex(t *testing.T) {
 	type shape struct {
 		scheme      Scheme
 		constrained bool
-		ablate      bool
 	}
-	shapes := []shape{{SFS, false, false}, {SFP, false, false}, {DFS, false, false}, {DFP, false, false},
-		{SFS, true, false}, {SFP, true, false}, {DFP, false, true}}
+	shapes := []shape{{SFS, false}, {SFP, false}, {DFS, false}, {DFP, false}, {SFS, true}, {SFP, true}}
 	for _, sh := range shapes {
 		for _, budget := range []int64{0, single.idx.TotalBytes() / 4} {
 			for _, workers := range []int{1, 4} {
-				cfg := Config{MinSupport: tau, Scheme: sh.scheme, MemoryBudget: budget, Workers: workers,
-					NoIncrementalAnd: sh.ablate, NoEarlyExit: sh.ablate}
+				cfg := Config{MinSupport: tau, Scheme: sh.scheme, MemoryBudget: budget, Workers: workers}
 				if sh.constrained {
 					cfg.Constraint, cfg.MinSupport = constraint, max(tau/2, 1)
 				}
-				name := fmt.Sprintf("%s/constrained=%v/ablate=%v/budget=%d/workers=%d", sh.scheme, sh.constrained, sh.ablate, budget, workers)
+				name := fmt.Sprintf("%s/constrained=%v/budget=%d/workers=%d", sh.scheme, sh.constrained, budget, workers)
 				mine := func(m *Miner) (*Result, obs.FunnelMetrics) {
 					c := cfg
 					c.Observe = obs.New()
@@ -128,38 +125,36 @@ func (h *cancellingHasher) Positions(it int32) []int {
 }
 
 // TestPartsFilterReturnsEveryPooledVector is the leak accounting for a mine
-// over parts: after a completed and a mid-sweep-cancelled filter — sibling
-// residuals or slice chains on every worker — the residual pool has
-// everything back and the run has let go of its per-part accumulators.
+// over parts: after a completed and a mid-sweep-cancelled filter, sequential
+// and parallel, the residual pool has everything back and the run has let go
+// of its per-part accumulators.
 func TestPartsFilterReturnsEveryPooledVector(t *testing.T) {
 	txs := questDB(t, 800, 300)
 	tau := mining.MinSupportCount(0.01, len(txs))
-	for _, chain := range []bool{false, true} {
-		for _, workers := range []int{1, 4} {
-			for _, cancelAt := range []int64{0, 40} {
-				t.Run(fmt.Sprintf("chain=%v/workers=%d/cancelAt=%d", chain, workers, cancelAt), func(t *testing.T) {
-					ctx, cancel := context.WithCancel(context.Background())
-					defer cancel()
-					h := &cancellingHasher{Hasher: sighash.NewMD5(400, 4), cancel: cancel}
-					miner := buildPartsMiner(t, txs, h, []int{267, 266, 267})
-					h.armed.Store(cancelAt)
-					r := newRun(miner, miner.idx, Config{Ctx: ctx, MinSupport: tau, Scheme: DFP, Workers: workers, NoIncrementalAnd: chain})
-					r.filter()
-					if cancelAt == 0 {
-						if r.err != nil || len(r.accepted) == 0 {
-							t.Fatalf("uncancelled run: err %v, %d accepted", r.err, len(r.accepted))
-						}
-					} else if all := len(miner.idx.Items()); !errors.Is(r.err, context.Canceled) || len(r.items) == 0 || len(r.items) > int(cancelAt) || int(cancelAt) >= all {
-						t.Fatalf("run cancelled at evaluation %d of a %d-item sweep ended with err %v after %d survivors", cancelAt, all, r.err, len(r.items))
+	for _, workers := range []int{1, 4} {
+		for _, cancelAt := range []int64{0, 40} {
+			t.Run(fmt.Sprintf("workers=%d/cancelAt=%d", workers, cancelAt), func(t *testing.T) {
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				h := &cancellingHasher{Hasher: sighash.NewMD5(400, 4), cancel: cancel}
+				miner := buildPartsMiner(t, txs, h, []int{267, 266, 267})
+				h.armed.Store(cancelAt)
+				r := newRun(miner, miner.idx, Config{Ctx: ctx, MinSupport: tau, Scheme: DFP, Workers: workers})
+				r.filter()
+				if cancelAt == 0 {
+					if r.err != nil || len(r.accepted) == 0 {
+						t.Fatalf("uncancelled run: err %v, %d accepted", r.err, len(r.accepted))
 					}
-					if gets, _ := r.vecs.Counters(); r.vecs.Outstanding() != 0 || gets == 0 {
-						t.Errorf("%d of %d pooled residuals never came back", r.vecs.Outstanding(), gets)
-					}
-					if r.buf != nil || r.accs != nil {
-						t.Error("the run still holds its evaluation buffer or its per-part accumulators")
-					}
-				})
-			}
+				} else if all := len(miner.idx.Items()); !errors.Is(r.err, context.Canceled) || len(r.items) == 0 || len(r.items) > int(cancelAt) || int(cancelAt) >= all {
+					t.Fatalf("run cancelled at evaluation %d of a %d-item sweep ended with err %v after %d survivors", cancelAt, all, r.err, len(r.items))
+				}
+				if gets, _ := r.vecs.Counters(); r.vecs.Outstanding() != 0 || gets == 0 {
+					t.Errorf("%d of %d pooled residuals never came back", r.vecs.Outstanding(), gets)
+				}
+				if r.buf != nil || r.accs != nil {
+					t.Error("the run still holds its evaluation buffer or its per-part accumulators")
+				}
+			})
 		}
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -13,6 +14,7 @@ import (
 	"bbsmine/internal/mining"
 	"bbsmine/internal/obs"
 	"bbsmine/internal/pager"
+	"bbsmine/internal/sigfile"
 	"bbsmine/internal/sighash"
 	"bbsmine/internal/txdb"
 )
@@ -34,12 +36,62 @@ func tierAll(t testing.TB, m *Miner, poolBytes int64) *pager.Pager {
 	return pg
 }
 
+// sliceChain returns the slice chain's estimate of an itemset on view — the
+// CountIntoBuf that Count and the adaptive re-verification run, with the
+// constraint, if any, AND-ed in after it as a constrained run's root carries
+// it.
+func sliceChain(view *sigfile.View, constraint *bitvec.Vector) func([]txdb.Item) int {
+	buf, accs := bitvec.New(view.Len()), view.NewAccs()
+	var pos []int
+	return func(items []txdb.Item) int {
+		est := view.CountIntoBuf(buf, accs, items, &pos)
+		if constraint != nil {
+			est = buf.AndCount(constraint)
+		}
+		return est
+	}
+}
+
+// chainCheck is a trace sink that decodes each event as it is emitted and
+// checks the estimate of every verdict and every CheckCount against the
+// slice chain. The first mismatch cancels the mine: an evaluator that
+// overestimates can keep a run enumerating for as long as it likes.
+type chainCheck struct {
+	chain    func([]txdb.Item) int
+	cancel   context.CancelFunc
+	checked  int
+	mismatch string
+	err      error
+}
+
+func (c *chainCheck) Write(p []byte) (int, error) {
+	var e struct {
+		Kind  string
+		Items []txdb.Item
+		Est   int
+	}
+	if err := json.Unmarshal(p, &e); err != nil {
+		c.err = err
+		return 0, err
+	}
+	if e.Kind != "verdict" && e.Kind != "checkcount" {
+		return len(p), nil
+	}
+	c.checked++
+	if est := c.chain(e.Items); e.Est != est && c.mismatch == "" {
+		c.mismatch = fmt.Sprintf("%s %v traced est %d, the slice chain counts %d", e.Kind, e.Items, e.Est, est)
+		c.cancel()
+	}
+	return len(p), nil
+}
+
 // TestSiblingResidualMatchesSliceChain is the differential oracle for the
-// enumeration's evaluator: a mine that evaluates every extension as one AND
-// of two sibling residuals must return the Result and the funnel of the
-// NoIncrementalAnd mine, which recomputes every intersection from the root
-// over the index's slices — across schemes, constraints, slice storage,
-// worker counts and the adaptive three-phase mode.
+// enumeration's evaluator: every estimate a mine traces — the level-1
+// sweep's slice chains and, below them, one AND of two sibling residuals
+// per extension — must equal the slice chain's over the index the run
+// filtered (the folded MemBBS in the adaptive mode), across schemes,
+// constraints, slice storage and the adaptive three-phase mode; and the
+// Workers: 4 mine must return the Result and funnel of the Workers: 1 one.
 func TestSiblingResidualMatchesSliceChain(t *testing.T) {
 	txs := questDB(t, 600, 200)
 	tau := mining.MinSupportCount(0.015, len(txs))
@@ -69,6 +121,7 @@ func TestSiblingResidualMatchesSliceChain(t *testing.T) {
 
 	for _, st := range storages {
 		t.Run(st.name, func(t *testing.T) {
+			t.Parallel() // the storages share only read-only inputs
 			miner, _ := buildMiner(t, txs, 400, 4)
 			st.apply(t, miner)
 			falseDrops := 0
@@ -81,27 +134,41 @@ func TestSiblingResidualMatchesSliceChain(t *testing.T) {
 						cfg.MinSupport = max(tau/2, 1)
 						name += "/constrained"
 					}
-					mine := func(workers int, chain bool) (*Result, obs.FunnelMetrics) {
-						c := cfg
-						c.Workers, c.NoIncrementalAnd, c.Observe = workers, chain, obs.New()
-						return mineWith(t, miner, c), c.Observe.Metrics().Funnel
+					view := miner.idx
+					if budget > 0 && view.TotalBytes() > budget {
+						var err error
+						if view, err = miner.idx.Fold(miner.foldWidth(budget)); err != nil {
+							t.Fatal(err)
+						}
 					}
-					// The oracle does not depend on the worker count (pinned by
-					// the parallel-determinism suite), so one serves both.
-					want, wantFunnel := mine(1, true)
-					if len(want.Patterns) == 0 {
-						t.Fatalf("%s: the oracle mined nothing; the cell proves nothing", name)
+					ctx, cancel := context.WithCancel(context.Background())
+					check := &chainCheck{chain: sliceChain(view, cfg.Constraint), cancel: cancel}
+					traced := cfg
+					traced.Ctx, traced.Workers, traced.Observe = ctx, 1, obs.New()
+					traced.Observe.SetTracer(obs.NewTracer(check, 1))
+					want, err := miner.Mine(traced)
+					cancel()
+					if check.mismatch != "" {
+						t.Errorf("%s: %s", name, check.mismatch)
+						continue
 					}
+					if err != nil || len(want.Patterns) == 0 || check.checked == 0 || check.err != nil {
+						t.Fatalf("%s: %v, %d estimates checked (%v); the cell proves nothing", name, err, check.checked, check.err)
+					}
+					wantFunnel := traced.Observe.Metrics().Funnel
 					falseDrops += want.FalseDrops
-					for _, workers := range []int{1, 4} {
-						got, gotFunnel := mine(workers, false)
-						if !reflect.DeepEqual(got, want) {
-							t.Errorf("%s/workers=%d: sibling-residual Result differs from the slice-chain one (%d vs %d patterns, cand %d vs %d)",
-								name, workers, len(got.Patterns), len(want.Patterns), got.Candidates, want.Candidates)
-						}
-						if gotFunnel != wantFunnel {
-							t.Errorf("%s/workers=%d: funnel differs\nsibling: %+v\nchain:   %+v", name, workers, gotFunnel, wantFunnel)
-						}
+
+					// The parallel engine evaluates with the same code on its
+					// workers; what it can get wrong shows in the Result.
+					parallel := cfg
+					parallel.Workers, parallel.Observe = 4, obs.New()
+					got, gotFunnel := mineWith(t, miner, parallel), parallel.Observe.Metrics().Funnel
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("%s/workers=4: Result differs from the sequential one (%d vs %d patterns, cand %d vs %d)",
+							name, len(got.Patterns), len(want.Patterns), got.Candidates, want.Candidates)
+					}
+					if gotFunnel != wantFunnel {
+						t.Errorf("%s/workers=4: funnel differs\nparallel:   %+v\nsequential: %+v", name, gotFunnel, wantFunnel)
 					}
 				}
 			}
@@ -118,8 +185,7 @@ func TestSiblingResidualMatchesSliceChain(t *testing.T) {
 // mine reads the index during the level-1 sweep and never again. On an index
 // whose every slice is cold, index ANDs — counted twice, from the kernel
 // tallies and from the pool's page requests — are bounded by the sweep's
-// worst case, the pool still faults (the sweep is real I/O), and the
-// slice-chain mine of the same data faults many times more.
+// worst case, and the pool still faults (the sweep is real I/O).
 func TestMineTouchesIndexOnlyAtLevelOne(t *testing.T) {
 	txs := questDB(t, 2000, 300)
 	tau := mining.MinSupportCount(0.01, len(txs))
@@ -132,15 +198,12 @@ func TestMineTouchesIndexOnlyAtLevelOne(t *testing.T) {
 	}
 	bound *= 2
 
-	mine := func(cfg Config) (obs.KernelMetrics, pager.Stats) {
-		cfg.MinSupport, cfg.Scheme, cfg.Workers, cfg.Observe = tau, DFP, 1, obs.New()
-		before := pg.Stats()
-		mineWith(t, miner, cfg)
-		after := pg.Stats()
-		return cfg.Observe.Metrics().Kernel, pager.Stats{
-			Faults: after.Faults - before.Faults, Hits: after.Hits - before.Hits, Evictions: after.Evictions - before.Evictions}
-	}
-	k, io := mine(Config{})
+	cfg := Config{MinSupport: tau, Scheme: DFP, Workers: 1, Observe: obs.New()}
+	before := pg.Stats()
+	mineWith(t, miner, cfg)
+	after := pg.Stats()
+	k := cfg.Observe.Metrics().Kernel
+	io := pager.Stats{Faults: after.Faults - before.Faults, Hits: after.Hits - before.Hits, Evictions: after.Evictions - before.Evictions}
 	// Every evaluation below level 1 is one residual AND tallied as a
 	// position-cache hit; what remains are the sweep's index ANDs.
 	indexAnds := k.AndsDense + k.AndsSparse - k.PosCacheHits
@@ -153,11 +216,6 @@ func TestMineTouchesIndexOnlyAtLevelOne(t *testing.T) {
 	}
 	if io.Faults == 0 || io.Evictions == 0 {
 		t.Errorf("the sweep over a cold index must fault and evict: %+v", io)
-	}
-	_, chainIO := mine(Config{NoEarlyExit: true})
-	if chainIO.Faults < 4*io.Faults {
-		t.Errorf("slice-chain mine faulted %d times, sibling-residual mine %d; expected several times fewer",
-			chainIO.Faults, io.Faults)
 	}
 }
 

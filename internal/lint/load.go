@@ -41,8 +41,9 @@ type Package struct {
 // from source in the first list's order, so its imports are always loaded
 // before it. Loading is sequential.
 type Loader struct {
-	// ModuleRoot is the directory of the main module the first Load ran
-	// in; findings render relative to it.
+	// ModuleRoot is the directory of the first main module a Load listed
+	// (the current directory's, unless every pattern is rooted at a module
+	// of its own); findings render relative to it.
 	ModuleRoot string
 
 	fset   *token.FileSet
@@ -80,28 +81,40 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 // Load resolves the patterns the way the go command does in the current
 // directory, and returns the matching packages type-checked and sorted by
 // import path. go list stops at a nested go.mod, so a directory pattern
-// ending in /... also lists every module nested below its directory.
+// ending in /... also lists every module nested below its directory, and
+// one whose directory holds a go.mod is listed from that module's root.
 func (l *Loader) Load(patterns ...string) ([]*Package, error) {
-	paths, err := l.list("", patterns)
-	if err != nil {
-		return nil, err
-	}
+	var here, roots []string // patterns for the current directory; module roots to list ./... in
 	for _, pat := range patterns {
 		base, ok := strings.CutSuffix(pat, "/...")
 		if !ok || !build.IsLocalImport(base) && !filepath.IsAbs(base) {
+			here = append(here, pat)
 			continue
 		}
-		roots, err := nestedModules(base)
+		if _, err := os.Stat(filepath.Join(base, "go.mod")); err == nil {
+			roots = append(roots, base)
+		} else {
+			here = append(here, pat)
+		}
+		nested, err := nestedModules(base)
 		if err != nil {
 			return nil, err
 		}
-		for _, root := range roots {
-			more, err := l.list(root, []string{"./..."})
-			if err != nil {
-				return nil, err
-			}
-			paths = append(paths, more...)
+		roots = append(roots, nested...)
+	}
+	var paths []string
+	if len(here) > 0 {
+		var err error
+		if paths, err = l.list("", here); err != nil {
+			return nil, err
 		}
+	}
+	for _, root := range roots {
+		more, err := l.list(root, []string{"./..."})
+		if err != nil {
+			return nil, err
+		}
+		paths = append(paths, more...)
 	}
 	sort.Strings(paths)
 	var pkgs []*Package

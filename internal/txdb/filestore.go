@@ -157,6 +157,9 @@ func decodeRecord(buf []byte) (Transaction, error) {
 		return Transaction{}, fmt.Errorf("bad count varint")
 	}
 	buf = buf[n:]
+	if cnt > uint64(len(buf)) { // every item varint takes at least a byte
+		return Transaction{}, fmt.Errorf("count %d exceeds the %d bytes left", cnt, len(buf))
+	}
 	items := make([]Item, cnt)
 	var prev uint64
 	for i := range items {

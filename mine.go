@@ -52,21 +52,14 @@ type MineOptions struct {
 	MemoryBudget int64
 	// MaxLen bounds pattern length; 0 means unbounded.
 	MaxLen int
-	// Workers bounds the mining worker pool. 0 (the default) uses one
-	// worker per available CPU; 1 forces the sequential engine. Every value
-	// returns the identical Result — parallelism changes only the wall
-	// clock, never the answer or the accounting.
+	// Workers bounds the worker pool that mines the level-1 subtrees, fans
+	// out large probes and re-verifies the adaptive mode's candidates. 0
+	// (the default) uses one worker per available CPU; 1 forces the
+	// sequential engine. The level-1 sweep and the sequential-scan
+	// verification (SFS, DFS) run on one goroutine whatever the value.
+	// Every value returns the identical Result — parallelism changes only
+	// the wall clock, never the answer or the accounting.
 	Workers int
-	// Ablation knobs, for benchmarking only: none changes any result. The
-	// first two make every evaluation an AND chain over the index's slices
-	// instead of one AND of two resident residuals: NoEarlyExit without
-	// stopping once the running count has fallen below the threshold,
-	// NoIncrementalAnd recomputing every intersection from the root instead
-	// of extending the parent's residual. NoSliceOrdering ANDs a chain's
-	// slices in hash-position order instead of rarest-first.
-	NoEarlyExit      bool
-	NoIncrementalAnd bool
-	NoSliceOrdering  bool
 
 	// Observe, when non-nil, collects the run's telemetry: funnel counters
 	// (candidates, certificates by flag, false drops), AND-kernel work,
@@ -117,16 +110,13 @@ func (db *Database) Mine(opts MineOptions) (*Result, error) {
 		return nil, err
 	}
 	return m.Mine(core.Config{
-		Ctx:              opts.Ctx,
-		MinSupport:       tau,
-		Scheme:           opts.Scheme,
-		MemoryBudget:     opts.MemoryBudget,
-		MaxLen:           opts.MaxLen,
-		Workers:          opts.Workers,
-		NoEarlyExit:      opts.NoEarlyExit,
-		NoIncrementalAnd: opts.NoIncrementalAnd,
-		NoSliceOrdering:  opts.NoSliceOrdering,
-		Observe:          opts.Observe,
+		Ctx:          opts.Ctx,
+		MinSupport:   tau,
+		Scheme:       opts.Scheme,
+		MemoryBudget: opts.MemoryBudget,
+		MaxLen:       opts.MaxLen,
+		Workers:      opts.Workers,
+		Observe:      opts.Observe,
 	})
 }
 
@@ -230,17 +220,14 @@ func (db *Database) MineConstrained(opts MineOptions, c *Constraint) (*Result, e
 		return nil, err
 	}
 	return m.Mine(core.Config{
-		Ctx:              opts.Ctx,
-		MinSupport:       tau,
-		Scheme:           opts.Scheme,
-		MemoryBudget:     opts.MemoryBudget,
-		MaxLen:           opts.MaxLen,
-		Workers:          opts.Workers,
-		NoEarlyExit:      opts.NoEarlyExit,
-		NoIncrementalAnd: opts.NoIncrementalAnd,
-		NoSliceOrdering:  opts.NoSliceOrdering,
-		Observe:          opts.Observe,
-		Constraint:       c.vec,
+		Ctx:          opts.Ctx,
+		MinSupport:   tau,
+		Scheme:       opts.Scheme,
+		MemoryBudget: opts.MemoryBudget,
+		MaxLen:       opts.MaxLen,
+		Workers:      opts.Workers,
+		Observe:      opts.Observe,
+		Constraint:   c.vec,
 	})
 }
 
