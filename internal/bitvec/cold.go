@@ -12,21 +12,22 @@ import (
 // resident while parking its payload in page-granular cold storage (the
 // Bloofi observation: cheap per-slice metadata stays hot so cold bytes are
 // only paid for when a slice actually joins an AND chain). The cold byte
-// formats mirror the resident encodings one-to-one:
+// formats are the resident encodings' bytes:
 //
 //	EncDense  — ceil(n/64) uint64 words, little-endian
-//	EncSparse — ones × uint32 set-bit positions, strictly ascending
+//	EncSparse — the resident record stream itself (see slice.go): per
+//	            256-bit chunk a count byte and its low-8-bit positions, or
+//	            bitmapTag and the chunk's four words
 //
 // A payload is an extent of a packed page file: it starts at an 8-byte
 // aligned offset inside its first page — sharing that page with its
 // neighbours — and, when it does not fit, runs on from byte 0 of the pages
-// after it. All values are 4- or 8-byte aligned and the page size divides
-// by 8, so no value ever straddles a page: the AND kernels stream the
-// payload one page window at a time — pin, scan, release — and never
-// materialize the slice. Each window is cut from the page once, so the
-// loops inside it run without per-value bounds checks. The kernels produce
-// bit-identical results to their resident counterparts; tiering moves
-// bytes, never bits.
+// after it. The AND kernels stream the payload one page window at a time —
+// pin, scan, release — and never materialize the slice. Dense words are
+// 8-byte aligned and the page size divides by 8, so no word straddles a
+// page; a sparse record can, and the sparse kernel carries the part a
+// window cuts off into the next one. The kernels produce bit-identical
+// results to their resident counterparts; tiering moves bytes, never bits.
 
 // PageSource serves the pages a cold payload's extent lies on: page 0 is
 // the one holding the payload's first byte. The returned slice is
@@ -93,7 +94,8 @@ func (s *Slice) ColdPayloadBytes() int64 {
 
 // EncodeCold serializes a resident slice's payload into the cold byte
 // format for its encoding. The tiering pass writes this to the cold file;
-// Thaw is its inverse.
+// Thaw is its inverse. A sparse slice's stream is its cold format, so it is
+// returned aliased, not copied: the caller must not modify it.
 func (s *Slice) EncodeCold() []byte {
 	if s.cold != nil {
 		panic("bitvec: EncodeCold on an already-cold slice")
@@ -106,12 +108,7 @@ func (s *Slice) EncodeCold() []byte {
 		}
 		return out
 	}
-	pos := s.Positions()
-	out := make([]byte, 4*len(pos))
-	for i, p := range pos {
-		binary.LittleEndian.PutUint32(out[4*i:], p)
-	}
-	return out
+	return s.sp
 }
 
 // readAll streams the whole cold payload into one contiguous buffer —
@@ -147,13 +144,15 @@ func (s *Slice) Thaw() *Slice {
 		}
 		return DenseSliceWithOnes(&v, s.ones)
 	}
-	pos := make([]uint32, len(raw)/4)
-	for i := range pos {
-		pos[i] = binary.LittleEndian.Uint32(raw[4*i:])
+	// The payload was a resident stream, so its last record holds the last
+	// set position: hop to it by count bytes and decode it alone.
+	t := &Slice{enc: EncSparse, n: s.n, ones: s.ones, sp: raw, last: -1}
+	for i, c := 0, 0; i < len(raw); i, c = recordEnd(raw, i), c+1 {
+		t.tail = i
+		t.last = c << chunkShift
 	}
-	t, err := SliceFromPositions(pos, s.n)
-	if err != nil {
-		panic(fmt.Errorf("bitvec: thaw sparse cold slice: %w", err))
+	if len(raw) > 0 {
+		t.last += highBit(chunkWords(raw[t.tail:]))
 	}
 	return t
 }
@@ -179,7 +178,7 @@ func (s *Slice) andCountIntoSlow(dst *Vector) int {
 	if s.enc == EncDense {
 		return s.andCountColdDense(dst)
 	}
-	return s.andCountColdPositions(dst)
+	return s.andCountColdRecords(dst)
 }
 
 // andCountColdDense ANDs a cold dense payload into dst window by window:
@@ -231,47 +230,37 @@ func andCountBytes(dst []uint64, src []byte) int {
 	return c0 + c1 + c2 + c3
 }
 
-// andCountColdPositions ANDs a cold sparse payload into dst by streaming
-// its ascending uint32 positions: a (word, mask) cursor accumulates the
-// positions of each word, flushes it with one AND+popcount, and zeroes the
-// dst words the stream skips. One sequential pass over both arrays.
+// andCountColdRecords ANDs a cold sparse payload into dst window by
+// window with the resident kernel's record loop. A record the window's end
+// cuts off is gathered in a carry buffer — across as many windows as it
+// spans — and AND-ed once whole; dst words past the last chunk are zeroed
+// (the ZX contract).
 //
 //lint:hotpath
-func (s *Slice) andCountColdPositions(dst *Vector) int {
+func (s *Slice) andCountColdRecords(dst *Vector) int {
 	c := s.cold
 	vw := dst.words
-	cnt := 0
-	cur := -1
-	var mask uint64
+	var carry [maxRecord]byte
+	nc, cnt, chunk := 0, 0, 0
 	for k, done := 0, 0; done < c.bytes; k++ {
 		win := c.window(k, done)
 		done += len(win)
-		for ; len(win) >= 4; win = win[4:] {
-			p := int(binary.LittleEndian.Uint32(win))
-			w := p >> wordShift
-			if w != cur {
-				if cur >= 0 {
-					nw := vw[cur] & mask
-					vw[cur] = nw
-					cnt += bits.OnesCount64(nw)
-				}
-				for i := cur + 1; i < w; i++ {
-					vw[i] = 0
-				}
-				cur = w
-				mask = 0
+		if nc > 0 {
+			take := copy(carry[nc:recordEnd(carry[:], 0)], win)
+			nc += take
+			win = win[take:]
+			if nc == recordEnd(carry[:], 0) {
+				n, _, next := andCountRecords(vw, carry[:nc], chunk)
+				cnt, chunk, nc = cnt+n, next, 0
 			}
-			mask |= 1 << uint(p&wordMask)
+		}
+		if nc == 0 {
+			n, used, next := andCountRecords(vw, win, chunk)
+			cnt, chunk = cnt+n, next
+			nc = copy(carry[:], win[used:])
 		}
 		c.src.Release(k)
 	}
-	if cur >= 0 {
-		nw := vw[cur] & mask
-		vw[cur] = nw
-		cnt += bits.OnesCount64(nw)
-	}
-	for i := cur + 1; i < len(vw); i++ {
-		vw[i] = 0
-	}
+	clear(vw[min(chunk<<(chunkShift-wordShift), len(vw)):])
 	return cnt
 }

@@ -1,6 +1,9 @@
 package bitvec
 
 import (
+	"bytes"
+	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -69,6 +72,143 @@ func FuzzGrowAppend(f *testing.F) {
 		for i, want := range ref {
 			if v.Get(i) != want {
 				t.Fatalf("bit %d = %v, want %v", i, v.Get(i), want)
+			}
+		}
+	})
+}
+
+// FuzzSparseSlice builds a sparse slice from a fuzzed script and length and
+// checks every sparse operation against a dense Vector model. Script bytes
+// below 0xF0 step the cursor forward and set it; 0xF0–0xFD set a run of
+// 8–112 bits; 0xFE fills the cursor's chunk but the cursor (255 entries,
+// a bitmap record) and 0xFF the whole chunk (256). Lengths that are not a
+// multiple of 256 end in a short tail chunk; page sizes of 8–128 bytes
+// split the records of the cold payload across windows.
+func FuzzSparseSlice(f *testing.F) {
+	f.Add([]byte{}, uint16(0), uint8(0))
+	f.Add([]byte{3, 9, 200, 1}, uint16(700), uint8(1))
+	f.Add([]byte{0xFF, 0xFE, 0xF4, 7}, uint16(900), uint8(4))
+	f.Add([]byte{250, 0xFF, 0xFF, 40, 0xFE}, uint16(1300), uint8(15))
+	f.Add([]byte{0, 0xF8, 0, 0xFD, 0xFD, 0xFD}, uint16(1023), uint8(2))
+	f.Fuzz(func(t *testing.T, script []byte, nraw uint16, page uint8) {
+		if len(script) > 512 {
+			script = script[:512]
+		}
+		n := 1 + int(nraw)%4096
+		ref := New(n)
+		p := 0
+		for _, b := range script {
+			switch {
+			case b >= 0xFE:
+				chunk := p &^ chunkMask
+				for i := chunk; i < min(chunk+chunkSize, n); i++ {
+					if b == 0xFF || i != p {
+						ref.Set(i)
+					}
+				}
+				p = chunk + chunkSize
+			case b >= 0xF0:
+				for end := min(p+8*int(b-0xEF), n); p < end; p++ {
+					ref.Set(p)
+				}
+			default:
+				if p += int(b); p < n {
+					ref.Set(p)
+				}
+			}
+			if p >= n {
+				break
+			}
+		}
+		var pos []uint32
+		ref.ForEachSet(func(i int) bool {
+			pos = append(pos, uint32(i))
+			return true
+		})
+		s, err := SliceFromPositions(pos, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Ones() != len(pos) || s.Bytes() > sparseBytes(len(pos), n) {
+			t.Fatalf("ones %d bytes %d, want %d and at most %d", s.Ones(), s.Bytes(), len(pos), sparseBytes(len(pos), n))
+		}
+		r, err := SliceFromRecords(bytes.Clone(s.sp), n)
+		if err != nil {
+			t.Fatalf("SliceFromRecords rejects a built stream: %v", err)
+		}
+		if r.Ones() != s.Ones() || r.tail != s.tail || r.last != s.last {
+			t.Fatalf("SliceFromRecords: ones/tail/last %d/%d/%d, want %d/%d/%d",
+				r.Ones(), r.tail, r.last, s.Ones(), s.tail, s.last)
+		}
+		if got := s.Positions(); len(got) != len(pos) || (len(pos) > 0 && !reflect.DeepEqual(got, pos)) {
+			t.Fatalf("Positions %v, want %v", got, pos)
+		}
+		for i := 0; i < n+8; i++ {
+			if s.Get(i) != (i < n && ref.Get(i)) {
+				t.Fatalf("Get(%d) = %v", i, s.Get(i))
+			}
+		}
+
+		rng := rand.New(rand.NewSource(int64(nraw)<<8 | int64(page)))
+		accN := n + rng.Intn(300)
+		acc := randomVector(rng, accN, []float64{0.02, 0.5, 0.95}[rng.Intn(3)])
+		want := acc.Clone()
+		wantCnt := want.AndCountZX(ref)
+		ands := map[string]func(*Vector) int{
+			"dense":      s.AndCountInto,
+			"summarized": func(v *Vector) int { v.Summarize(); return s.AndCountInto(v) },
+		}
+		pageSize := 8 * (1 + int(page)%16)
+		payload := s.EncodeCold()
+		off := 8 * rng.Intn(pageSize/8)
+		src := newMemPages(payload, pageSize, off)
+		cold := NewColdSlice(EncSparse, n, s.Ones(), src, off, len(payload))
+		ands["cold"] = cold.AndCountInto
+		for name, and := range ands {
+			got := acc.Clone()
+			if cnt := and(got); cnt != wantCnt || !got.Equal(want) {
+				t.Fatalf("%s AND: count %d, want %d (bits equal: %v)", name, cnt, wantCnt, got.Equal(want))
+			}
+			checkSummary(t, got)
+		}
+		if !src.balanced() {
+			t.Fatal("cold kernel leaked page pins")
+		}
+
+		or := randomVector(rng, accN, 0.1)
+		wantOr := or.Clone()
+		wantOr.OrZX(ref)
+		if s.OrInto(or); !or.Equal(wantOr) {
+			t.Fatal("OrInto diverges")
+		}
+
+		d := s.Recompress(n, false)
+		if d.Encoding() != EncDense || !d.Materialize().Equal(ref) {
+			t.Fatalf("Recompress to dense: %v, bits equal %v", d.Encoding(), d.Materialize().Equal(ref))
+		}
+		if back := d.Recompress(n, true); back.Encoding() == EncSparse && !bytes.Equal(back.sp, s.sp) {
+			t.Fatal("Recompress back to sparse builds a different stream")
+		}
+
+		// Appends continue the stream — on the slice, its clone and its
+		// thawed cold copy alike — until the payload reaches the dense size
+		// and the slice promotes.
+		from := n - 1 - rng.Intn(min(n, 4))
+		if len(pos) > 0 {
+			from = max(from, int(pos[len(pos)-1])) // appends never go back
+		}
+		for name, a := range map[string]*Slice{"slice": s, "clone": s.CloneFor(n + 1), "thawed": cold.Thaw()} {
+			model := ref.Clone()
+			for i := from; a.Encoding() == EncSparse; i++ {
+				model.Grow(i + 1)
+				if a.AppendSet(i) == model.Get(i) {
+					t.Fatalf("%s: AppendSet(%d) newly-set disagrees with the model", name, i)
+				}
+				model.Set(i)
+			}
+			m := a.Materialize()
+			if a.Ones() != model.Count() || !m.Equal(model) {
+				t.Fatalf("%s: appends diverge from the model after promotion", name)
 			}
 		}
 	})

@@ -1,6 +1,7 @@
 package bitvec
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 )
@@ -16,18 +17,27 @@ import (
 // encodings, chosen from its popcount:
 //
 //	EncDense  — []uint64 words, the classic layout; hot slices.
-//	EncSparse — sorted set-bit positions as byte offsets within 256-bit
-//	            chunks, behind a CSR-style chunk directory; rare slices.
+//	EncSparse — one byte stream of per-chunk records: for each 256-bit
+//	            chunk a count byte and its set positions' low 8 bits;
+//	            rare slices.
 //
 // The tag value EncRLE is reserved; no Slice carries it.
 //
-// The sparse layout serves two masters. Size: one byte per set bit (plus a
-// ~3% directory) is what lets moderately rare slices — the bulk of a
-// signature file under a skewed item distribution — compress three-fold or
-// better. Speed: unlike a byte-packed delta stream it is randomly
-// accessible, so the kernels walk the chunk directory and payload strictly
-// in order — prefetch-friendly — and the summarized-accumulator kernel
-// skips a chunk's payload outright when all four of its words are dead.
+// The sparse layout serves two masters. Size: one byte per set bit plus
+// one directory byte per chunk is what lets moderately rare slices — the
+// bulk of a signature file under a skewed item distribution — compress
+// three-fold or better. Speed: the kernels read the stream strictly in
+// order — prefetch-friendly — and the summarized-accumulator kernel skips
+// a chunk's record outright, by its count byte alone, when all four of its
+// words are dead. The same bytes are a sparse slice's cold payload (see
+// cold.go), so tiering a slice copies its stream and nothing is re-encoded.
+//
+// A record is a count byte h followed by h ascending low-8-bit positions,
+// h ≤ 254. A chunk holding 255 or 256 set bits — which no count byte can
+// tell apart from the others — is stored as the tag byte bitmapTag and the
+// chunk's four words, little-endian: 33 bytes instead of up to 257. The
+// stream holds one record per chunk from chunk 0 through the chunk of the
+// last set position; the chunks after it are zero by the ZX contract.
 //
 // The AND kernel operates directly on the compressed form — a sparse slice
 // ANDs into the accumulator by masking only the words its positions name —
@@ -52,7 +62,7 @@ type Encoding uint8
 const (
 	// EncDense stores the slice as dense 64-bit words.
 	EncDense Encoding = iota
-	// EncSparse stores sorted set-bit positions as chunked byte offsets.
+	// EncSparse stores set-bit positions as a stream of per-chunk records.
 	EncSparse
 	// EncRLE is the retired run-length tag. No Slice carries it; the value
 	// stays reserved because v3 index files written before its retirement
@@ -89,7 +99,7 @@ const (
 // Slice is one signature-file bit column under an adaptive encoding. The
 // logical length n plays the same role as Vector.Len: bits at or beyond n
 // read as zero (the zero-extension contract of the ZX kernels). Exactly one
-// of dense and pos8/chunkOff is live, per enc.
+// of dense and sp is live, per enc.
 type Slice struct {
 	enc  Encoding
 	n    int // logical length in bits
@@ -97,12 +107,11 @@ type Slice struct {
 	// ones == 0 does not imply the backing store is empty (a dense slice
 	// keeps its zero words); the converse always holds.
 	dense *Vector // EncDense
-	// EncSparse: pos8 holds each set position's low 8 bits, ascending
-	// within its 256-bit chunk; chunkOff is the CSR directory — chunk c's
-	// offsets live in pos8[chunkOff[c]:chunkOff[c+1]].
-	pos8     []uint8
-	chunkOff []int32
-	last     int // EncSparse: last set position, -1 while empty
+	// EncSparse: sp is the record stream, one record per chunk through
+	// the chunk of last; tail is the offset of that chunk's record.
+	sp   []uint8
+	tail int
+	last int // EncSparse: last set position, -1 while empty
 
 	// cold, when non-nil, means the payload lives in page-granular cold
 	// storage instead of the fields above (which are nil): enc names the
@@ -116,30 +125,91 @@ const (
 	chunkShift = 8
 	chunkSize  = 1 << chunkShift
 	chunkMask  = chunkSize - 1
+
+	// bitmapTag is the count byte of a record that holds its chunk as
+	// bitmapBytes of words instead of a position list; a list record holds
+	// at most bitmapTag-1 positions.
+	bitmapTag   = 0xFF
+	bitmapBytes = chunkSize / 8
+	// maxRecord is the longest record: a count byte and bitmapTag-1
+	// positions.
+	maxRecord = bitmapTag
 )
 
 // numChunks returns how many 256-bit chunks cover an n-bit slice.
 func numChunks(n int) int { return (n + chunkMask) >> chunkShift }
 
+// sparseBytes is the size of a sparse payload holding ones set bits over n
+// bits: a count byte per chunk plus a byte per set bit. It is exact for a
+// slice whose last chunk holds a set bit and none of whose chunks is a
+// bitmap record; any other slice's stream is smaller. The encoding choice
+// (chooseEncoding, MaybeCompress) reads it in O(1) from the popcount.
+func sparseBytes(ones, n int) int64 { return int64(ones) + int64(numChunks(n)) }
+
+// recordEnd returns the offset just past the record starting at sp[i].
+func recordEnd(sp []uint8, i int) int {
+	if h := sp[i]; h != bitmapTag {
+		return i + 1 + int(h)
+	}
+	return i + 1 + bitmapBytes
+}
+
+// chunkWords decodes one whole record into its chunk's four words.
+func chunkWords(rec []uint8) (m [4]uint64) {
+	if rec[0] == bitmapTag {
+		for k := range m {
+			m[k] = binary.LittleEndian.Uint64(rec[1+8*k:])
+		}
+		return m
+	}
+	for _, e := range rec[1:] {
+		m[e>>wordShift] |= 1 << uint(e&wordMask)
+	}
+	return m
+}
+
 // appendPos appends one set position to a sparse payload. Positions must
-// arrive ascending; the directory grows with zero-size chunks as needed.
+// arrive ascending; empty records fill the chunks the stream skips, and a
+// list record that would reach bitmapTag entries turns into a bitmap.
 func (s *Slice) appendPos(p int) {
 	c := p >> chunkShift
-	for len(s.chunkOff) < c+2 {
-		s.chunkOff = append(s.chunkOff, int32(len(s.pos8)))
+	if s.last < 0 || c != s.last>>chunkShift {
+		// While the stream is empty, s.last>>chunkShift is -1.
+		for next := s.last>>chunkShift + 1; next < c; next++ {
+			s.sp = append(s.sp, 0)
+		}
+		s.tail = len(s.sp)
+		s.sp = append(s.sp, 0)
 	}
-	s.pos8 = append(s.pos8, uint8(p&chunkMask))
-	s.chunkOff[c+1] = int32(len(s.pos8))
+	switch h := s.sp[s.tail]; h {
+	case bitmapTag:
+		s.sp[s.tail+1+(p&chunkMask)>>3] |= 1 << uint(p&7)
+	case bitmapTag - 1:
+		m := chunkWords(s.sp[s.tail:])
+		s.sp = append(s.sp[:s.tail], bitmapTag)
+		for _, w := range m {
+			s.sp = binary.LittleEndian.AppendUint64(s.sp, w)
+		}
+		s.sp[s.tail+1+(p&chunkMask)>>3] |= 1 << uint(p&7)
+	default:
+		s.sp[s.tail] = h + 1
+		s.sp = append(s.sp, uint8(p&chunkMask))
+	}
+	s.last = p
 }
 
 // forEachPos calls fn with every set position of a sparse payload in
 // ascending order.
 func (s *Slice) forEachPos(fn func(p int)) {
-	for c := 0; c+1 < len(s.chunkOff); c++ {
-		base := c << chunkShift
-		for _, lo := range s.pos8[s.chunkOff[c]:s.chunkOff[c+1]] {
-			fn(base + int(lo))
+	for i, c := 0, 0; i < len(s.sp); c++ {
+		end := recordEnd(s.sp, i)
+		for k, w := range chunkWords(s.sp[i:end]) {
+			base := c<<chunkShift + k<<wordShift
+			for ; w != 0; w &= w - 1 {
+				fn(base + bits.TrailingZeros64(w))
+			}
 		}
+		i = end
 	}
 }
 
@@ -181,9 +251,13 @@ func SliceFromWords(words []uint64, n int) (*Slice, error) {
 
 // SliceFromPositions builds a sparse slice from serialized set-bit
 // positions (decode path). Positions must be strictly ascending and below n.
+// The stream is sized from the positions, not from n: a record per chunk
+// through the last position's, and a byte per position.
 func SliceFromPositions(pos []uint32, n int) (*Slice, error) {
 	s := &Slice{enc: EncSparse, n: n, ones: len(pos), last: -1}
-	s.pos8 = make([]uint8, 0, len(pos))
+	if len(pos) > 0 {
+		s.sp = make([]uint8, 0, len(pos)+int(pos[len(pos)-1]>>chunkShift)+1)
+	}
 	for i, p := range pos {
 		if i > 0 && p <= pos[i-1] {
 			return nil, fmt.Errorf("bitvec: sparse positions not strictly ascending at %d", i)
@@ -192,9 +266,68 @@ func SliceFromPositions(pos []uint32, n int) (*Slice, error) {
 			return nil, fmt.Errorf("bitvec: sparse position %d beyond length %d", p, n)
 		}
 		s.appendPos(int(p))
-		s.last = int(p)
 	}
 	return s, nil
+}
+
+// SliceFromRecords builds a sparse slice of n bits over sp, a serialized
+// record stream (decode path), adopting sp rather than copying it. The
+// stream must be the one appendPos writes: list records of strictly
+// ascending entries, bitmap records only for chunks of bitmapTag or more
+// set bits, no position at or beyond n, and a last record that is not
+// empty. Anything else would break the appends and the byte-identity of a
+// re-encode, so it is an error.
+func SliceFromRecords(sp []uint8, n int) (*Slice, error) {
+	s := &Slice{enc: EncSparse, n: n, sp: sp, last: -1}
+	for i, c := 0, 0; i < len(sp); c++ {
+		h, end := int(sp[i]), recordEnd(sp, i)
+		if end > len(sp) {
+			return nil, fmt.Errorf("bitvec: record %d runs past the end of a %d-byte stream", c, len(sp))
+		}
+		for k := i + 2; h != bitmapTag && k < end; k++ {
+			if sp[k] <= sp[k-1] {
+				return nil, fmt.Errorf("bitvec: record %d entries not strictly ascending", c)
+			}
+		}
+		m := chunkWords(sp[i:end])
+		ones := 0
+		for _, w := range m {
+			ones += bits.OnesCount64(w)
+		}
+		if h == bitmapTag && ones < bitmapTag {
+			return nil, fmt.Errorf("bitvec: bitmap record %d holds only %d positions", c, ones)
+		}
+		if ones > 0 {
+			s.last = c<<chunkShift + highBit(m)
+		} else if end == len(sp) {
+			return nil, fmt.Errorf("bitvec: stream ends in an empty record")
+		}
+		if s.last >= n {
+			return nil, fmt.Errorf("bitvec: sparse position %d beyond length %d", s.last, n)
+		}
+		s.ones += ones
+		s.tail, i = i, end
+	}
+	return s, nil
+}
+
+// highBit returns the highest set bit of a chunk's words, or -1 if none.
+func highBit(m [4]uint64) int {
+	for k := 3; k >= 0; k-- {
+		if m[k] != 0 {
+			return k<<wordShift + wordBits - 1 - bits.LeadingZeros64(m[k])
+		}
+	}
+	return -1
+}
+
+// Records returns a sparse slice's record stream, aliased, or nil for a
+// dense or cold one. Serialization uses it; the caller must not modify it.
+func (s *Slice) Records() []uint8 {
+	if s.enc != EncSparse || s.cold != nil {
+		return nil
+	}
+	return s.sp
 }
 
 // Encoding reports the slice's current physical representation.
@@ -216,7 +349,7 @@ func (s *Slice) Bytes() int64 {
 	if s.enc == EncDense {
 		return 8 * int64(len(s.dense.words))
 	}
-	return int64(len(s.pos8)) + 4*int64(len(s.chunkOff))
+	return int64(len(s.sp))
 }
 
 // Get reports whether bit i is set, reading bits at or beyond Len as zero
@@ -235,20 +368,24 @@ func (s *Slice) Get(i int) bool {
 	if s.enc == EncDense {
 		return s.dense.Get(i)
 	}
-	c := i >> chunkShift
-	if c+1 >= len(s.chunkOff) {
-		return false
+	j := 0
+	for c := i >> chunkShift; c > 0 && j < len(s.sp); c-- {
+		j = recordEnd(s.sp, j)
 	}
-	j := lowerBound8(s.pos8, int(s.chunkOff[c]), int(s.chunkOff[c+1]), uint8(i&chunkMask))
-	return j < int(s.chunkOff[c+1]) && int(s.pos8[j]) == i&chunkMask
+	if j == len(s.sp) {
+		return false // past the last record
+	}
+	m := chunkWords(s.sp[j:recordEnd(s.sp, j)])
+	return m[(i&chunkMask)>>wordShift]&(1<<uint(i&wordMask)) != 0
 }
 
 // CloneFor returns a deep copy preserving the encoding, with room for the
 // append the copy is made for: a dense copy's words already cover n bits,
-// and a sparse copy's payload has spare capacity for one more set position
-// at bit n-1. The copy-on-write machinery in sigfile
-// clones a shared slice just before it appends the next row, and an
-// exact-size copy would be reallocated by that very append.
+// and a sparse copy's stream has spare capacity for one more set position
+// at bit n-1: its position byte and the count bytes of the chunks up to
+// it. The copy-on-write machinery in sigfile clones a shared slice just
+// before it appends the next row, and an exact-size copy would be
+// reallocated by that very append.
 func (s *Slice) CloneFor(n int) *Slice {
 	if s.cold != nil {
 		// The cold payload is immutable and shared; a header copy is a
@@ -262,9 +399,9 @@ func (s *Slice) CloneFor(n int) *Slice {
 		c.dense = s.dense.CloneFor(n)
 		return c
 	}
-	c.pos8 = append(make([]uint8, 0, len(s.pos8)+1), s.pos8...)
-	c.chunkOff = append(make([]int32, 0, max(len(s.chunkOff), numChunks(n)+1)), s.chunkOff...)
-	c.last = s.last
+	grow := 1 + max(0, numChunks(n)-(s.last>>chunkShift+1))
+	c.sp = append(make([]uint8, 0, len(s.sp)+grow), s.sp...)
+	c.tail, c.last = s.tail, s.last
 	return c
 }
 
@@ -301,7 +438,6 @@ func (s *Slice) AppendSet(i int) bool {
 		panic(fmt.Sprintf("bitvec: out-of-order append %d after %d on sparse slice", i, s.last))
 	}
 	s.appendPos(i)
-	s.last = i
 	s.ones++
 	if i >= s.n {
 		s.n = i + 1
@@ -319,7 +455,7 @@ func (s *Slice) maybePromote() {
 	}
 	s.dense = s.Materialize()
 	s.enc = EncDense
-	s.pos8, s.chunkOff = nil, nil
+	s.sp = nil
 }
 
 // MaybeCompress re-encodes an appending dense slice downward when its
@@ -341,8 +477,7 @@ func (s *Slice) MaybeCompress() *Slice {
 	if words < compressMinWords {
 		return s
 	}
-	sparse := int64(s.ones) + 4*int64(numChunks(s.n)+1)
-	if sparse > 8*int64(words)/compressWinDiv {
+	if sparseBytes(s.ones, s.n) > 8*int64(words)/compressWinDiv {
 		return s
 	}
 	return s.Recompress(s.n, true)
@@ -377,7 +512,7 @@ func (s *Slice) DenseVector() *Vector {
 
 // Positions returns the decoded set-bit positions of a sparse slice as a
 // fresh ascending []uint32; nil unless EncSparse. Serialization and tests
-// use it — the resident form stays the chunked u8 layout.
+// use it — the resident form stays the record stream.
 func (s *Slice) Positions() []uint32 {
 	if s.enc != EncSparse {
 		return nil
@@ -420,13 +555,12 @@ func (s *Slice) Recompress(n int, compress bool) *Slice {
 	}
 	// target is sparse and differs from s.enc, so s is dense.
 	t := &Slice{enc: EncSparse, n: n, ones: s.ones, last: -1}
-	t.pos8 = make([]uint8, 0, s.ones)
-	s.forEachRange(func(start, end int) {
-		for i := start; i < end; i++ {
-			t.appendPos(i)
+	t.sp = make([]uint8, 0, sparseBytes(s.ones, s.n))
+	for wi, w := range s.dense.words {
+		for ; w != 0; w &= w - 1 {
+			t.appendPos(wi<<wordShift + bits.TrailingZeros64(w))
 		}
-		t.last = end - 1
-	})
+	}
 	return t
 }
 
@@ -439,44 +573,10 @@ func (s *Slice) chooseEncoding(n int, compress bool) Encoding {
 	if words < compressMinWords {
 		return EncDense
 	}
-	sparseBytes := int64(s.ones) + 4*int64(numChunks(n)+1)
-	if sparseBytes <= 8*int64(words)/compressWinDiv {
+	if sparseBytes(s.ones, n) <= 8*int64(words)/compressWinDiv {
 		return EncSparse
 	}
 	return EncDense
-}
-
-// forEachRange calls fn with every maximal run [start, end) of set bits of
-// a dense slice — the walk Recompress builds a sparse payload from, the
-// only re-encoding that is not a plain Materialize.
-//
-// Word by word: a run starts at the lowest set bit at or above the cursor
-// and ends at the lowest clear one above that, so a word costs one
-// TrailingZeros64 per run border in it. x is the word, or its complement
-// while a run is open, with the bits below the cursor cleared. Bits past
-// s.n are zero (the Vector's tail invariant), so only a run reaching the
-// last word's top bit is still open after it.
-func (s *Slice) forEachRange(fn func(start, end int)) {
-	start, open := 0, false
-	for wi, w := range s.dense.words {
-		x := w
-		if open {
-			x = ^w
-		}
-		for x != 0 {
-			b := bits.TrailingZeros64(x)
-			if open {
-				fn(start, wi<<wordShift+b)
-			} else {
-				start = wi<<wordShift + b
-			}
-			open = !open
-			x = ^x & (^uint64(0) << uint(b))
-		}
-	}
-	if open {
-		fn(start, s.n)
-	}
 }
 
 // AndCountInto replaces dst with dst AND s (zero-extended) and returns the
@@ -508,9 +608,11 @@ func (s *Slice) andCountIntoSparse(dst *Vector) int {
 		panic(fmt.Sprintf("bitvec: zero-extended operand longer than destination: %d vs %d", s.n, dst.n))
 	}
 	if len(dst.summary) != 0 {
-		return dst.andCountPositionsSparse(s.pos8, s.chunkOff)
+		return dst.andCountRecordsSummarized(s.sp)
 	}
-	return dst.andCountPositionsDense(s.pos8, s.chunkOff)
+	cnt, _, c := andCountRecords(dst.words, s.sp, 0)
+	clear(dst.words[min(c<<(chunkShift-wordShift), len(dst.words)):])
+	return cnt
 }
 
 // OrInto ORs the slice into dst (zero-extended), the Fold accumulation
@@ -584,22 +686,42 @@ func blitWords(dst []uint64, at int, src []uint64) {
 	}
 }
 
-// andCountPositionsDense is the sparse-slice kernel against a dense
-// accumulator: chunk by chunk, gather the entries into a four-word mask held
-// in registers (a chunk is 256 bits), then AND it through the accumulator.
-// Entry gathering is branch-free with no serial dependency, so the byte
-// stream issues at full width; words past the slice's chunks are zeroed.
+// andCountRecords is the sparse-slice kernel against a dense accumulator:
+// it ANDs the whole records at the front of sp into vw, the first of them
+// being chunk c, and returns the popcount of the words it wrote, the bytes
+// it consumed and the chunk after the last. Record by record, the entries
+// gather into a four-word mask held in registers (a chunk is 256 bits) that
+// is then AND-ed through the accumulator; entry gathering is branch-free
+// with no serial dependency, so the byte stream issues at full width. A
+// record cut short by the end of sp is left for the caller: the cold
+// kernel carries it into the next page window. The accumulator words past
+// the last chunk are the caller's to zero. Both record kernels spell out
+// the position-list loop rather than call chunkWords: with a chunk holding
+// a handful of positions, the call's copied result cost about a third of
+// the dense-accumulator kernel's time.
 //
 //lint:hotpath
-func (v *Vector) andCountPositionsDense(pos8 []uint8, chunkOff []int32) int {
-	vw := v.words
-	cnt := 0
-	wi := 0
-	for c := 0; c+1 < len(chunkOff); c++ {
+func andCountRecords(vw []uint64, sp []uint8, c int) (cnt, used, next int) {
+	i := 0
+	for i < len(sp) {
 		var m [4]uint64
-		for _, e := range pos8[chunkOff[c]:chunkOff[c+1]] {
-			m[e>>6] |= 1 << uint(e&wordMask)
+		if h := int(sp[i]); h != bitmapTag {
+			if i+1+h > len(sp) {
+				break
+			}
+			for _, e := range sp[i+1 : i+1+h] {
+				m[e>>wordShift] |= 1 << uint(e&wordMask)
+			}
+			i += 1 + h
+		} else {
+			if i+1+bitmapBytes > len(sp) {
+				break
+			}
+			m = chunkWords(sp[i : i+1+bitmapBytes])
+			i += 1 + bitmapBytes
 		}
+		wi := c << (chunkShift - wordShift)
+		c++
 		if wi+4 <= len(vw) {
 			w0 := vw[wi] & m[0]
 			w1 := vw[wi+1] & m[1]
@@ -608,47 +730,50 @@ func (v *Vector) andCountPositionsDense(pos8 []uint8, chunkOff []int32) int {
 			vw[wi], vw[wi+1], vw[wi+2], vw[wi+3] = w0, w1, w2, w3
 			cnt += bits.OnesCount64(w0) + bits.OnesCount64(w1) +
 				bits.OnesCount64(w2) + bits.OnesCount64(w3)
-			wi += 4
-		} else {
-			for k := 0; k < 4 && wi < len(vw); k, wi = k+1, wi+1 {
-				w := vw[wi] & m[k]
-				vw[wi] = w
-				cnt += bits.OnesCount64(w)
-			}
+			continue
+		}
+		for k := 0; wi < len(vw); k, wi = k+1, wi+1 {
+			w := vw[wi] & m[k]
+			vw[wi] = w
+			cnt += bits.OnesCount64(w)
 		}
 	}
-	for ; wi < len(vw); wi++ {
-		vw[wi] = 0
-	}
-	return cnt
+	return cnt, i, c
 }
 
-// andCountPositionsSparse is the sparse×sparse kernel: stream the slice's
-// chunks in order, but consult the accumulator's summary first — four
-// consecutive words share one summary nibble — and skip a chunk's payload
-// entirely when all four are already dead. Both arrays are read strictly
-// sequentially, so the walk prefetches like the dense kernel instead of
-// bouncing between directory and payload, while a nearly-dead accumulator
-// still skips most chunk payloads. Summary bits retire as words die.
+// andCountRecordsSummarized is the sparse×sparse kernel: stream the
+// slice's records in order, but consult the accumulator's summary first —
+// four consecutive words share one summary nibble — and skip a record by
+// its count byte alone when all four are already dead. The stream is read
+// strictly sequentially, so the walk prefetches like the dense kernel,
+// while a nearly-dead accumulator still skips most records. Summary bits
+// retire as words die.
 //
 //lint:hotpath
-func (v *Vector) andCountPositionsSparse(pos8 []uint8, chunkOff []int32) int {
-	cnt := 0
-	nchunks := len(chunkOff) - 1
-	if nchunks < 0 {
-		nchunks = 0 // empty payload: fall through to the zero-extension tail
-	}
-	for c := 0; c < nchunks; c++ {
+func (v *Vector) andCountRecordsSummarized(sp []uint8) int {
+	cnt, c := 0, 0
+	for i := 0; i < len(sp); c++ {
+		h := int(sp[i])
+		end := i + 1 + h
+		if h == bitmapTag {
+			end = i + 1 + bitmapBytes
+		}
 		wbase := c << (chunkShift - wordShift) // 4 words per 256-bit chunk
 		// 4 divides 64, so the nibble never straddles summary words.
 		sb := (v.summary[wbase>>wordShift] >> uint(wbase&wordMask)) & 0xf
 		if sb == 0 {
+			i = end
 			continue
 		}
 		var m [4]uint64
-		for _, e := range pos8[chunkOff[c]:chunkOff[c+1]] {
-			m[e>>6] |= 1 << uint(e&wordMask)
+		if h != bitmapTag {
+			for _, e := range sp[i+1 : end] {
+				m[e>>wordShift] |= 1 << uint(e&wordMask)
+			}
+		} else {
+			m = chunkWords(sp[i:end])
 		}
+		i = end
 		top := 4
 		if rest := len(v.words) - wbase; rest < 4 {
 			top = rest // last chunk of a short accumulator
@@ -669,7 +794,7 @@ func (v *Vector) andCountPositionsSparse(pos8 []uint8, chunkOff []int32) int {
 		}
 	}
 	// Zero-extension tail: accumulator words past the slice's last chunk.
-	for wi := nchunks << (chunkShift - wordShift); wi < len(v.words); wi++ {
+	for wi := c << (chunkShift - wordShift); wi < len(v.words); wi++ {
 		if v.words[wi] != 0 {
 			v.words[wi] = 0
 			v.summary[wi>>wordShift] &^= 1 << uint(wi&wordMask)
@@ -677,20 +802,4 @@ func (v *Vector) andCountPositionsSparse(pos8 []uint8, chunkOff []int32) int {
 		}
 	}
 	return cnt
-}
-
-// lowerBound8 returns the first index in a[i:j] whose value is >= x
-// (j when none is), the binary search both sparse kernels lean on.
-//
-//lint:hotpath
-func lowerBound8(a []uint8, i, j int, x uint8) int {
-	for i < j {
-		h := int(uint(i+j) >> 1)
-		if a[h] < x {
-			i = h + 1
-		} else {
-			j = h
-		}
-	}
-	return i
 }

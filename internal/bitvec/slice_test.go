@@ -2,7 +2,6 @@ package bitvec
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 )
 
@@ -40,52 +39,6 @@ func encodeAs(t testing.TB, ref *Vector, enc Encoding) *Slice {
 }
 
 var allEncodings = []Encoding{EncDense, EncSparse}
-
-// TestForEachRangeDenseMatchesBitWalk pins forEachRange, which walks words,
-// against the bit-by-bit definition of a maximal run:
-// runs crossing word borders, lengths that are not a multiple of 64, and
-// all-zero and all-one vectors.
-func TestForEachRangeDenseMatchesBitWalk(t *testing.T) {
-	bitWalk := func(v *Vector) [][2]int {
-		var runs [][2]int
-		start := -1
-		for i := 0; i < v.Len(); i++ {
-			if v.Get(i) && start < 0 {
-				start = i
-			} else if !v.Get(i) && start >= 0 {
-				runs = append(runs, [2]int{start, i})
-				start = -1
-			}
-		}
-		if start >= 0 {
-			runs = append(runs, [2]int{start, v.Len()})
-		}
-		return runs
-	}
-	rng := rand.New(rand.NewSource(17))
-	for _, n := range []int{1, 2, 63, 64, 65, 127, 128, 129, 191, 1000, 1700} {
-		shapes := []*Vector{New(n), randomVector(rng, n, 0.05), randomVector(rng, n, 0.5),
-			randomVector(rng, n, 0.97), clusteredVector(rng, n, 5, 150)}
-		full := New(n)
-		full.SetAll()
-		border := New(n) // one run across every word border the length has
-		for b := 64; b < n; b += 64 {
-			for i := b - 3; i < b+3 && i < n; i++ {
-				border.Set(i)
-			}
-		}
-		shapes = append(shapes, full, border)
-		for si, v := range shapes {
-			var got [][2]int
-			DenseSliceOf(v).forEachRange(func(start, end int) {
-				got = append(got, [2]int{start, end})
-			})
-			if want := bitWalk(v); !reflect.DeepEqual(got, want) {
-				t.Errorf("n=%d shape %d: runs %v, want %v", n, si, got, want)
-			}
-		}
-	}
-}
 
 // TestAndCountIntoMatchesDense is the core kernel-parity property: for every
 // encoding, against both a dense and a summarized accumulator, with the
@@ -380,7 +333,7 @@ func TestRecompressSelection(t *testing.T) {
 			want       Encoding
 		}{
 			{1000, 3000, EncDense},  // 2000 ones: ~2 KB of positions against 512 B of words
-			{1000, 1150, EncSparse}, // 150 ones: 218 B of positions, under half the words
+			{1000, 1150, EncSparse}, // 150 ones: 166 B of records, under half the words
 		} {
 			v := New(n)
 			for i := c.start; i < c.end; i++ {
@@ -399,19 +352,19 @@ func TestRecompressSelection(t *testing.T) {
 		}
 	})
 	t.Run("inside the hysteresis band stays put", func(t *testing.T) {
-		// One isolated bit every 20 positions: ~205 ones cost two bytes
-		// each, so the sparse payload (~418 bytes) sits between dense/2
-		// (256) and dense (512) — Recompress(true) keeps dense and an
-		// existing sparse slice would not be rebuilt either.
+		// One isolated bit every 12 positions: 342 ones and 16 count
+		// bytes make a 358-byte sparse payload, between dense/2 (256) and
+		// dense (512) — Recompress(true) keeps dense, and a sparse slice
+		// of that shape would not promote on its next append either.
 		v := New(n)
-		for i := 0; i < n; i += 20 {
+		for i := 0; i < n; i += 12 {
 			v.Set(i)
 		}
 		if s := DenseSliceOf(v).Recompress(n, true); s.Encoding() != EncDense {
 			t.Fatalf("dense slice left the band: %v", s.Encoding())
 		}
-		pos := make([]uint32, 0, n/20)
-		for i := 0; i < n; i += 20 {
+		pos := make([]uint32, 0, n/12+1)
+		for i := 0; i < n; i += 12 {
 			pos = append(pos, uint32(i))
 		}
 		sp, err := SliceFromPositions(pos, n)
@@ -460,7 +413,8 @@ func TestRecompressRoundTrips(t *testing.T) {
 	}
 }
 
-// TestSliceDecodeValidation rejects malformed persisted payloads.
+// TestSliceDecodeValidation rejects malformed persisted payloads: position
+// lists and record streams alike.
 func TestSliceDecodeValidation(t *testing.T) {
 	if _, err := SliceFromPositions([]uint32{3, 3}, 10); err == nil {
 		t.Error("duplicate positions accepted")
@@ -470,6 +424,40 @@ func TestSliceDecodeValidation(t *testing.T) {
 	}
 	if _, err := SliceFromPositions([]uint32{10}, 10); err == nil {
 		t.Error("position beyond length accepted")
+	}
+	// A position-free slice over the most rows a header may claim builds
+	// no stream: its size follows the positions read, not the length.
+	if s, err := SliceFromPositions(nil, 1<<32); err != nil || cap(s.sp) != 0 {
+		t.Errorf("empty slice over 2^32 rows: err %v, stream capacity %d", err, cap(s.sp))
+	}
+
+	bitmap := func(ones int) []uint8 {
+		rec := make([]uint8, 1+bitmapBytes)
+		rec[0] = bitmapTag
+		for i := 0; i < ones; i++ {
+			rec[1+i>>3] |= 1 << uint(i&7)
+		}
+		return rec
+	}
+	for name, sp := range map[string][]uint8{
+		"record cut short":     {3, 1, 2},
+		"descending entries":   {2, 5, 3},
+		"duplicate entries":    {2, 5, 5},
+		"bitmap cut short":     bitmap(255)[:20],
+		"sparse bitmap":        bitmap(254),
+		"trailing empty chunk": {1, 5, 0},
+		"position beyond n":    {0, 1, 3},
+	} {
+		if _, err := SliceFromRecords(sp, 256); err == nil {
+			t.Errorf("%s: stream accepted", name)
+		}
+	}
+	s, err := SliceFromRecords(append([]uint8{0, 1, 3}, bitmap(256)...), 3*chunkSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Ones() != 257 || s.tail != 3 || s.last != 3*chunkSize-1 {
+		t.Errorf("ones %d tail %d last %d, want 257, 3 and %d", s.Ones(), s.tail, s.last, 3*chunkSize-1)
 	}
 }
 
@@ -511,4 +499,68 @@ func BenchmarkAndCountIntoSparse(b *testing.B) {
 			scratch.AndCountZX(s.Materialize())
 		}
 	})
+}
+
+// TestSparseBytesIsTheStreamSize pins sparseBytes, the one sparse-size
+// formula the encoding choice reads, to the payload a fresh encoding
+// allocates: equal when the last chunk holds a set bit and no chunk is a
+// bitmap record, smaller when some chunk is.
+func TestSparseBytesIsTheStreamSize(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 50; trial++ {
+		n := 2048 + rng.Intn(6000)
+		v := randomVector(rng, n, 0.02)
+		v.Set(n - 1)
+		for _, s := range []*Slice{DenseSliceOf(v.Clone()).Recompress(n, true), encodeAs(t, v, EncSparse)} {
+			if s.Encoding() != EncSparse {
+				t.Fatalf("n=%d: %d ones picked %v", n, v.Count(), s.Encoding())
+			}
+			if got, want := s.Bytes(), sparseBytes(s.Ones(), n); got != want {
+				t.Fatalf("n=%d ones=%d: Bytes %d, sparseBytes %d", n, s.Ones(), got, want)
+			}
+		}
+	}
+	full := New(4096)
+	for i := 512; i < 768; i++ {
+		full.Set(i) // chunk 2 is a bitmap record
+	}
+	full.Set(4095)
+	if s := encodeAs(t, full, EncSparse); s.Bytes() != 16+1+bitmapBytes || s.Bytes() >= sparseBytes(s.Ones(), 4096) {
+		t.Fatalf("a full chunk takes %d bytes, want %d", s.Bytes(), 16+1+bitmapBytes)
+	}
+}
+
+// TestHysteresisEdges checks that chooseEncoding, MaybeCompress and
+// maybePromote agree on the band's edges at n = 4096 (512 dense bytes,
+// 16 chunks): a slice is chosen sparse up to 256 payload bytes (240 ones),
+// and an appending sparse slice promotes at 512 (496 ones), not at 511.
+func TestHysteresisEdges(t *testing.T) {
+	const n = 4096
+	spread := func(ones int) *Vector { // every chunk holds a set bit
+		v := New(n)
+		for i := 0; i < ones; i++ {
+			v.Set(i * n / ones)
+		}
+		return v
+	}
+	for ones, want := range map[int]Encoding{240: EncSparse, 241: EncDense} {
+		d := DenseSliceOf(spread(ones))
+		if got := d.chooseEncoding(n, true); got != want {
+			t.Errorf("%d ones: chooseEncoding %v, want %v", ones, got, want)
+		}
+		if got := d.MaybeCompress().Encoding(); got != want {
+			t.Errorf("%d ones: MaybeCompress gives %v, want %v", ones, got, want)
+		}
+	}
+	edge := DenseSliceOf(spread(240)).MaybeCompress()
+	if edge.Bytes() != n/8/compressWinDiv {
+		t.Fatalf("the lower edge's payload is %d bytes, want %d", edge.Bytes(), n/8/compressWinDiv)
+	}
+	s := encodeAs(t, spread(495), EncSparse)
+	if s.Bytes() != n/8-1 {
+		t.Fatalf("495 ones: %d bytes, want %d", s.Bytes(), n/8-1)
+	}
+	if s.AppendSet(n - 1); s.Encoding() != EncDense {
+		t.Fatalf("496 ones: %v with %d bytes at the dense size, want dense", s.Encoding(), s.Bytes())
+	}
 }

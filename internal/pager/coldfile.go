@@ -6,7 +6,7 @@ import (
 	"os"
 )
 
-// Cold-file format, BBSCOLD version 2 (the magic's trailing '1' is part of
+// Cold-file format, BBSCOLD version 3 (the magic's trailing '1' is part of
 // the tag; the version field is what moves). Page 0 is the header:
 //
 //	magic(8) | version uint32 | pageSize uint32 | payloadPages uint64
@@ -27,14 +27,17 @@ import (
 // renamed into place, so Open can trust any file it accepts. An unsealed
 // or torn file fails Open and the caller rebuilds it from the
 // authoritative index — cold files are derived data, which is also why
-// version 1 (one page-aligned extent per slice) has no reader here.
+// older versions have no reader here: version 1 put one page-aligned
+// extent per slice, and version 2 held a sparse slice as uint32 positions
+// where version 3 holds the resident per-chunk record stream (see
+// bitvec/cold.go).
 
 var coldMagic = [8]byte{'B', 'B', 'S', 'C', 'O', 'L', 'D', '1'}
 
-const coldVersion = 2
+const coldVersion = 3
 
-// extentAlign is the boundary extents start on: the widest value the cold
-// payload formats hold, so no value ever straddles a page.
+// extentAlign is the boundary extents start on: the width of a dense
+// payload's words, so no word ever straddles a page.
 const extentAlign = 8
 
 var zeroPage [PageSize]byte

@@ -30,9 +30,8 @@ import (
 	"sync/atomic"
 )
 
-// PageSize is the frame granularity in bytes. It divides by 8, so the cold
-// payload formats (uint64 words, uint32 positions) never straddle a page
-// boundary.
+// PageSize is the frame granularity in bytes. It divides by 8, so a dense
+// cold payload's uint64 words never straddle a page boundary.
 const PageSize = 4096
 
 // Stats is a point-in-time snapshot of the pool's counters, readable

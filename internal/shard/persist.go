@@ -21,7 +21,7 @@ import (
 //
 //	manifest.json                    {"version":1,"shards":N,"m":...,"k":...}
 //	shard-000/transactions.txdb      shard 0's rows, local positions
-//	shard-000/index.bbs              shard 0's BBS (the unchanged BBSSIG02 format)
+//	shard-000/index.bbs              shard 0's BBS (sigfile's BBSSIG format)
 //	shard-001/...
 //
 // The manifest is the commit point of the migration from the flat layout:

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"bbsmine/internal/bitvec"
@@ -207,6 +208,63 @@ func writeToV2(b *BBS, w *bytes.Buffer) {
 	}
 }
 
+// encodeV3 serializes b in the BBSSIG03 layout, which stored a sparse
+// slice as its uint32 positions: the current bytes up to the first slice
+// record under the v3 magic, then each slice record as the v3 writer
+// emitted it.
+func encodeV3(t testing.TB, b *BBS) []byte {
+	t.Helper()
+	out := slices.Concat(sigMagicV3[:], encodeBBS(t, b)[8:sliceRecordOffset(b, 0)])
+	for p, s := range b.slices {
+		out = binary.LittleEndian.AppendUint64(out, uint64(b.sliceOnes[p]))
+		out = append(out, byte(s.Encoding()))
+		if s.Encoding() == bitvec.EncDense {
+			v := s.Materialize()
+			v.Grow(b.n)
+			for _, w := range v.Words() {
+				out = binary.LittleEndian.AppendUint64(out, w)
+			}
+			continue
+		}
+		pos := s.Positions()
+		out = binary.LittleEndian.AppendUint32(out, uint32(len(pos)))
+		for _, v := range pos {
+			out = binary.LittleEndian.AppendUint32(out, v)
+		}
+	}
+	return out
+}
+
+// A compressed BBSSIG03 file must still load, its position lists becoming
+// the same record streams the index held, so that the next Save writes the
+// bytes a current writer gives the original.
+func TestLoadV3Compat(t *testing.T) {
+	rng := rand.New(rand.NewSource(96))
+	idx, _ := sparseIndex(rng, 1500)
+	idx.SetCompression(true)
+	loaded, err := decodeBBS(bufio.NewReader(bytes.NewReader(encodeV3(t, idx))), idx.Hasher(), nil)
+	if err != nil {
+		t.Fatalf("v3 load: %v", err)
+	}
+	sparse := 0
+	for p := range idx.slices {
+		if got, want := loaded.slices[p].Encoding(), idx.slices[p].Encoding(); got != want {
+			t.Fatalf("slice %d encoding %v, want %v", p, got, want)
+		}
+		if idx.slices[p].Encoding() == bitvec.EncSparse {
+			sparse++
+		}
+	}
+	if sparse == 0 {
+		t.Fatal("no sparse slice in the test index")
+	}
+	checkSliceOnes(t, loaded)
+	if !bytes.Equal(encodeBBS(t, loaded), encodeBBS(t, idx)) {
+		t.Error("a v3 load re-encodes to different bytes than the original")
+	}
+	compareCounts(t, rng, loaded, idx, 100)
+}
+
 // The legacy flat format must still load — recounting popcounts as it
 // always did — and answer identically.
 func TestLoadV2Compat(t *testing.T) {
@@ -267,7 +325,7 @@ func TestSnapshotSurvivesCompression(t *testing.T) {
 	}
 }
 
-// Corrupt v3 slice records must be rejected, not absorbed.
+// Corrupt slice records must be rejected, not absorbed.
 func TestLoadRejectsCorruptSliceRecords(t *testing.T) {
 	rng := rand.New(rand.NewSource(98))
 	idx, _ := sparseIndex(rng, 800)
@@ -298,9 +356,17 @@ func TestLoadRejectsCorruptSliceRecords(t *testing.T) {
 	if _, err := decodeBBS(bufio.NewReader(bytes.NewReader(bad)), idx.Hasher(), nil); err == nil {
 		t.Error("corrupt sparse popcount accepted")
 	}
+
+	// A stream length one short cuts the stream's last record.
+	bad = append([]byte(nil), good.Bytes()...)
+	streamLen := off + 8 + 1
+	binary.LittleEndian.PutUint32(bad[streamLen:], uint32(len(idx.slices[target].Records())-1))
+	if _, err := decodeBBS(bufio.NewReader(bytes.NewReader(bad)), idx.Hasher(), nil); err == nil {
+		t.Error("cut sparse stream accepted")
+	}
 }
 
-// sliceRecordOffset computes where slice p's record starts in the v3
+// sliceRecordOffset computes where slice p's record starts in the
 // serialization of b — mirroring the writer's layout arithmetic.
 func sliceRecordOffset(b *BBS, p int) int {
 	off := 8 + 17 // magic + m/k/n/flags
@@ -315,7 +381,7 @@ func sliceRecordOffset(b *BBS, p int) int {
 		if b.slices[q].Encoding() == bitvec.EncDense {
 			off += 8 * fullWords
 		} else {
-			off += 4 + 4*len(b.slices[q].Positions())
+			off += 4 + len(b.slices[q].Records())
 		}
 	}
 	return off

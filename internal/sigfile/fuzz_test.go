@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"math"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -117,6 +119,48 @@ func withRunRecord(t testing.TB, b *BBS, p, ones int, runs []uint32) []byte {
 	return slices.Concat(full[:off], rec, full[end:])
 }
 
+// emptySparseFile returns a file of the given magic whose header claims n
+// rows and whose fuzzHasher slices are all empty sparse records: with no
+// dense word to read, nothing but the decoder's own checks bounds what n
+// makes it allocate.
+func emptySparseFile(magic [8]byte, n uint64) []byte {
+	out := binary.LittleEndian.AppendUint32(magic[:], uint32(fuzzHasher().M()))
+	out = binary.LittleEndian.AppendUint32(out, uint32(fuzzHasher().K()))
+	out = binary.LittleEndian.AppendUint64(out, n)
+	out = append(out, 0)                           // flags
+	out = binary.LittleEndian.AppendUint32(out, 0) // no items
+	out = append(out, 0)                           // no live mask
+	for p := 0; p < fuzzHasher().M(); p++ {
+		out = binary.LittleEndian.AppendUint64(out, 0) // ones
+		out = append(out, byte(bitvec.EncSparse))
+		out = binary.LittleEndian.AppendUint32(out, 0) // no positions, no stream
+	}
+	return out
+}
+
+// compressedSeedBBS is an index over enough rows, most of them empty, that
+// SetCompression makes its nonempty slices sparse, so the corpus holds
+// sparse records with set positions in them.
+func compressedSeedBBS(t testing.TB) *BBS {
+	t.Helper()
+	b := New(fuzzHasher(), &iostat.Stats{})
+	for i := 0; i < 640; i++ {
+		if i%40 == 0 {
+			b.Insert([]int32{1})
+		} else {
+			b.Insert(nil)
+		}
+	}
+	b.SetCompression(true)
+	for _, s := range b.slices {
+		if s.Encoding() == bitvec.EncSparse && s.Ones() > 0 {
+			return b
+		}
+	}
+	t.Fatal("no nonempty sparse slice in the compressed seed")
+	return nil
+}
+
 // FuzzDecodeBBS drives the persistence decoder with arbitrary bytes: it
 // must never panic, and whenever it accepts an input, re-encoding the
 // decoded index and decoding that again must reproduce the same bytes —
@@ -131,6 +175,9 @@ func FuzzDecodeBBS(f *testing.F) {
 		f.Add(badItemEntries(full)[name])
 	}
 	f.Add(withRLESlice(f, seedBBS(f)))
+	f.Add(encodeBBS(f, compressedSeedBBS(f)))
+	f.Add(encodeV3(f, compressedSeedBBS(f)))
+	f.Add(emptySparseFile(sigMagicV3, 1<<40))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		b, err := decodeBBS(bufio.NewReader(bytes.NewReader(data)), fuzzHasher(), &iostat.Stats{})
 		if err != nil {
@@ -145,6 +192,32 @@ func FuzzDecodeBBS(f *testing.F) {
 			t.Fatalf("encode/decode not a fixed point: %d vs %d bytes", len(enc), len(enc2))
 		}
 	})
+}
+
+// TestDecodeBBSBoundsRowCount: a header may claim at most 2^32 rows, the
+// most a uint32 position names, and a file of empty sparse slices that
+// claims that many decodes without allocating for them.
+func TestDecodeBBSBoundsRowCount(t *testing.T) {
+	for _, magic := range [][8]byte{sigMagic, sigMagicV3} {
+		for _, n := range []uint64{1<<32 + 1, 1 << 40, math.MaxInt64, math.MaxUint64} {
+			if _, err := decodeBBS(bufio.NewReader(bytes.NewReader(emptySparseFile(magic, n))), fuzzHasher(), &iostat.Stats{}); err == nil {
+				t.Errorf("%s: %d rows accepted", magic, n)
+			}
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		b, err := decodeBBS(bufio.NewReader(bytes.NewReader(emptySparseFile(magic, 1<<32))), fuzzHasher(), &iostat.Stats{})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("%s: 2^32 rows of empty slices rejected: %v", magic, err)
+		}
+		if b.Len() != 1<<32 {
+			t.Errorf("%s: decoded %d rows, want 2^32", magic, b.Len())
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 4<<20 {
+			t.Errorf("%s: decoding empty slices allocated %d bytes", magic, grew)
+		}
+	}
 }
 
 // TestDecodeBBSRoundTrip pins the exact-bytes round trip on the canonical

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 
 	"bbsmine/internal/bitvec"
 	"bbsmine/internal/iostat"
@@ -15,14 +16,16 @@ import (
 
 // On-disk layout of a persisted BBS ("the structure is persistent — there is
 // no need to reconstruct the BBS upon every update"). Current format,
-// BBSSIG03:
+// BBSSIG04:
 //
 //	magic(8) | m uint32 | k uint32 | n uint64 | flags byte
 //	| numItems uint32 | (item int32, count uint64)*    exact 1-itemset counts
 //	| liveFlag byte | [deleted uint64 | ceil(n/64) uint64]   live-row mask
 //	| m × slice, each: ones uint64 | enc byte | payload
 //	    enc 0 (dense):  ceil(n/64) uint64 words
-//	    enc 1 (sparse): count uint32 | count × uint32 ascending positions
+//	    enc 1 (sparse): bytes uint32 | the slice's record stream (bitvec's
+//	                    resident and cold sparse layout: per 256-bit chunk
+//	                    a count byte and its low-8-bit positions)
 //	    enc 2 (rle):    retired; still read, as pairs uint32 | pairs ×
 //	                    (start uint32, len uint32), and re-encoded on load
 //
@@ -31,14 +34,17 @@ import (
 // compression policy. The per-slice ones field persists the popcount, so
 // Load rebuilds the rarest-first ordering without recounting m×n bits — on
 // a cold start of a large index that recount used to dominate open time.
+// n is at most 2^32, the most rows a uint32 position can name.
 //
-// The previous format, BBSSIG02, is identical up to the flags byte and
-// stores every slice as bare dense words with no ones/enc prefix; Load
-// still accepts it (recounting, as it always did), so pre-compression index
-// files open unchanged.
+// Load still accepts the two previous formats. BBSSIG03 differs only in
+// the sparse payload, count uint32 | count × uint32 ascending positions.
+// BBSSIG02 is identical up to the flags byte and stores every slice as
+// bare dense words with no ones/enc prefix (recounted on load, as it
+// always was), so pre-compression index files open unchanged.
 
 var (
-	sigMagic   = [8]byte{'B', 'B', 'S', 'S', 'I', 'G', '0', '3'}
+	sigMagic   = [8]byte{'B', 'B', 'S', 'S', 'I', 'G', '0', '4'}
+	sigMagicV3 = [8]byte{'B', 'B', 'S', 'S', 'I', 'G', '0', '3'}
 	sigMagicV2 = [8]byte{'B', 'B', 'S', 'S', 'I', 'G', '0', '2'}
 )
 
@@ -135,13 +141,12 @@ func (b *BBS) writeTo(w io.Writer) error {
 // writeSlice emits one slice record: persisted popcount, encoding tag, then
 // the encoding's payload. Dense slices are padded to full length — slices
 // grow lazily (see Insert), so the in-memory vector may back fewer than
-// ceil(n/64) words — while compressed payloads are position-based and need
-// no padding.
+// ceil(n/64) words — while a sparse stream ends at its last set position's
+// chunk and needs no padding.
 func (b *BBS) writeSlice(w io.Writer, p int, s *bitvec.Slice, wordBuf []byte) error {
 	// A tiered slice persists from its thawed form: the cold file is
 	// derived data, the BBSSIG image is authoritative, so Save always
-	// writes resident payloads. (Positions would thaw internally, but a
-	// cold dense slice has no resident vector to alias.)
+	// writes resident payloads.
 	if s.IsCold() {
 		s = s.Thaw()
 	}
@@ -169,17 +174,14 @@ func (b *BBS) writeSlice(w io.Writer, p int, s *bitvec.Slice, wordBuf []byte) er
 		}
 		return nil
 	}
+	sp := s.Records()
 	var u32 [4]byte
-	pos := s.Positions()
-	binary.LittleEndian.PutUint32(u32[:], uint32(len(pos)))
+	binary.LittleEndian.PutUint32(u32[:], uint32(len(sp)))
 	if _, err := w.Write(u32[:]); err != nil {
-		return fmt.Errorf("sigfile: write slice %d position count: %w", p, err)
+		return fmt.Errorf("sigfile: write slice %d stream length: %w", p, err)
 	}
-	for _, v := range pos {
-		binary.LittleEndian.PutUint32(u32[:], v)
-		if _, err := w.Write(u32[:]); err != nil {
-			return fmt.Errorf("sigfile: write slice %d positions: %w", p, err)
-		}
+	if _, err := w.Write(sp); err != nil {
+		return fmt.Errorf("sigfile: write slice %d stream: %w", p, err)
 	}
 	return nil
 }
@@ -212,8 +214,8 @@ func decodeBBS(r *bufio.Reader, h sighash.Hasher, stats *iostat.Stats) (*BBS, er
 	if _, err := io.ReadFull(r, magic[:]); err != nil {
 		return nil, fmt.Errorf("read magic: %w", err)
 	}
-	v2 := magic == sigMagicV2
-	if !v2 && magic != sigMagic {
+	v2, v3 := magic == sigMagicV2, magic == sigMagicV3
+	if !v2 && !v3 && magic != sigMagic {
 		return nil, fmt.Errorf("not a BBS file")
 	}
 	hdr := make([]byte, 16)
@@ -226,7 +228,7 @@ func decodeBBS(r *bufio.Reader, h sighash.Hasher, stats *iostat.Stats) (*BBS, er
 	if m != h.M() || k != h.K() {
 		return nil, fmt.Errorf("file has m=%d k=%d, hasher has m=%d k=%d", m, k, h.M(), h.K())
 	}
-	if n < 0 {
+	if n < 0 || n > 1<<32 {
 		return nil, fmt.Errorf("corrupt transaction count %d", n)
 	}
 
@@ -314,7 +316,7 @@ func decodeBBS(r *bufio.Reader, h sighash.Hasher, stats *iostat.Stats) (*BBS, er
 			b.sliceOnes[p] = s.Ones()
 			continue
 		}
-		s, ones, err := readSlice(r, n, words, buf)
+		s, ones, err := readSlice(r, n, words, buf, v3)
 		if err != nil {
 			return nil, fmt.Errorf("read slice %d: %w", p, err)
 		}
@@ -328,13 +330,15 @@ func decodeBBS(r *bufio.Reader, h sighash.Hasher, stats *iostat.Stats) (*BBS, er
 	return b, nil
 }
 
-// readSlice decodes one v3 slice record. A sparse payload is validated
-// structurally (ascending positions within bounds) and its popcount is
-// cross-checked against the persisted one; a dense payload's
-// persisted popcount is trusted — skipping that recount is the point of
-// persisting it, and a wrong value cannot corrupt results, only the AND
-// ordering (which every result is invariant to).
-func readSlice(r *bufio.Reader, n, words int, buf []byte) (*bitvec.Slice, int, error) {
+// readSlice decodes one slice record, its sparse payload as v3 positions
+// when positions is set and as a record stream otherwise. A sparse payload
+// is validated structurally (ascending positions within bounds, a
+// canonical stream) and its popcount is cross-checked against the
+// persisted one; a dense payload's persisted popcount is trusted — skipping
+// that recount is the point of persisting it, and a wrong value cannot
+// corrupt results, only the AND ordering (which every result is invariant
+// to).
+func readSlice(r *bufio.Reader, n, words int, buf []byte, positions bool) (*bitvec.Slice, int, error) {
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return nil, 0, fmt.Errorf("ones: %w", err)
 	}
@@ -360,15 +364,27 @@ func readSlice(r *bufio.Reader, n, words int, buf []byte) (*bitvec.Slice, int, e
 	case bitvec.EncSparse:
 		count, err := readU32(r, buf)
 		if err != nil {
-			return nil, 0, fmt.Errorf("position count: %w", err)
+			return nil, 0, fmt.Errorf("sparse payload length: %w", err)
 		}
-		pos, err := readU32s(r, count, buf)
-		if err != nil {
-			return nil, 0, fmt.Errorf("positions: %w", err)
-		}
-		s, err := bitvec.SliceFromPositions(pos, n)
-		if err != nil {
-			return nil, 0, err
+		var s *bitvec.Slice
+		if positions {
+			pos, err := readU32s(r, count, buf)
+			if err != nil {
+				return nil, 0, fmt.Errorf("positions: %w", err)
+			}
+			s, err = bitvec.SliceFromPositions(pos, n)
+			if err != nil {
+				return nil, 0, err
+			}
+		} else {
+			sp, err := readBytes(r, int(count))
+			if err != nil {
+				return nil, 0, fmt.Errorf("stream: %w", err)
+			}
+			s, err = bitvec.SliceFromRecords(sp, n)
+			if err != nil {
+				return nil, 0, err
+			}
 		}
 		if s.Ones() != ones {
 			return nil, 0, fmt.Errorf("popcount %d disagrees with %d positions", ones, s.Ones())
@@ -443,6 +459,20 @@ func readU32(r *bufio.Reader, buf []byte) (uint32, error) {
 		return 0, err
 	}
 	return binary.LittleEndian.Uint32(buf[:4]), nil
+}
+
+// readBytes reads count bytes with the same grow-as-you-read discipline as
+// readWords.
+func readBytes(r *bufio.Reader, count int) ([]byte, error) {
+	bs := make([]byte, 0, min(count, 1<<16))
+	for len(bs) < count {
+		k := min(count-len(bs), 1<<16)
+		bs = slices.Grow(bs, k)[:len(bs)+k]
+		if _, err := io.ReadFull(r, bs[len(bs)-k:]); err != nil {
+			return nil, fmt.Errorf("byte %d: %w", len(bs)-k, err)
+		}
+	}
+	return bs, nil
 }
 
 // readU32s reads count little-endian uint32 values with the same

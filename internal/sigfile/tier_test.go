@@ -3,6 +3,7 @@ package sigfile
 import (
 	"math/rand"
 	"path/filepath"
+	"sort"
 	"testing"
 
 	"bbsmine/internal/pager"
@@ -58,16 +59,21 @@ func TestTierPacksColdSlicesInTouchRank(t *testing.T) {
 }
 
 // coldBench builds a fig6-shaped index (M=1600, 10 000 rows: 1250-byte
-// slices), tiers it under half its footprint the way Database.Tier does,
-// and returns it with the pool and the positions of its cold slices.
-func coldBench(b *testing.B) (*BBS, *pager.Pager, []int) {
+// slices), compressed or not, tiers it under half its resident footprint
+// the way Database.Tier does, and returns it with the pool and the
+// positions of its cold slices in the order Tier packed them (smallest
+// payload first), so neighbours in the list share pages. Compressed, every
+// slice of this uniform data is sparse, so the cold ANDs run the sparse
+// record kernel.
+func coldBench(b *testing.B, compress bool) (*BBS, *pager.Pager, []int) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(71))
 	idx := New(sighash.NewMD5(1600, 4), nil)
 	for i := 0; i < 10000; i++ {
 		idx.Insert(randomItems(rng, 10, 10000))
 	}
-	budget := idx.TotalBytes() / 2
+	idx.SetCompression(compress)
+	budget := idx.ResidentSliceBytes() / 2
 	pg := pager.New(budget)
 	if err := idx.Tier(pg, filepath.Join(b.TempDir(), "slices.cold"), budget/2, nil); err != nil {
 		b.Fatal(err)
@@ -82,8 +88,17 @@ func coldBench(b *testing.B) (*BBS, *pager.Pager, []int) {
 	if len(cold) == 0 {
 		b.Fatal("nothing went cold under half the footprint")
 	}
+	sort.SliceStable(cold, func(i, j int) bool {
+		return idx.slices[cold[i]].ColdPayloadBytes() < idx.slices[cold[j]].ColdPayloadBytes()
+	})
 	return idx, pg, cold
 }
+
+// coldStorages names coldBench's two indexes.
+var coldStorages = []struct {
+	name     string
+	compress bool
+}{{"dense", false}, {"compressed", true}}
 
 // runColdAnds times AndSlice over the given cold positions in turn and
 // reports the share of page requests that had to fault.
@@ -103,21 +118,30 @@ func runColdAnds(b *testing.B, idx *BBS, pg *pager.Pager, walk []int) {
 	b.ReportMetric(float64(after.Faults-before.Faults)/float64(b.N), "faults/op")
 }
 
-// BenchmarkAndSliceColdHit ANDs cold slices whose pages all fit the pool:
-// the cost of the cold kernel plus a pin and an unpin.
+// BenchmarkAndSliceColdHit ANDs 32 cold slices packed side by side, whose
+// pages all fit the pool: the cost of the cold kernel plus a pin and an
+// unpin.
 func BenchmarkAndSliceColdHit(b *testing.B) {
-	idx, pg, cold := coldBench(b)
-	runColdAnds(b, idx, pg, cold[:min(len(cold), 32)])
+	for _, st := range coldStorages {
+		b.Run(st.name, func(b *testing.B) {
+			idx, pg, cold := coldBench(b, st.compress)
+			runColdAnds(b, idx, pg, cold[:min(len(cold), 32)])
+		})
+	}
 }
 
 // BenchmarkAndSliceColdFault walks every cold slice with a stride that
 // lands consecutive ANDs on different pages and comes back to a page only
 // after more pages than the pool holds: nearly every AND pays a fault.
 func BenchmarkAndSliceColdFault(b *testing.B) {
-	idx, pg, cold := coldBench(b)
-	walk := make([]int, len(cold))
-	for i := range walk {
-		walk[i] = cold[(i*7)%len(cold)]
+	for _, st := range coldStorages {
+		b.Run(st.name, func(b *testing.B) {
+			idx, pg, cold := coldBench(b, st.compress)
+			walk := make([]int, len(cold))
+			for i := range walk {
+				walk[i] = cold[(i*7)%len(cold)]
+			}
+			runColdAnds(b, idx, pg, walk)
+		})
 	}
-	runColdAnds(b, idx, pg, walk)
 }
