@@ -58,7 +58,7 @@ lint-fix-scope:
 	$(GO) run ./cmd/bbslint -suppressions ./...
 
 ## bench: the paper-figure benchmarks plus the workers sweep (quick form;
-## see bench_results_full.txt for a full bbsbench run)
+## `go run ./cmd/bbsbench -fig all` regenerates the full figures)
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 

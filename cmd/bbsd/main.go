@@ -32,18 +32,10 @@
 // across the shards. Per-class and per-stage latency histograms with
 // p50/p95/p99/p99.9 appear on /metrics, and /stats reports cache hit
 // ratio, single-flight joins, admission rejections and queue depth.
-//
-// -bench skips serving: it seeds the paper's default dataset into a
-// scratch directory, measures cold-versus-cached /mine latency over real
-// HTTP and appends the records to -bench-out. With -shards N it also
-// measures the sharded server: /txns write throughput into N commit loops
-// plus cold and cached /mine latency over the shards.
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -51,23 +43,15 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
-	"sort"
 	"syscall"
 	"time"
 
-	"bbsmine/internal/exp"
 	"bbsmine/internal/iostat"
 	"bbsmine/internal/obs"
 	"bbsmine/internal/serve"
-	"bbsmine/internal/serve/client"
 	"bbsmine/internal/shard"
-	"bbsmine/internal/sigfile"
-	"bbsmine/internal/sighash"
 	"bbsmine/internal/txdb"
 )
-
-const dataFile = "transactions.txdb"
 
 func main() {
 	if err := run(os.Args[1:]); err != nil {
@@ -79,7 +63,7 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("bbsd", flag.ContinueOnError)
 	var (
-		dir    = fs.String("db", "", "database directory (required unless -bench; created if missing)")
+		dir    = fs.String("db", "", "database directory (required; created if missing)")
 		m      = fs.Int("m", 1600, "signature bits for a new index")
 		k      = fs.Int("k", 4, "hash functions per item for a new index")
 		shards = fs.Int("shards", 0, "shard the database N ways (0 = whatever the directory already is; migrates a flat directory in place)")
@@ -97,19 +81,11 @@ func run(args []string) error {
 		reqlogPath = fs.String("reqlog", "", "write one JSON line per served request (id, class, verdict, stage timings) to this file")
 		tracePath  = fs.String("trace", "", "write sampled trace events (mining + request/apply/commit) to this file")
 		traceEvery = fs.Int("trace-every", 1, "keep every N-th trace event")
-
-		bench       = fs.Bool("bench", false, "run the server benchmark instead of serving")
-		benchOut    = fs.String("bench-out", "BENCH_results.json", "append server bench records to this file")
-		benchScale  = fs.Float64("bench-scale", 1.0, "scale factor on the bench dataset size")
-		benchCached = fs.Int("bench-cached", 20, "cached-query repetitions in -bench")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	if *bench {
-		return runBench(*benchOut, *benchScale, *benchCached, *workers, *shards, *compress)
-	}
 	if *dir == "" {
 		return fmt.Errorf("-db is required")
 	}
@@ -247,234 +223,4 @@ func openEngine(dir string, m, k, shards int, compress bool, opts serve.Options)
 		}
 	}
 	return engine, reg, cleanup, nil
-}
-
-// serverBenchRecord is one server-side measurement appended to the bench
-// JSON next to the per-scheme records; the scheme name is namespaced so
-// the funnel checks ignore it.
-type serverBenchRecord struct {
-	Scheme    string  `json:"scheme"`
-	Tau       int     `json:"tau"`
-	WallNs    int64   `json:"wall_ns"`
-	P50Ns     int64   `json:"p50_ns,omitempty"`
-	P99Ns     int64   `json:"p99_ns,omitempty"`
-	Patterns  int     `json:"patterns"`
-	Epoch     uint64  `json:"epoch"`
-	Shards    int     `json:"shards,omitempty"`
-	Ops       int     `json:"ops,omitempty"`
-	OpsPerSec float64 `json:"ops_per_sec,omitempty"`
-	Speedup   float64 `json:"-"` // emitted by MarshalJSON only when meaningful
-}
-
-// MarshalJSON keeps Speedup out of the cold record (it is meaningful only
-// on the cached one).
-func (r serverBenchRecord) MarshalJSON() ([]byte, error) {
-	type plain serverBenchRecord
-	if r.Speedup == 0 {
-		return json.Marshal(struct {
-			plain
-			Speedup *float64 `json:"speedup,omitempty"`
-		}{plain: plain(r)})
-	}
-	return json.Marshal(struct {
-		plain
-		Speedup float64 `json:"speedup"`
-	}{plain: plain(r), Speedup: r.Speedup})
-}
-
-// mineLatencies runs one cold /mine and cachedReps cached hits, returning
-// the cold response plus the cold and cached-percentile latencies.
-func mineLatencies(ctx context.Context, c *client.Client, req serve.QueryRequest, cachedReps int) (cold *serve.QueryResponse, coldNs, p50, p99 int64, err error) {
-	start := time.Now()
-	cold, err = c.Mine(ctx, req)
-	if err != nil {
-		return nil, 0, 0, 0, fmt.Errorf("cold mine: %w", err)
-	}
-	coldNs = time.Since(start).Nanoseconds()
-	if cold.Cached {
-		return nil, 0, 0, 0, fmt.Errorf("first bench query was served from cache")
-	}
-	lat := make([]int64, 0, cachedReps)
-	for i := 0; i < cachedReps; i++ {
-		s := time.Now()
-		hit, err := c.Mine(ctx, req)
-		if err != nil {
-			return nil, 0, 0, 0, fmt.Errorf("cached mine %d: %w", i, err)
-		}
-		if !hit.Cached {
-			return nil, 0, 0, 0, fmt.Errorf("cached mine %d missed the cache", i)
-		}
-		lat = append(lat, time.Since(s).Nanoseconds())
-	}
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	return cold, coldNs, lat[len(lat)/2], lat[(len(lat)*99)/100], nil
-}
-
-// runBench seeds the paper's default dataset into a scratch database,
-// serves it on a loopback port and measures one cold /mine followed by
-// repeated cached hits, all over real HTTP. With shards > 1 it then raises
-// a sharded server, measures /txns write throughput into the N commit
-// loops, re-measures /mine over the shards and checks the sharded
-// answer byte-identical to the unsharded one.
-func runBench(out string, scale float64, cachedReps, workers, shards int, compress bool) error {
-	p := exp.Defaults(scale)
-	txs, err := p.Dataset()
-	if err != nil {
-		return err
-	}
-
-	dir, err := os.MkdirTemp("", "bbsd-bench-")
-	if err != nil {
-		return fmt.Errorf("creating scratch dir: %w", err)
-	}
-	defer func() { _ = os.RemoveAll(dir) }()
-
-	stats := &iostat.Stats{}
-	file, err := txdb.WriteAll(filepath.Join(dir, dataFile), stats, txs)
-	if err != nil {
-		return err
-	}
-	index := sigfile.New(sighash.NewMD5(p.M, p.K), stats)
-	for _, tx := range txs {
-		index.Insert(tx.Items)
-	}
-	if compress {
-		index.SetCompression(true)
-	}
-	log, err := txdb.LoadAppendLog(file, stats)
-	if err != nil {
-		_ = file.Close()
-		return err
-	}
-	reg := obs.New()
-	engine, err := serve.New(serve.Options{
-		Index:   index,
-		Log:     log,
-		File:    file,
-		Workers: workers,
-		Observe: reg,
-	})
-	if err != nil {
-		_ = file.Close()
-		return err
-	}
-	defer func() { _ = file.Close() }()
-	defer func() { _ = engine.Close() }()
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return fmt.Errorf("bench listen: %w", err)
-	}
-	srv := &http.Server{Handler: engine.Handler()}
-	go func() { _ = srv.Serve(ln) }()
-	defer func() { _ = srv.Close() }()
-
-	c := client.New("http://" + ln.Addr().String())
-	ctx := context.Background()
-	req := serve.QueryRequest{Scheme: "DFP", MinSupportFrac: p.TauFrac}
-
-	cold, coldNs, p50, p99, err := mineLatencies(ctx, c, req, cachedReps)
-	if err != nil {
-		return err
-	}
-	coldPatterns, err := cold.DecodePatterns()
-	if err != nil {
-		return fmt.Errorf("cold mine: %w", err)
-	}
-
-	records := []serverBenchRecord{
-		{Scheme: "DFP-server-cold", Tau: cold.Tau, WallNs: coldNs, Patterns: len(coldPatterns), Epoch: cold.Epoch},
-		{Scheme: "DFP-server-cached", Tau: cold.Tau, WallNs: p50, P50Ns: p50, P99Ns: p99,
-			Patterns: len(coldPatterns), Epoch: cold.Epoch, Speedup: float64(coldNs) / float64(p50)},
-	}
-	fmt.Printf("bbsd bench: D=%d τ=%d patterns=%d cold=%.2fms cached p50=%.3fms p99=%.3fms speedup=%.0fx\n",
-		len(txs), cold.Tau, len(coldPatterns),
-		float64(coldNs)/1e6, float64(p50)/1e6, float64(p99)/1e6, float64(coldNs)/float64(p50))
-	if coldNs < 10*p50 {
-		fmt.Fprintf(os.Stderr, "bbsd: warning: cached speedup %.1fx is below the 10x target\n", float64(coldNs)/float64(p50))
-	}
-
-	if shards > 1 {
-		srecs, err := benchSharded(ctx, p, txs, workers, shards, cachedReps, compress, cold.Patterns)
-		if err != nil {
-			return err
-		}
-		records = append(records, srecs...)
-	}
-	return exp.MergeRecords(out, records)
-}
-
-// benchSharded raises an N-shard server on a scratch directory, streams the
-// dataset in over /txns (the write-throughput measurement: every batch fans
-// out across the N commit loops), then measures cold and cached /mine over
-// the shards. The sharded cold answer must be byte-identical to the
-// unsharded server's (want) — the scatter-gather determinism guarantee,
-// checked over real HTTP.
-func benchSharded(ctx context.Context, p exp.Params, txs []txdb.Transaction, workers, shards, cachedReps int, compress bool, want json.RawMessage) ([]serverBenchRecord, error) {
-	dir, err := os.MkdirTemp("", "bbsd-bench-shard-")
-	if err != nil {
-		return nil, fmt.Errorf("creating sharded scratch dir: %w", err)
-	}
-	defer func() { _ = os.RemoveAll(dir) }()
-
-	engine, _, cleanup, err := openEngine(dir, p.M, p.K, shards, compress, serve.Options{Workers: workers})
-	if err != nil {
-		return nil, err
-	}
-	defer cleanup()
-	defer func() { _ = engine.Close() }()
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, fmt.Errorf("sharded bench listen: %w", err)
-	}
-	srv := &http.Server{Handler: engine.Handler()}
-	go func() { _ = srv.Serve(ln) }()
-	defer func() { _ = srv.Close() }()
-
-	c := client.New("http://" + ln.Addr().String())
-	const batch = 256
-	var lastEpoch uint64
-	start := time.Now()
-	for i := 0; i < len(txs); i += batch {
-		end := i + batch
-		if end > len(txs) {
-			end = len(txs)
-		}
-		req := serve.TxnsRequest{Insert: make([][]int32, 0, end-i)}
-		for _, tx := range txs[i:end] {
-			req.Insert = append(req.Insert, tx.Items)
-		}
-		res, err := c.Txns(ctx, req)
-		if err != nil {
-			return nil, fmt.Errorf("sharded insert batch at %d: %w", i, err)
-		}
-		lastEpoch = res.Epoch
-	}
-	insertNs := time.Since(start).Nanoseconds()
-
-	cold, coldNs, p50, p99, err := mineLatencies(ctx, c, serve.QueryRequest{Scheme: "DFP", MinSupportFrac: p.TauFrac}, cachedReps)
-	if err != nil {
-		return nil, fmt.Errorf("sharded: %w", err)
-	}
-	if !bytes.Equal(cold.Patterns, want) {
-		return nil, fmt.Errorf("sharded answer differs from the unsharded one (%d vs %d pattern bytes)", len(cold.Patterns), len(want))
-	}
-	coldPatterns, err := cold.DecodePatterns()
-	if err != nil {
-		return nil, fmt.Errorf("sharded cold mine: %w", err)
-	}
-
-	opsPerSec := float64(len(txs)) / (float64(insertNs) / 1e9)
-	fmt.Printf("bbsd bench sharded(%d): insert=%d txns in %.2fms (%.0f ops/s) cold=%.2fms cached p50=%.3fms p99=%.3fms (answers byte-identical)\n",
-		shards, len(txs), float64(insertNs)/1e6, opsPerSec,
-		float64(coldNs)/1e6, float64(p50)/1e6, float64(p99)/1e6)
-	return []serverBenchRecord{
-		{Scheme: "DFP-server-sharded-insert", WallNs: insertNs, Epoch: lastEpoch, Shards: shards,
-			Ops: len(txs), OpsPerSec: opsPerSec},
-		{Scheme: "DFP-server-sharded-cold", Tau: cold.Tau, WallNs: coldNs, Patterns: len(coldPatterns),
-			Epoch: cold.Epoch, Shards: shards},
-		{Scheme: "DFP-server-sharded-cached", Tau: cold.Tau, WallNs: p50, P50Ns: p50, P99Ns: p99,
-			Patterns: len(coldPatterns), Epoch: cold.Epoch, Shards: shards, Speedup: float64(coldNs) / float64(p50)},
-	}, nil
 }

@@ -6,7 +6,8 @@
 // the quantiles instead of silently thinning the sample (the coordinated
 // omission trap). At the end it prints a human-readable SLO report, gates
 // on the thresholds it was given, and can merge per-class quantile records
-// into BENCH_results.json for CI regression comparison.
+// into a record file for CI regression comparison against the baseline in
+// testdata/baseline.json.
 //
 // The whole request plan is generated up front from -seed, so two runs with
 // the same flags fire byte-identical request sequences; only the measured
@@ -15,7 +16,7 @@
 // Usage:
 //
 //	bbsload -addr http://127.0.0.1:8080 -rps 50 -duration 10s -seed 1
-//	bbsload -compare -max-regress 0.20 baseline.json fresh.json
+//	bbsload -compare -max-regress 0.20 cmd/bbsload/testdata/baseline.json fresh.json
 package main
 
 import (
@@ -58,7 +59,7 @@ func run(args []string) error {
 		deadline  = fs.Duration("deadline", 2*time.Second, "per-request deadline")
 		workload  = fs.String("workload", "mixed", "workload label recorded with the results")
 		maxOut    = fs.Int("max-outstanding", 64, "outstanding-request cap; intended sends beyond it are counted as shed")
-		out       = fs.String("out", "", "merge per-class load records into this BENCH_results.json")
+		out       = fs.String("out", "", "merge per-class load records into this JSON record file")
 		report    = fs.String("report", "", "also write the SLO report to this file")
 
 		sloReadP99  = fs.Duration("slo-read-p99", 0, "fail if read p99 exceeds this (0 = no gate)")

@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -145,11 +147,44 @@ func TestFireAgainstLiveEngine(t *testing.T) {
 	}
 
 	// The merged record file round-trips through the compare gate.
-	out := filepath.Join(t.TempDir(), "BENCH_results.json")
+	out := filepath.Join(t.TempDir(), "load.json")
 	if err := exp.MergeRecords(out, records); err != nil {
 		t.Fatalf("merge: %v", err)
 	}
 	if err := runCompare(out, out, 0.2, 0); err != nil {
 		t.Errorf("self-compare failed: %v", err)
+	}
+}
+
+// TestCompareBaseline checks the baseline CI compares against and the
+// strictness of the compare mode: the checked-in baseline reads as five load
+// records and passes against itself, and a baseline with a record missing
+// its class fails the compare instead of dropping out of it.
+func TestCompareBaseline(t *testing.T) {
+	const baseline = "testdata/baseline.json"
+	records, err := exp.ReadLoadRecords(baseline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(records) != 5 {
+		t.Fatalf("%s holds %d load records, want 5", baseline, len(records))
+	}
+	if err := run([]string{"-compare", baseline, baseline}); err != nil {
+		t.Errorf("the baseline failed against itself: %v", err)
+	}
+
+	// One good record keeps the comparison non-empty, so only the strict
+	// read can fail it.
+	good, err := json.Marshal(records[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	malformed := filepath.Join(t.TempDir(), "baseline.json")
+	body := "[" + string(good) + `,{"scheme":"load-mixed-write","workload":"mixed","p99_ns":1000000}]`
+	if err := os.WriteFile(malformed, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-compare", malformed, baseline}); err == nil {
+		t.Error("compare accepted a baseline whose record has no class")
 	}
 }

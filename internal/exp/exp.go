@@ -27,8 +27,6 @@ import (
 	"bbsmine/internal/fptree"
 	"bbsmine/internal/iostat"
 	"bbsmine/internal/mining"
-	"bbsmine/internal/obs"
-	"bbsmine/internal/pager"
 	"bbsmine/internal/quest"
 	"bbsmine/internal/shard"
 	"bbsmine/internal/sighash"
@@ -48,25 +46,8 @@ type Params struct {
 	TauFrac float64 // minimum support fraction
 	Seed    int64
 	Scale   float64 // multiplies D (and the web-log sizes) for quick runs
-	Repeat  int     // timing repetitions; the median is reported
+	Repeat  int     // timing repetitions; the best run is reported
 	Workers int     // mining worker pool size; 1 (the default) keeps figure timings single-threaded
-	Shards  int     // BBS shard count for -json runs; mining reads the shards in place, the answer never changes (1 = unsharded)
-
-	// Compress turns on adaptive per-slice storage (dense / sparse
-	// positions) for the -json runs. Mining answers are byte-identical;
-	// the records gain the resident footprint and the per-encoding kernel
-	// split so the trade is visible.
-	Compress bool
-
-	// MemBudget > 0 tiers the index for the -json runs: a profiling pass
-	// ranks slices by AND participation, the hottest stay pinned inside
-	// half the budget, and the rest fault from a sealed cold file through
-	// a buffer pool holding the other half (transaction pages share the
-	// same pool). Answers are byte-identical to the resident runs; the
-	// records gain the pool gauges. TierDir is the scratch directory for
-	// the cold files and is required when MemBudget is set.
-	MemBudget int64
-	TierDir   string
 }
 
 // Defaults returns the paper's default parameters at the given scale.
@@ -86,7 +67,6 @@ func Defaults(scale float64) Params {
 		Scale:   scale,
 		Repeat:  1,
 		Workers: 1,
-		Shards:  1,
 	}
 }
 
@@ -103,9 +83,9 @@ func (p Params) scaledD(d int) int {
 }
 
 // Dataset generates the params' default Quest workload (the paper's
-// figure-6 dataset at the params' scale). Callers outside the figure
-// drivers — bbsd's bench mode — seed their index with it so their numbers
-// stay comparable to the scheme benchmarks.
+// figure-6 dataset at the params' scale). Callers outside the figures —
+// bbsperf and the root package's storage parity test — build their index
+// from it so their numbers stay comparable to the figures.
 func (p Params) Dataset() ([]txdb.Transaction, error) { return p.dataset(p.D, p.V, p.T) }
 
 // dataset generates the Quest workload for the parameters.
@@ -123,9 +103,7 @@ func (p Params) dataset(d, v, t int) ([]txdb.Transaction, error) {
 	return g.Generate(), nil
 }
 
-// Metrics is the outcome of one timed mining run. Obs is populated only by
-// BenchJSON's runs (the figure drivers run unobserved, so their timings stay
-// comparable across commits).
+// Metrics is the outcome of one timed mining run.
 type Metrics struct {
 	Scheme    string
 	Wall      time.Duration // measured
@@ -134,28 +112,6 @@ type Metrics struct {
 	FDR       float64 // BBS schemes only; 0 otherwise
 	Certain   int     // dual-filter schemes only
 	Snapshot  iostat.Snapshot
-	Obs       *obs.Metrics
-
-	// Index storage shape at mining time (BBS schemes only): the logical
-	// all-dense slice footprint, the bytes resident under the current
-	// encodings, and whether the adaptive policy was on.
-	SliceLogicalBytes  int64
-	SliceResidentBytes int64
-	Compressed         bool
-
-	// Buffer-pool gauges of a tiered run (Params.MemBudget > 0 only):
-	// the budget, resident + hot-reserved frame bytes after the timed
-	// run, the fault/hit/eviction traffic it generated, and the slice
-	// census. Zero for resident runs.
-	Tiered             bool
-	TierBudget         int64
-	PagerResidentBytes int64
-	PagerFaults        int64
-	PagerHits          int64
-	PagerEvictions     int64
-	PagerHitRatio      float64
-	SlicesHot          int
-	SlicesCold         int
 }
 
 // Total is the figure-comparable response time: wall + synthetic I/O.
@@ -204,11 +160,11 @@ func RunScheme(name string, txs []txdb.Transaction, tau int, m, k int, memBudget
 func runSchemeOnce(name string, txs []txdb.Transaction, tau int, m, k int, memBudget int64, workers int) (Metrics, error) {
 	var stats iostat.Stats
 	if scheme, ok := bbsScheme(name); ok {
-		sdb, err := buildDB(txs, m, k, 1, &stats)
+		sdb, err := buildDB(txs, m, k, &stats)
 		if err != nil {
 			return Metrics{}, err
 		}
-		return timeBBSMine(name, scheme, sdb, &stats, tau, memBudget, workers, false, nil)
+		return timeBBSMine(name, scheme, sdb, &stats, tau, memBudget, workers)
 	}
 	store, err := txdb.NewMemStoreFrom(&stats, txs)
 	if err != nil {
@@ -246,10 +202,9 @@ func runSchemeOnce(name string, txs []txdb.Transaction, tau int, m, k int, memBu
 	return Metrics{}, fmt.Errorf("exp: unknown scheme %q", name)
 }
 
-// buildDB indexes the transactions into an in-memory database of the given
-// shard count (1: unsharded).
-func buildDB(txs []txdb.Transaction, m, k, shards int, stats *iostat.Stats) (*shard.DB, error) {
-	sdb, err := shard.NewMem(sighash.NewMD5(m, k), shards, stats)
+// buildDB indexes the transactions into an unsharded in-memory database.
+func buildDB(txs []txdb.Transaction, m, k int, stats *iostat.Stats) (*shard.DB, error) {
+	sdb, err := shard.NewMem(sighash.NewMD5(m, k), 1, stats)
 	if err != nil {
 		return nil, err
 	}
@@ -261,12 +216,10 @@ func buildDB(txs []txdb.Transaction, m, k, shards int, stats *iostat.Stats) (*sh
 	return sdb, nil
 }
 
-// timeBBSMine times one mining run over an already-built database, its
-// shards read in place — index construction is not part of a mining run, so
-// stats reset just before the clock starts. Shared by the figure and the
-// -json runners. pg is the buffer pool of a tiered run (nil when resident):
-// the pool saw no traffic before the timed run, so its counters are the run's.
-func timeBBSMine(name string, scheme core.Scheme, sdb *shard.DB, stats *iostat.Stats, tau int, memBudget int64, workers int, observe bool, pg *pager.Pager) (Metrics, error) {
+// timeBBSMine times one mining run over an already-built database — index
+// construction is not part of a mining run, so stats reset just before the
+// clock starts.
+func timeBBSMine(name string, scheme core.Scheme, sdb *shard.DB, stats *iostat.Stats, tau int, memBudget int64, workers int) (Metrics, error) {
 	idx, store, err := sdb.Merged()
 	if err != nil {
 		return Metrics{}, err
@@ -275,19 +228,14 @@ func timeBBSMine(name string, scheme core.Scheme, sdb *shard.DB, stats *iostat.S
 	if err != nil {
 		return Metrics{}, err
 	}
-	var reg *obs.Registry
-	if observe {
-		reg = obs.New()
-		reg.BindIO(stats)
-	}
 	stats.Reset()
 	start := time.Now()
-	res, err := miner.Mine(core.Config{MinSupport: tau, Scheme: scheme, MemoryBudget: memBudget, Workers: workers, Observe: reg})
+	res, err := miner.Mine(core.Config{MinSupport: tau, Scheme: scheme, MemoryBudget: memBudget, Workers: workers})
 	if err != nil {
 		return Metrics{}, err
 	}
 	snap := stats.Snapshot()
-	met := Metrics{
+	return Metrics{
 		Scheme:    name,
 		Wall:      time.Since(start),
 		Synthetic: iostat.DefaultCostModel.Charge(snap),
@@ -295,27 +243,7 @@ func timeBBSMine(name string, scheme core.Scheme, sdb *shard.DB, stats *iostat.S
 		FDR:       res.FalseDropRatio(),
 		Certain:   res.Certain,
 		Snapshot:  snap,
-
-		SliceLogicalBytes:  idx.TotalBytes(),
-		SliceResidentBytes: sdb.Index().ResidentSliceBytes(),
-		Compressed:         sdb.Index().Compressed(),
-	}
-	if pg != nil {
-		ps := pg.Stats()
-		met.Tiered = true
-		met.TierBudget = pg.Budget()
-		met.PagerResidentBytes = ps.ResidentBytes + ps.ReservedBytes
-		met.PagerFaults = ps.Faults
-		met.PagerHits = ps.Hits
-		met.PagerEvictions = ps.Evictions
-		met.PagerHitRatio = ps.HitRatio()
-		met.SlicesHot, met.SlicesCold = sdb.Index().TierCensus()
-	}
-	if reg != nil {
-		om := reg.Metrics()
-		met.Obs = &om
-	}
-	return met, nil
+	}, nil
 }
 
 // Tau converts the params' fractional threshold for a database of n rows.

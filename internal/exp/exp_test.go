@@ -193,29 +193,3 @@ func parseF(t *testing.T, s string) float64 {
 	}
 	return f
 }
-
-// TestBenchJSONShardedTieredLeg is bbsbench's sharded -check-tiered leg in
-// miniature: tiering the shards of a 2-shard database and mining them in
-// place must reproduce the resident sharded run counter for counter while
-// the pool faults and evicts.
-func TestBenchJSONShardedTieredLeg(t *testing.T) {
-	p := Defaults(0.05)
-	p.TauFrac, p.Shards = 0.01, 2
-	resident, err := BenchJSON(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.MemBudget, p.TierDir = 64<<10, t.TempDir()
-	tiered, err := BenchJSON(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := CheckTiered(resident, tiered, true); err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range tiered {
-		if r.Shards != 2 || r.PagerResidentBytes > r.MemBudget {
-			t.Errorf("%s: shards=%d, %d bytes resident under a %d-byte budget", r.Scheme, r.Shards, r.PagerResidentBytes, r.MemBudget)
-		}
-	}
-}

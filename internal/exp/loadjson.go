@@ -3,9 +3,9 @@ package exp
 // Machine-readable output for bbsload: one record per workload class of an
 // open-loop run, carrying the SLO quantiles (measured from intended send
 // time, so coordinated omission is accounted for), the error/shed split and
-// the achieved rate. Records live in the same BENCH_results.json array as
-// the mining bench records, keyed by the shared "scheme" field, and CI
-// compares fresh records against the checked-in baseline to gate latency
+// the achieved rate. A record file is a JSON array of load records keyed by
+// their "scheme" field, and CI compares fresh records against the baseline
+// checked in as cmd/bbsload/testdata/baseline.json to gate latency
 // regressions.
 
 import (
@@ -16,7 +16,7 @@ import (
 )
 
 // LoadRecord is one (workload, class) measurement from an open-loop load
-// run. Scheme is the merge key in BENCH_results.json and is always
+// run. Scheme is the merge key of a record file and is always
 // "load-<workload>-<class>".
 type LoadRecord struct {
 	Scheme   string `json:"scheme"`
@@ -60,81 +60,51 @@ type LoadRecord struct {
 	TimingAgreed  int64 `json:"timing_agreed"`
 }
 
-// ReadLoadRecords parses the load records out of a BENCH_results.json
-// array, ignoring the mining bench records that share the file.
+// ReadLoadRecords reads a load record file. A record without a scheme,
+// workload or class is an error: such an entry would drop out of the
+// comparison unseen.
 func ReadLoadRecords(path string) ([]LoadRecord, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("exp: reading %s: %w", path, err)
 	}
-	var raws []json.RawMessage
-	if err := json.Unmarshal(data, &raws); err != nil {
+	var records []LoadRecord
+	if err := json.Unmarshal(data, &records); err != nil {
 		return nil, fmt.Errorf("exp: parsing %s: %w", path, err)
 	}
-	var out []LoadRecord
-	for _, raw := range raws {
-		var rec LoadRecord
-		if err := json.Unmarshal(raw, &rec); err != nil {
-			continue
-		}
-		if rec.Class != "" && rec.Workload != "" {
-			out = append(out, rec)
+	for i, r := range records {
+		if r.Scheme == "" || r.Workload == "" || r.Class == "" {
+			return nil, fmt.Errorf("exp: %s: record %d has no scheme, workload or class", path, i)
 		}
 	}
-	return out, nil
+	return records, nil
 }
 
-// MergeRecords merges records of any JSON shape that carries the shared
-// "scheme" key into the bench JSON array at path (created if absent): an
-// existing entry whose scheme one of the records has is dropped, every
-// other entry is kept in place, and the records are appended in order, so
-// reruns do not accumulate. bbsload's and bbsd's records share the file.
-func MergeRecords[R any](path string, records []R) error {
-	var existing []json.RawMessage
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, &existing); err != nil {
-			return fmt.Errorf("exp: parsing %s: %w", path, err)
-		}
-	} else if !errors.Is(err, os.ErrNotExist) {
-		return fmt.Errorf("exp: reading %s: %w", path, err)
+// MergeRecords merges load records into the record file at path (created
+// if absent): an existing record whose scheme one of the records has is
+// dropped, every other one is kept in place, and the records are appended
+// in order, so reruns do not accumulate.
+func MergeRecords(path string, records []LoadRecord) error {
+	existing, err := ReadLoadRecords(path)
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		return err
 	}
-	fresh := make([]json.RawMessage, len(records))
 	replaced := make(map[string]bool, len(records))
-	for i, r := range records {
-		raw, err := json.Marshal(r)
-		if err != nil {
-			return fmt.Errorf("exp: encoding bench record: %w", err)
-		}
-		fresh[i] = raw
-		if scheme, ok := schemeOf(raw); ok {
-			replaced[scheme] = true
+	for _, r := range records {
+		replaced[r.Scheme] = true
+	}
+	merged := make([]LoadRecord, 0, len(existing)+len(records))
+	for _, r := range existing {
+		if !replaced[r.Scheme] {
+			merged = append(merged, r)
 		}
 	}
-	merged := make([]json.RawMessage, 0, len(existing)+len(records))
-	for _, raw := range existing {
-		if scheme, ok := schemeOf(raw); ok && replaced[scheme] {
-			continue
-		}
-		merged = append(merged, raw)
-	}
-	merged = append(merged, fresh...)
+	merged = append(merged, records...)
 	data, err := json.MarshalIndent(merged, "", "  ")
 	if err != nil {
 		return fmt.Errorf("exp: encoding %s: %w", path, err)
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// schemeOf reads a bench record's "scheme" merge key; ok is false for an
-// entry that is not a JSON object.
-func schemeOf(raw json.RawMessage) (scheme string, ok bool) {
-	var probe struct {
-		Scheme string `json:"scheme"`
-	}
-	if err := json.Unmarshal(raw, &probe); err != nil {
-		return "", false
-	}
-	return probe.Scheme, true
 }
 
 // CompareLoad gates a fresh run against a baseline: for every scheme key

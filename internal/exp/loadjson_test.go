@@ -1,10 +1,8 @@
 package exp
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 )
 
@@ -17,41 +15,45 @@ func sampleLoadRecord(scheme string, p99 int64, errRate float64) LoadRecord {
 	}
 }
 
-func TestMergeLoadRecordsPreservesBenchRecords(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_results.json")
-	// Seed the file with a mining bench record that must survive merging.
-	seed := `[{"scheme":"DFP","tau":5,"wall_ns":123}]`
-	if err := os.WriteFile(path, []byte(seed), 0o644); err != nil {
-		t.Fatal(err)
+func TestMergeLoadRecordsReplacesByScheme(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "load.json")
+	// Seed the file with a record of another class that must survive merging.
+	if err := MergeRecords(path, []LoadRecord{sampleLoadRecord("load-mixed-write", 9e6, 0)}); err != nil {
+		t.Fatalf("seed: %v", err)
 	}
 	if err := MergeRecords(path, []LoadRecord{sampleLoadRecord("load-mixed-read", 5e6, 0)}); err != nil {
 		t.Fatalf("merge: %v", err)
 	}
-	// Re-merge with a new value: the load record is replaced, not duplicated.
+	// Re-merge with a new value: the record is replaced, not duplicated.
 	if err := MergeRecords(path, []LoadRecord{sampleLoadRecord("load-mixed-read", 7e6, 0)}); err != nil {
 		t.Fatalf("re-merge: %v", err)
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), `"scheme": "DFP"`) && !strings.Contains(string(data), `"scheme":"DFP"`) {
-		t.Errorf("mining record lost: %s", data)
-	}
-	var raws []json.RawMessage
-	if err := json.Unmarshal(data, &raws); err != nil {
-		t.Fatalf("merged file unparseable: %v", err)
-	}
-	if len(raws) != 2 {
-		t.Fatalf("merged file has %d records, want 2 (bench + load)", len(raws))
-	}
-
 	got, err := ReadLoadRecords(path)
 	if err != nil {
 		t.Fatalf("read: %v", err)
 	}
-	if len(got) != 1 || got[0].P99Ns != 7e6 {
-		t.Fatalf("read back %+v, want one load record with p99=7e6", got)
+	if len(got) != 2 || got[0].Scheme != "load-mixed-write" || got[1].Scheme != "load-mixed-read" || got[1].P99Ns != 7e6 {
+		t.Fatalf("read back %+v, want the write record then the read record with p99=7e6", got)
+	}
+}
+
+func TestReadLoadRecordsRejectsIncompleteRecords(t *testing.T) {
+	for name, body := range map[string]string{
+		"mining record": `[{"scheme":"DFP","tau":5,"wall_ns":123}]`,
+		"no class":      `[{"scheme":"load-mixed-read","workload":"mixed","p99_ns":1}]`,
+		"no workload":   `[{"scheme":"load-mixed-read","class":"read","p99_ns":1}]`,
+		"not an array":  `{"scheme":"load-mixed-read","workload":"mixed","class":"read"}`,
+	} {
+		path := filepath.Join(t.TempDir(), "load.json")
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := ReadLoadRecords(path); err == nil {
+			t.Errorf("%s: read %+v without an error", name, got)
+		}
+		if err := MergeRecords(path, []LoadRecord{sampleLoadRecord("load-mixed-read", 5e6, 0)}); err == nil {
+			t.Errorf("%s: merged into a malformed file", name)
+		}
 	}
 }
 

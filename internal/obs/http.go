@@ -14,7 +14,7 @@ import (
 // /debug/vars works unchanged), and MetricsHandler renders every published
 // expvar — the registry included — as Prometheus text format by flattening
 // its JSON to numeric leaves. NewServeMux bundles /metrics, /debug/vars and
-// net/http/pprof, which is what bbsmine/bbsbench serve under -http.
+// net/http/pprof, which is what bbsmine serves under -http.
 
 // Publish registers the registry under name in the process-wide expvar
 // namespace. expvar panics on duplicate names, so publish each name once

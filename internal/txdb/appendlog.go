@@ -188,6 +188,9 @@ func (v *LogView) Clone() *LogView {
 // SetCacheLimit implements CacheLimiter for the view's private pool model.
 func (v *LogView) SetCacheLimit(bytes int64) { v.cache.setLimit(bytes, v.stats) }
 
-// AttachPager implements PagerBacked: page residency moves to the shared
-// pager pool and the view stops charging its private page-cache tallies.
+// AttachPager moves the view's page residency onto a virtual file of the
+// shared pager pool (nil detaches and restores the private LRU model), so
+// transaction pages and cold slice pages draw from one budget. While
+// attached the view stops charging its private page-cache tallies; the
+// pager's gauges are authoritative.
 func (v *LogView) AttachPager(f *pager.File) { v.cache.attachPager(f, v.stats) }

@@ -146,18 +146,7 @@ type CacheLimiter interface {
 	SetCacheLimit(bytes int64)
 }
 
-// PagerBacked is implemented by stores that can rehost their page-residency
-// model on the shared pager, so transaction pages and cold slice pages
-// draw from one -mem-budget pool instead of split private limits.
-type PagerBacked interface {
-	// AttachPager delegates residency to a virtual pager file (nil
-	// detaches and restores the private LRU model). While attached the
-	// store stops charging its own page-cache tallies; the pager's gauges
-	// are authoritative.
-	AttachPager(f *pager.File)
-}
-
-// The delegation above reuses txdb's page numbering verbatim, which is only
+// attachPager's delegation reuses txdb's page numbering verbatim, which is only
 // sound while both layers agree on the page size.
 var _ [pager.PageSize - iostat.PageSize]struct{}
 var _ [iostat.PageSize - pager.PageSize]struct{}

@@ -14,7 +14,6 @@ import (
 	"slices"
 
 	"bbsmine/internal/iostat"
-	"bbsmine/internal/pager"
 )
 
 // Item identifies a single item (literal) of the alphabet I = {i1..iN}.
@@ -184,10 +183,6 @@ func (s *MemStore) Get(pos int) (Transaction, error) {
 
 // SetCacheLimit implements CacheLimiter.
 func (s *MemStore) SetCacheLimit(bytes int64) { s.cache.setLimit(bytes, s.stats) }
-
-// AttachPager implements PagerBacked: page residency moves to the shared
-// pager pool and the store stops charging its private page-cache tallies.
-func (s *MemStore) AttachPager(f *pager.File) { s.cache.attachPager(f, s.stats) }
 
 // Append implements Store.
 func (s *MemStore) Append(tx Transaction) error {
