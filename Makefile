@@ -80,6 +80,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzSetWords$$' -fuzztime $(FUZZTIME) ./internal/bitvec
 	$(GO) test -run '^$$' -fuzz '^FuzzGrowAppend$$' -fuzztime $(FUZZTIME) ./internal/bitvec
 	$(GO) test -run '^$$' -fuzz '^FuzzSparseSlice$$' -fuzztime $(FUZZTIME) ./internal/bitvec
+	$(GO) test -run '^$$' -fuzz '^FuzzDenseSliceSnapshots$$' -fuzztime $(FUZZTIME) ./internal/bitvec
 
 ## check: everything CI gates on — build, gofmt, vet, lint, tests (root
 ## module and bench/), race

@@ -78,23 +78,3 @@ func checkAgainst(t *testing.T, trial int, what string, got []*Slice, ref []map[
 		}
 	}
 }
-
-// TestTestAndSetMaintainsSummary pins testAndSet's summary bookkeeping on a
-// vector in sparse mode: the report matches the bit's prior state and the
-// summary keeps mirroring the nonzero words.
-func TestTestAndSetMaintainsSummary(t *testing.T) {
-	rng := rand.New(rand.NewSource(40))
-	v := randomVector(rng, 1024, 0.01)
-	v.Summarize()
-	for trial := 0; trial < 2000; trial++ {
-		i := rng.Intn(1024)
-		was := v.Get(i)
-		if got := v.testAndSet(i); got == was {
-			t.Fatalf("testAndSet(%d) = %v with the bit already %v", i, got, was)
-		}
-		if !v.Get(i) {
-			t.Fatalf("testAndSet(%d) left the bit clear", i)
-		}
-		checkSummary(t, v)
-	}
-}

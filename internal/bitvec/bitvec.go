@@ -74,24 +74,6 @@ func (v *Vector) Set(i int) {
 	v.words[wi] |= 1 << uint(i&wordMask)
 }
 
-// testAndSet sets bit i and reports whether it was clear before: Get then
-// Set fused into one bounds check, one load and one store of the word.
-func (v *Vector) testAndSet(i int) bool {
-	v.bounds(i)
-	wi := i >> wordShift
-	w := v.words[wi]
-	bit := uint64(1) << uint(i&wordMask)
-	if w&bit != 0 {
-		return false
-	}
-	if len(v.summary) != 0 && w == 0 {
-		v.summary[wi>>wordShift] |= 1 << uint(wi&wordMask)
-		v.nz++
-	}
-	v.words[wi] = w | bit
-	return true
-}
-
 // Clear sets bit i to 0.
 func (v *Vector) Clear(i int) {
 	v.bounds(i)

@@ -101,12 +101,7 @@ func (s *Slice) EncodeCold() []byte {
 		panic("bitvec: EncodeCold on an already-cold slice")
 	}
 	if s.enc == EncDense {
-		words := s.Materialize().words // normalizes a lazily-grown vector to wordsFor(n)
-		out := make([]byte, 8*len(words))
-		for i, w := range words {
-			binary.LittleEndian.PutUint64(out[8*i:], w)
-		}
-		return out
+		return s.AppendDense(make([]byte, 0, 8*wordsFor(s.n)))
 	}
 	return s.sp
 }
@@ -134,15 +129,14 @@ func (s *Slice) Thaw() *Slice {
 	}
 	raw := s.cold.readAll()
 	if s.enc == EncDense {
+		if len(raw) != 8*wordsFor(s.n) {
+			panic(fmt.Sprintf("bitvec: thaw dense cold slice: %d bytes cannot hold exactly %d bits", len(raw), s.n))
+		}
 		words := make([]uint64, len(raw)/8)
 		for i := range words {
 			words[i] = binary.LittleEndian.Uint64(raw[8*i:])
 		}
-		var v Vector
-		if err := v.SetWords(words, s.n); err != nil {
-			panic(fmt.Errorf("bitvec: thaw dense cold slice: %w", err))
-		}
-		return DenseSliceWithOnes(&v, s.ones)
+		return denseSliceOf(words, s.n, s.ones)
 	}
 	// The payload was a resident stream, so its last record holds the last
 	// set position: hop to it by count bytes and decode it alone.

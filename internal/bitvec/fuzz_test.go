@@ -213,3 +213,91 @@ func FuzzSparseSlice(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDenseSliceSnapshots scripts appends to a dense slice with header
+// copies taken at fuzzed points, the way a served index snapshots its
+// slices between write batches. Script bytes:
+//
+//	0x00–0x7F  advance the cursor by b%70 (0 keeps it) and AppendSet it:
+//	           steps cross 64-bit word edges and skip whole words;
+//	0x80–0xBF  AppendSet 5·(b-0x80) bits below the last one, inside the
+//	           full words every copy shares;
+//	0xC0–0xDF  retain a CloneFor copy and go on appending to the source;
+//	0xE0–0xEF  retain the source and go on appending to a CloneFor copy,
+//	           as sigfile's copy-on-write does;
+//	0xF0–0xFF  append to the newest retained slice at its own next bit, so
+//	           two headers over one word array both append.
+//
+// At the end every retained slice and the live one must hold exactly its
+// model's bits, and AND into a dense accumulator — plain and summarized —
+// as the padded model does.
+func FuzzDenseSliceSnapshots(f *testing.F) {
+	f.Add([]byte{}, uint8(0))
+	f.Add([]byte{1, 0xC0, 63, 0xE0, 1, 0x85, 69, 0xF0, 0xF0, 2}, uint8(65))
+	f.Add([]byte{64, 0xE0, 0, 0xE1, 0x81, 0xC1, 69, 69, 0xF5, 0x80}, uint8(63))
+	f.Add([]byte{0xC0, 0xF0, 0xE0, 0xF0, 3, 0xC0, 0x8F, 0xF0, 0xF0}, uint8(127))
+	f.Fuzz(func(t *testing.T, script []byte, start uint8) {
+		if len(script) > 512 {
+			script = script[:512]
+		}
+		type tracked struct {
+			s     *Slice
+			model *Vector
+		}
+		live := tracked{NewDenseSlice(int(start)), New(int(start))}
+		var kept []tracked
+		set := func(x *tracked, i int) {
+			x.model.Grow(i + 1)
+			if x.s.AppendSet(i) == x.model.Get(i) {
+				t.Fatalf("AppendSet(%d) newly-set disagrees with the model", i)
+			}
+			x.model.Set(i)
+		}
+		next := func(x tracked) int { return max(0, x.s.Len()-1) }
+		for _, b := range script {
+			switch {
+			case b < 0x80:
+				set(&live, next(live)+int(b)%70)
+			case b < 0xC0:
+				if i := next(live) - 5*int(b-0x80); i >= 0 {
+					set(&live, i)
+				}
+			case b < 0xE0:
+				kept = append(kept, tracked{live.s.CloneFor(live.s.Len() + 1), live.model.Clone()})
+			case b < 0xF0:
+				kept = append(kept, tracked{live.s, live.model.Clone()})
+				live.s = live.s.CloneFor(live.s.Len() + 1)
+			case len(kept) > 0:
+				x := &kept[len(kept)-1]
+				set(x, next(*x)+1)
+			}
+		}
+		rng := rand.New(rand.NewSource(int64(len(script))<<8 | int64(start)))
+		for k, x := range append(kept, live) {
+			n := x.model.Len()
+			if x.s.Encoding() != EncDense || x.s.Len() != n || x.s.Ones() != x.model.Count() {
+				t.Fatalf("slice %d: %v, len %d, ones %d; want dense, %d, %d",
+					k, x.s.Encoding(), x.s.Len(), x.s.Ones(), n, x.model.Count())
+			}
+			if !x.s.Materialize().Equal(x.model) {
+				t.Fatalf("slice %d: bits diverge from the model", k)
+			}
+			if got, want := x.s.AppendDense(nil), DenseSliceOf(x.model.Clone()).AppendDense(nil); !bytes.Equal(got, want) {
+				t.Fatalf("slice %d: AppendDense diverges from the model's words", k)
+			}
+			accN := n + rng.Intn(200)
+			for _, summarized := range []bool{false, true} {
+				acc := randomVector(rng, accN, 0.6)
+				want := acc.Clone()
+				wantCnt := want.AndCount(padTo(x.model, accN))
+				if summarized {
+					acc.Summarize()
+				}
+				if cnt := x.s.AndCountInto(acc); cnt != wantCnt || !acc.Equal(want) {
+					t.Fatalf("slice %d summarized=%v: AND count %d, want %d (bits equal: %v)",
+						k, summarized, cnt, wantCnt, acc.Equal(want))
+				}
+			}
+		}
+	})
+}

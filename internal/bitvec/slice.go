@@ -16,7 +16,10 @@ import (
 // regardless of content. A Slice therefore carries one of two physical
 // encodings, chosen from its popcount:
 //
-//	EncDense  — []uint64 words, the classic layout; hot slices.
+//	EncDense  — 64-bit words, the classic layout; hot slices. The words
+//	            wholly below the length are an append-only array that
+//	            header copies share, the partial last word lives in the
+//	            header (see dense.go).
 //	EncSparse — one byte stream of per-chunk records: for each 256-bit
 //	            chunk a count byte and its set positions' low 8 bits;
 //	            rare slices.
@@ -106,19 +109,22 @@ type Slice struct {
 	ones int // popcount, maintained on every mutation
 	// ones == 0 does not imply the backing store is empty (a dense slice
 	// keeps its zero words); the converse always holds.
-	dense *Vector // EncDense
+
+	// cold, when non-nil, means the payload lives in page-granular cold
+	// storage instead of the fields below (which are nil): enc names the
+	// payload's format, and the AND kernels stream it page by page from
+	// cold.src (see cold.go). Cold slices are immutable; mutation paths
+	// Thaw first. It sits with the fields above, ahead of dense, so that
+	// what every AND and every dense append reads is the header's first
+	// 64 bytes.
+	cold *coldPayload
+
+	dense denseWords // EncDense
 	// EncSparse: sp is the record stream, one record per chunk through
 	// the chunk of last; tail is the offset of that chunk's record.
 	sp   []uint8
 	tail int
 	last int // EncSparse: last set position, -1 while empty
-
-	// cold, when non-nil, means the payload lives in page-granular cold
-	// storage instead of the fields above (which are nil): enc names the
-	// payload's format, and the AND kernels stream it page by page from
-	// cold.src (see cold.go). Cold slices are immutable; mutation paths
-	// Thaw first.
-	cold *coldPayload
 }
 
 const (
@@ -215,7 +221,13 @@ func (s *Slice) forEachPos(fn func(p int)) {
 
 // NewDenseSlice returns a zeroed dense slice of n bits.
 func NewDenseSlice(n int) *Slice {
-	return &Slice{enc: EncDense, dense: New(n), n: n}
+	return denseSliceOf(make([]uint64, wordsFor(n)), n, 0)
+}
+
+// denseSliceOf adopts words, exactly wordsFor(n) of them with the bits past
+// n clear, as an n-bit dense slice holding ones set bits.
+func denseSliceOf(words []uint64, n, ones int) *Slice {
+	return &Slice{enc: EncDense, n: n, ones: ones, dense: denseWordsOf(words, n)}
 }
 
 // NewSparseSlice returns an empty slice in sparse encoding, the natural
@@ -227,7 +239,7 @@ func NewSparseSlice() *Slice {
 // DenseSliceOf wraps an existing vector as a dense slice. The vector is
 // aliased, not copied; the caller hands over ownership.
 func DenseSliceOf(v *Vector) *Slice {
-	return &Slice{enc: EncDense, dense: v, n: v.Len(), ones: v.Count()}
+	return denseSliceOf(v.words, v.n, v.Count())
 }
 
 // DenseSliceWithOnes is DenseSliceOf with a caller-supplied popcount, for
@@ -237,16 +249,7 @@ func DenseSliceOf(v *Vector) *Slice {
 // degrades the rarest-first ordering, so trusted-but-unverified sources
 // like a persisted header are acceptable.
 func DenseSliceWithOnes(v *Vector, ones int) *Slice {
-	return &Slice{enc: EncDense, dense: v, n: v.Len(), ones: ones}
-}
-
-// SliceFromWords builds a dense slice from serialized words (decode path).
-func SliceFromWords(words []uint64, n int) (*Slice, error) {
-	v := &Vector{}
-	if err := v.SetWords(words, n); err != nil {
-		return nil, err
-	}
-	return DenseSliceOf(v), nil
+	return denseSliceOf(v.words, v.n, ones)
 }
 
 // SliceFromPositions builds a sparse slice from serialized set-bit
@@ -347,7 +350,7 @@ func (s *Slice) Bytes() int64 {
 		return 0 // payload is paged, not resident; see ColdPayloadBytes
 	}
 	if s.enc == EncDense {
-		return 8 * int64(len(s.dense.words))
+		return 8 * int64(wordsFor(s.n))
 	}
 	return int64(len(s.sp))
 }
@@ -366,7 +369,7 @@ func (s *Slice) Get(i int) bool {
 		return s.Thaw().Get(i)
 	}
 	if s.enc == EncDense {
-		return s.dense.Get(i)
+		return s.dense.get(i)
 	}
 	j := 0
 	for c := i >> chunkShift; c > 0 && j < len(s.sp); c-- {
@@ -379,13 +382,14 @@ func (s *Slice) Get(i int) bool {
 	return m[(i&chunkMask)>>wordShift]&(1<<uint(i&wordMask)) != 0
 }
 
-// CloneFor returns a deep copy preserving the encoding, with room for the
-// append the copy is made for: a dense copy's words already cover n bits,
-// and a sparse copy's stream has spare capacity for one more set position
-// at bit n-1: its position byte and the count bytes of the chunks up to
-// it. The copy-on-write machinery in sigfile clones a shared slice just
-// before it appends the next row, and an exact-size copy would be
-// reallocated by that very append.
+// CloneFor returns a copy preserving the encoding, for appends up to bit
+// n-1 that must not reach the receiver. A dense copy is a header copy: it
+// shares the receiver's full words, which no append to either rewrites (see
+// dense.go). A sparse copy is deep, its stream with spare capacity for one
+// more set position at bit n-1: its position byte and the count bytes of
+// the chunks up to it. The copy-on-write machinery in sigfile clones a
+// shared slice just before it appends the next row, and an exact-size copy
+// would be reallocated by that very append.
 func (s *Slice) CloneFor(n int) *Slice {
 	if s.cold != nil {
 		// The cold payload is immutable and shared; a header copy is a
@@ -396,7 +400,8 @@ func (s *Slice) CloneFor(n int) *Slice {
 	}
 	c := &Slice{enc: s.enc, n: s.n, ones: s.ones}
 	if s.enc == EncDense {
-		c.dense = s.dense.CloneFor(n)
+		s.dense.arr.shared = true // both headers may go on appending
+		c.dense = s.dense
 		return c
 	}
 	grow := 1 + max(0, numChunks(n)-(s.last>>chunkShift+1))
@@ -410,7 +415,8 @@ func (s *Slice) CloneFor(n int) *Slice {
 // path satisfies this by construction, as i is the transaction ordinal. A
 // sparse slice whose payload reaches the dense size promotes itself to
 // dense in place (the upper edge of the hysteresis band). On a dense slice
-// the test and the set are one load and one store of the bit's word.
+// the test and the set are one load and one store of the bit's word: the
+// header's partial word when i is the last bit.
 //
 //lint:hotpath
 func (s *Slice) AppendSet(i int) bool {
@@ -421,13 +427,10 @@ func (s *Slice) AppendSet(i int) bool {
 		panic("bitvec: append to a cold slice; Thaw it first")
 	}
 	if s.enc == EncDense {
-		if i >= s.n {
-			s.dense.Grow(i + 1)
-			s.n = i + 1
+		if !s.dense.appendSet(s.n, i) {
+			return false // only a bit below n can already be set
 		}
-		if !s.dense.testAndSet(i) {
-			return false
-		}
+		s.n = max(s.n, i+1)
 		s.ones++
 		return true
 	}
@@ -453,7 +456,7 @@ func (s *Slice) maybePromote() {
 	if s.enc == EncDense || s.Bytes() < 8*int64(wordsFor(s.n)) {
 		return
 	}
-	s.dense = s.Materialize()
+	s.dense = denseWordsOf(s.Materialize().words, s.n)
 	s.enc = EncDense
 	s.sp = nil
 }
@@ -490,8 +493,11 @@ func (s *Slice) Materialize() *Vector {
 		return s.Thaw().Materialize()
 	}
 	v := New(s.n)
-	if s.enc == EncDense {
-		copy(v.words, s.dense.words)
+	if d := &s.dense; s.enc == EncDense {
+		copy(v.words, d.full)
+		if d.part != 0 {
+			v.words[len(d.full)] = d.part
+		}
 		return v
 	}
 	s.forEachPos(func(p int) {
@@ -500,14 +506,20 @@ func (s *Slice) Materialize() *Vector {
 	return v
 }
 
-// DenseVector returns the backing vector of a dense slice, aliased, or nil
-// for a sparse one. Serialization and tests use it; mutating the
-// result corrupts the slice's popcount.
-func (s *Slice) DenseVector() *Vector {
+// AppendDense appends a resident dense slice's words to dst, wordsFor(Len)
+// of them, little-endian: the bytes a dense vector of Len bits serializes
+// to. Any other slice appends nothing.
+func (s *Slice) AppendDense(dst []byte) []byte {
 	if s.enc != EncDense || s.cold != nil {
-		return nil // cold dense payloads have no resident vector to alias
+		return dst
 	}
-	return s.dense
+	for _, w := range s.dense.full {
+		dst = binary.LittleEndian.AppendUint64(dst, w)
+	}
+	if s.n&wordMask != 0 {
+		dst = binary.LittleEndian.AppendUint64(dst, s.dense.part)
+	}
+	return dst
 }
 
 // Positions returns the decoded set-bit positions of a sparse slice as a
@@ -556,12 +568,18 @@ func (s *Slice) Recompress(n int, compress bool) *Slice {
 	// target is sparse and differs from s.enc, so s is dense.
 	t := &Slice{enc: EncSparse, n: n, ones: s.ones, last: -1}
 	t.sp = make([]uint8, 0, sparseBytes(s.ones, s.n))
-	for wi, w := range s.dense.words {
-		for ; w != 0; w &= w - 1 {
-			t.appendPos(wi<<wordShift + bits.TrailingZeros64(w))
-		}
+	for wi, w := range s.dense.full {
+		t.appendWord(wi, w)
 	}
+	t.appendWord(len(s.dense.full), s.dense.part)
 	return t
+}
+
+// appendWord appends the set bits of word wi to a sparse payload.
+func (s *Slice) appendWord(wi int, w uint64) {
+	for ; w != 0; w &= w - 1 {
+		s.appendPos(wi<<wordShift + bits.TrailingZeros64(w))
+	}
 }
 
 // chooseEncoding applies the build-time selection rule at logical length n.
@@ -587,14 +605,13 @@ func (s *Slice) chooseEncoding(n int, compress bool) Encoding {
 //
 //lint:hotpath
 func (s *Slice) AndCountInto(dst *Vector) int {
-	// Kept to a short predicted check so it inlines into AndSlice: the
-	// resident dense case — every slice of an uncompressed index — must
-	// cost what the classic layout paid, one predicted branch (the cold
-	// test folds into it: a resident dense slice always has cold == nil)
-	// over a direct AndCountZX. Everything else — resident sparse and all
-	// cold payloads — takes the out-of-line slow path.
+	// The resident dense case — every slice of an uncompressed index —
+	// costs one predicted branch over the dense kernel (the cold test folds
+	// into it: a resident dense slice always has cold == nil). Everything
+	// else — resident sparse and all cold payloads — takes the
+	// out-of-line slow path.
 	if s.enc == EncDense && s.cold == nil {
-		return dst.AndCountZX(s.dense)
+		return dst.andCountZX(&s.dense, s.n)
 	}
 	return s.andCountIntoSlow(dst)
 }
@@ -626,7 +643,7 @@ func (s *Slice) OrInto(dst *Vector) {
 		return
 	}
 	if s.enc == EncDense {
-		dst.OrZX(s.dense)
+		dst.orZX(&s.dense)
 		return
 	}
 	dst.dropSummary()

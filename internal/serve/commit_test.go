@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"bbsmine/internal/exp"
@@ -56,14 +57,31 @@ func newCommitEngine(tb testing.TB, txs []txdb.Transaction) (*Engine, func()) {
 }
 
 // BenchmarkCommit times one 10-row Apply on a 2-shard, file-backed engine
-// over the fig6 dataset (D = 10 K): routing, the data-file and log appends,
-// the index inserts and the snapshot each shard publishes. Every commit
-// lands on freshly published snapshots, so it pays the copy-on-write cost a
-// served write pays. The engine is rebuilt (untimed) every commitReseed
+// over the fig6 dataset at D = 10 K and D = 100 K rows: routing, the
+// data-file and log appends, the index inserts and the snapshot each shard
+// publishes. Every commit lands on freshly published snapshots, so it pays
+// the copy-on-write cost a served write pays; comparing the two sizes shows
+// whether that cost grows with the database. The dataset is generated once
+// per size, and the engine is rebuilt (untimed) from it every commitReseed
 // commits, so the index stays within 10 % of D rows however long it runs.
 func BenchmarkCommit(b *testing.B) {
+	for _, d := range []int{commitSeedRow, 10 * commitSeedRow} {
+		var txs []txdb.Transaction
+		var reqs []TxnsRequest
+		b.Run(fmt.Sprintf("D=%dK", d/1000), func(b *testing.B) {
+			if txs == nil {
+				txs, reqs = commitWorkload(b, d)
+			}
+			benchmarkCommit(b, txs, reqs)
+		})
+	}
+}
+
+// commitWorkload generates the fig6 dataset at D = d and cuts it into
+// commitRows-row write requests.
+func commitWorkload(b *testing.B, d int) ([]txdb.Transaction, []TxnsRequest) {
 	p := exp.Defaults(1)
-	p.D = commitSeedRow
+	p.D = d
 	txs, err := p.Dataset()
 	if err != nil {
 		b.Fatalf("dataset: %v", err)
@@ -74,6 +92,10 @@ func BenchmarkCommit(b *testing.B) {
 			reqs[i].Insert = append(reqs[i].Insert, tx.Items)
 		}
 	}
+	return txs, reqs
+}
+
+func benchmarkCommit(b *testing.B, txs []txdb.Transaction, reqs []TxnsRequest) {
 	ctx := context.Background()
 	var e *Engine
 	closeEngine := func() {}

@@ -1,8 +1,13 @@
 package serve_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
@@ -11,14 +16,99 @@ import (
 	"bbsmine/internal/iostat"
 	"bbsmine/internal/obs"
 	"bbsmine/internal/serve"
-	"bbsmine/internal/serve/client"
 	"bbsmine/internal/sigfile"
 	"bbsmine/internal/sighash"
 	"bbsmine/internal/txdb"
 )
 
+// client speaks to one engine's HTTP handler the way any bbsd client does:
+// JSON request bodies in, JSON replies decoded into the serve types.
+type client struct{ base string }
+
+// statusError is a non-200 reply, keeping the code so a test can tell
+// rejection (503) from bad input (400).
+type statusError struct {
+	code int
+	msg  string
+}
+
+func (e *statusError) Error() string { return fmt.Sprintf("server returned %d: %s", e.code, e.msg) }
+
+// Mine runs one query through POST /mine.
+func (c client) Mine(ctx context.Context, req serve.QueryRequest) (*serve.QueryResponse, error) {
+	var res serve.QueryResponse
+	if err := c.roundTrip(ctx, http.MethodPost, "/mine", req, &res); err != nil {
+		return nil, err
+	}
+	return &res, nil
+}
+
+// Txns applies one write batch through POST /txns.
+func (c client) Txns(ctx context.Context, req serve.TxnsRequest) (*serve.TxnsResponse, error) {
+	var res serve.TxnsResponse
+	if err := c.roundTrip(ctx, http.MethodPost, "/txns", req, &res); err != nil {
+		return nil, err
+	}
+	return &res, nil
+}
+
+// Stats fetches GET /stats.
+func (c client) Stats(ctx context.Context) (*serve.StatsInfo, error) {
+	var res serve.StatsInfo
+	if err := c.roundTrip(ctx, http.MethodGet, "/stats", nil, &res); err != nil {
+		return nil, err
+	}
+	return &res, nil
+}
+
+// Metrics fetches the raw Prometheus exposition from GET /metrics.
+func (c client) Metrics(ctx context.Context) (string, error) {
+	var text string
+	err := c.roundTrip(ctx, http.MethodGet, "/metrics", nil, &text)
+	return text, err
+}
+
+// roundTrip sends in, JSON-encoded (nil sends no body), to path and decodes
+// a 200 reply into out, or keeps it raw when out is a *string. Any other
+// status is a *statusError.
+func (c client) roundTrip(ctx context.Context, method, path string, in, out any) error {
+	var body io.Reader
+	if in != nil {
+		payload, err := json.Marshal(in)
+		if err != nil {
+			return fmt.Errorf("encoding %s request: %w", path, err)
+		}
+		body = bytes.NewReader(payload)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
+	if err != nil {
+		return fmt.Errorf("building %s request: %w", path, err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return fmt.Errorf("%s %s: %w", method, path, err)
+	}
+	defer func() { _ = resp.Body.Close() }()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return fmt.Errorf("reading %s reply: %w", path, err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		return &statusError{code: resp.StatusCode, msg: strings.TrimSpace(string(raw))}
+	}
+	if text, ok := out.(*string); ok {
+		*text = string(raw)
+		return nil
+	}
+	if err := json.Unmarshal(raw, out); err != nil {
+		return fmt.Errorf("decoding %s reply: %w", path, err)
+	}
+	return nil
+}
+
 // startServer runs an engine behind httptest and returns a client for it.
-func startServer(t *testing.T, txs [][]int32, reg *obs.Registry) *client.Client {
+func startServer(t *testing.T, txs [][]int32, reg *obs.Registry) client {
 	t.Helper()
 	_, c := startShardedServer(t, txs, 1, reg)
 	return c
@@ -26,7 +116,7 @@ func startServer(t *testing.T, txs [][]int32, reg *obs.Registry) *client.Client 
 
 // startShardedServer runs an engine over txs, routed round-robin across
 // shards, behind httptest and returns it with a client for it.
-func startShardedServer(t *testing.T, txs [][]int32, shards int, reg *obs.Registry) (*serve.Engine, *client.Client) {
+func startShardedServer(t *testing.T, txs [][]int32, shards int, reg *obs.Registry) (*serve.Engine, client) {
 	t.Helper()
 	stats := &iostat.Stats{}
 	parts := make([]serve.ShardOptions, shards)
@@ -52,10 +142,10 @@ func startShardedServer(t *testing.T, txs [][]int32, shards int, reg *obs.Regist
 			t.Errorf("Close: %v", err)
 		}
 	})
-	return e, client.New(ts.URL)
+	return e, client{base: ts.URL}
 }
 
-// TestClientMineMatchesQuery: what client.Mine decodes from a /mine reply,
+// TestClientMineMatchesQuery: what a client decodes from a /mine reply,
 // miss or hit, is exactly the QueryResponse Engine.Query returns for the
 // same query, on 1 and 2 shards, constrained, unconstrained and empty.
 func TestClientMineMatchesQuery(t *testing.T) {
@@ -88,11 +178,11 @@ func TestClientMineMatchesQuery(t *testing.T) {
 			}
 			want.Cached = false
 			if !reflect.DeepEqual(miss, want) {
-				t.Errorf("shards=%d %s: client.Mine decoded the miss as %+v, Engine.Query returned %+v", shards, name, miss, want)
+				t.Errorf("shards=%d %s: the client decoded the miss as %+v, Engine.Query returned %+v", shards, name, miss, want)
 			}
 			want.Cached = true
 			if !reflect.DeepEqual(hit, want) {
-				t.Errorf("shards=%d %s: client.Mine decoded the hit as %+v, Engine.Query returned %+v", shards, name, hit, want)
+				t.Errorf("shards=%d %s: the client decoded the hit as %+v, Engine.Query returned %+v", shards, name, hit, want)
 			}
 		}
 	}
@@ -242,11 +332,11 @@ func TestHTTPErrorMapping(t *testing.T) {
 
 func assertStatus(t *testing.T, err error, code int) {
 	t.Helper()
-	var se *client.StatusError
+	var se *statusError
 	if !errors.As(err, &se) {
-		t.Fatalf("error %v is not a StatusError", err)
+		t.Fatalf("error %v is not a statusError", err)
 	}
-	if se.Code != code {
-		t.Fatalf("status %d, want %d (%s)", se.Code, code, se.Message)
+	if se.code != code {
+		t.Fatalf("status %d, want %d (%s)", se.code, code, se.msg)
 	}
 }

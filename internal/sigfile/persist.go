@@ -130,8 +130,9 @@ func (b *BBS) writeTo(w io.Writer) error {
 		}
 	}
 
+	var dense []byte // one slice's words, reused across slices
 	for p, s := range b.slices {
-		if err := b.writeSlice(w, p, s, wordBuf); err != nil {
+		if err := b.writeSlice(w, p, s, wordBuf, &dense); err != nil {
 			return err
 		}
 	}
@@ -140,10 +141,11 @@ func (b *BBS) writeTo(w io.Writer) error {
 
 // writeSlice emits one slice record: persisted popcount, encoding tag, then
 // the encoding's payload. Dense slices are padded to full length — slices
-// grow lazily (see Insert), so the in-memory vector may back fewer than
+// grow lazily (see Insert), so the in-memory slice may hold fewer than
 // ceil(n/64) words — while a sparse stream ends at its last set position's
-// chunk and needs no padding.
-func (b *BBS) writeSlice(w io.Writer, p int, s *bitvec.Slice, wordBuf []byte) error {
+// chunk and needs no padding. A dense payload is encoded into *dense, which
+// is reused across calls.
+func (b *BBS) writeSlice(w io.Writer, p int, s *bitvec.Slice, wordBuf []byte, dense *[]byte) error {
 	// A tiered slice persists from its thawed form: the cold file is
 	// derived data, the BBSSIG image is authoritative, so Save always
 	// writes resident payloads.
@@ -158,19 +160,11 @@ func (b *BBS) writeSlice(w io.Writer, p int, s *bitvec.Slice, wordBuf []byte) er
 		return fmt.Errorf("sigfile: write slice %d encoding: %w", p, err)
 	}
 	if s.Encoding() == bitvec.EncDense {
-		fullWords := (b.n + 63) / 64
-		ws := s.DenseVector().Words()
-		for _, word := range ws {
-			binary.LittleEndian.PutUint64(wordBuf, word)
-			if _, err := w.Write(wordBuf); err != nil {
-				return fmt.Errorf("sigfile: write slice %d: %w", p, err)
-			}
-		}
-		var zero [8]byte
-		for wi := len(ws); wi < fullWords; wi++ {
-			if _, err := w.Write(zero[:]); err != nil {
-				return fmt.Errorf("sigfile: write slice %d padding: %w", p, err)
-			}
+		ws := s.AppendDense((*dense)[:0])
+		ws = append(ws, make([]byte, 8*((b.n+63)/64)-len(ws))...)
+		*dense = ws
+		if _, err := w.Write(ws); err != nil {
+			return fmt.Errorf("sigfile: write slice %d: %w", p, err)
 		}
 		return nil
 	}
@@ -312,7 +306,6 @@ func decodeBBS(r *bufio.Reader, h sighash.Hasher, stats *iostat.Stats) (*BBS, er
 			}
 			s := bitvec.DenseSliceOf(&v) // recounts, as v2 always did
 			b.slices[p] = s
-			b.refreshDense(p)
 			b.sliceOnes[p] = s.Ones()
 			continue
 		}
@@ -321,7 +314,6 @@ func decodeBBS(r *bufio.Reader, h sighash.Hasher, stats *iostat.Stats) (*BBS, er
 			return nil, fmt.Errorf("read slice %d: %w", p, err)
 		}
 		b.slices[p] = s
-		b.refreshDense(p)
 		b.sliceOnes[p] = ones
 	}
 	if _, err := r.ReadByte(); err != io.EOF {

@@ -28,15 +28,6 @@ type BBS struct {
 	slices []*bitvec.Slice // len == hasher.M(); each slice has up to n bits
 	n      int             // transactions indexed so far
 
-	// denseVec[p] is slice p's backing vector when (and only when) slice p
-	// is dense, else nil — the AND fast path. Indexing this array costs the
-	// same loads the classic all-dense layout paid, where going through the
-	// Slice header would add a dependent cache line to every AND. Kept in
-	// step by refreshDense at every site that installs or re-encodes a
-	// slice; a stale nil is merely slow (the dispatch path is always
-	// correct), a stale non-nil is a bug.
-	denseVec []*bitvec.Vector
-
 	// compress is the storage policy: when set, Fold and SetCompression
 	// pick each slice's encoding (dense or sparse positions) by payload
 	// size, and the AND chain runs the direct-on-compressed kernels. When
@@ -96,15 +87,12 @@ func New(h sighash.Hasher, stats *iostat.Stats) *BBS {
 	}
 	m := h.M()
 	slices := make([]*bitvec.Slice, m)
-	denseVec := make([]*bitvec.Vector, m)
 	for i := range slices {
 		slices[i] = bitvec.NewDenseSlice(0)
-		denseVec[i] = slices[i].DenseVector()
 	}
 	return &BBS{
 		hasher:    h,
 		slices:    slices,
-		denseVec:  denseVec,
 		sliceOnes: make([]int, m),
 		stats:     stats,
 	}
@@ -199,18 +187,8 @@ func (b *BBS) setSliceBit(p, pos int) {
 		// the next SetCompression/Fold/Load re-encode pass.
 		if r := s.MaybeCompress(); r != s {
 			b.slices[p] = r
-			s = r
 		}
 	}
-	// The append may have cloned (copy-on-write), promoted, or demoted
-	// (hysteresis) the slice; either way the fast-path entry follows it.
-	b.denseVec[p] = s.DenseVector()
-}
-
-// refreshDense re-derives the AND fast-path entry for slice p. Call after
-// installing or re-encoding b.slices[p].
-func (b *BBS) refreshDense(p int) {
-	b.denseVec[p] = b.slices[p].DenseVector()
 }
 
 // OrderRarestFirst reorders slice positions in place by ascending slice
@@ -297,7 +275,6 @@ func (b *BBS) SetCompression(on bool) {
 				b.cow[p] = false // freshly built, shared with no snapshot
 			}
 		}
-		b.refreshDense(p)
 	}
 }
 
@@ -329,13 +306,9 @@ func (b *BBS) AndSlice(dst *bitvec.Vector, p int) int {
 func (b *BBS) andSlice(dst *bitvec.Vector, p int) int {
 	// Slices grow lazily (see Insert), so slice p may be shorter than dst;
 	// every kernel reads the missing tail as zeros. Dense slices — every
-	// slice of an uncompressed index — branch straight to the classic
-	// AndCountZX here, keeping the call depth of the all-dense layout;
-	// compressed ones dispatch to their direct kernels. Identical bits
-	// either way.
-	if v := b.denseVec[p]; v != nil {
-		return dst.AndCountZX(v)
-	}
+	// slice of an uncompressed index — take AndCountInto's inlined branch
+	// to the dense kernel; compressed ones dispatch to their direct
+	// kernels. Identical bits either way.
 	return b.slices[p].AndCountInto(dst)
 }
 
@@ -460,7 +433,6 @@ func (b *BBS) fold(keep int) *BBS {
 		}
 		s := bitvec.DenseSliceOf(acc).Recompress(b.n, b.compress)
 		nb.slices[j] = s
-		nb.refreshDense(j)
 		nb.sliceOnes[j] = s.Ones()
 	}
 	nb.itemCounts = b.itemCounts.clone()
@@ -489,13 +461,9 @@ func (f *foldedHasher) Positions(item int32) []int {
 	return out
 }
 
-// ResultSlice exposes slice p read-only for verification passes; the caller
-// must not modify it. A compressed slice is materialized (allocating), a
-// dense one is aliased. Reading it is charged as one slice read.
+// ResultSlice returns slice p materialized as a fresh vector, for
+// verification passes. Reading it is charged as one slice read.
 func (b *BBS) ResultSlice(p int) *bitvec.Vector {
 	b.ChargeSliceReads(1)
-	if v := b.slices[p].DenseVector(); v != nil {
-		return v
-	}
 	return b.slices[p].Materialize()
 }

@@ -15,17 +15,22 @@ import (
 // whatever n is — and marks everything shared on the master. A write batch
 // after it then pays for what it touches and nothing else:
 //
-//   - each slice it sets a bit in is cloned whole, once, with room for the
-//     row being appended (bitvec.Slice.CloneFor);
+//   - each slice it sets a bit in gets a private header, once
+//     (bitvec.Slice.CloneFor). A dense slice's copy shares the snapshot's
+//     words: an insert only sets the last row, so the master appends past
+//     every snapshot's length and never rewrites a word a snapshot reads
+//     (see bitvec's dense.go). A sparse slice's copy is its record stream,
+//     with room for the row being appended: the append rewrites the count
+//     byte of the stream's open record in place, and by the hysteresis
+//     rule the stream is at most half the dense payload;
 //   - the live mask is cloned once, if the batch inserts or deletes on an
-//     index that has deletions;
+//     index that has deletions: a delete clears a bit anywhere in it;
 //   - each exact-counter page (countPageSize consecutive item IDs, see
 //     counts.go) an inserted or deleted item lands on is cloned once.
 //
-// Nothing scales with the number of distinct items or untouched slices,
-// which is the paper's selling point for a dynamic index (appending sets at
-// most |items|·k bits). A touched slice is still copied whole; sharing its
-// prefix, so an append copies nothing, is left for later.
+// Nothing scales with the number of distinct items or untouched slices, nor,
+// for a dense index, with the rows already indexed: the paper's selling point
+// for a dynamic index (appending sets at most |items|·k bits).
 //
 // The contract has three parts:
 //
@@ -59,7 +64,6 @@ func (b *BBS) Snapshot() *BBS {
 	s := &BBS{
 		hasher:      b.hasher,
 		slices:      append([]*bitvec.Slice(nil), b.slices...),
-		denseVec:    append([]*bitvec.Vector(nil), b.denseVec...),
 		n:           b.n,
 		compress:    b.compress,
 		sliceOnes:   append([]int(nil), b.sliceOnes...),
@@ -100,9 +104,10 @@ func (b *BBS) QueryClone(stats *iostat.Stats) *BBS {
 
 // mutableSlice returns slice p ready for mutation, cloning it first if a
 // snapshot shares it. The clone preserves the encoding, so appends to a
-// compressed snapshot-shared slice stay compressed, and is sized for the
-// row being appended (the last of b.n), so the append that follows does
-// not reallocate it. A cold slice thaws to residency first — cold payloads
+// compressed snapshot-shared slice stay compressed: a dense clone is a
+// header sharing the snapshot's words, a sparse one a copy of its stream
+// sized for the row being appended (the last of b.n), so the append that
+// follows does not reallocate it. A cold slice thaws to residency first — cold payloads
 // are immutable by construction, and the freshly decoded slice is shared
 // with no snapshot (snapshots hold the old header, which keeps faulting the
 // unchanged cold extent).

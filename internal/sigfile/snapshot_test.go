@@ -1,11 +1,17 @@
 package sigfile
 
 import (
+	"fmt"
 	"math/rand"
+	"path/filepath"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
+	"bbsmine/internal/bitvec"
 	"bbsmine/internal/iostat"
+	"bbsmine/internal/pager"
 	"bbsmine/internal/sighash"
 )
 
@@ -242,5 +248,152 @@ func TestSnapshotLiveMaskIsolation(t *testing.T) {
 	}
 	if master.IsLive(1) {
 		t.Fatal("master delete did not stick")
+	}
+}
+
+// TestInsertAfterSnapshotAllocatesIndependentOfRows pins what a served
+// commit relies on: an Insert after a Snapshot copies the headers of the
+// slices it touches, not their words, so the bytes it allocates do not grow
+// with the rows already indexed. At the same m, the median Insert into an
+// index of 64 K rows may allocate at most 1.25x what one into 4 K rows
+// does.
+func TestInsertAfterSnapshotAllocatesIndependentOfRows(t *testing.T) {
+	items := []int32{1, 2, 3} // every row sets the same slices, so each is full length
+	perInsert := func(rows int) uint64 {
+		b := New(sighash.NewMD5(256, 3), nil)
+		for i := 0; i < rows; i++ {
+			b.Insert(items)
+		}
+		// 32 inserts cross no power-of-two word count at either size, so no
+		// slice's append array doubles inside the sample.
+		samples := make([]uint64, 32)
+		var before, after runtime.MemStats
+		for i := range samples {
+			snap := b.Snapshot()
+			runtime.ReadMemStats(&before)
+			b.Insert(items)
+			runtime.ReadMemStats(&after)
+			runtime.KeepAlive(snap)
+			samples[i] = after.TotalAlloc - before.TotalAlloc
+		}
+		slices.Sort(samples)
+		return samples[len(samples)/2]
+	}
+	small, large := perInsert(4000), perInsert(64000)
+	if small == 0 || float64(large) > 1.25*float64(small) {
+		t.Fatalf("an Insert after a Snapshot allocates %d B at 4 K rows and %d B at 64 K rows; want within 1.25x", small, large)
+	}
+}
+
+// TestSnapshotChainUnderWriter publishes a snapshot after every batch of
+// 1–70 rows, so batches straddle 64-row word boundaries, and keeps them
+// all. While the master goes on writing, concurrent readers (run it under
+// -race) materialize every slice of every published snapshot and compare
+// it with the copy taken when the snapshot was published. The master is
+// compressed and tiered first: one slice starts sparse and empty and is
+// promoted to dense by the writes, and half the dense slices start cold and
+// are thawed by them.
+func TestSnapshotChainUnderWriter(t *testing.T) {
+	const m, alphabet = 128, 40
+	rng := rand.New(rand.NewSource(107))
+	master := New(sighash.NewMD5(m, 3), nil)
+	for i := 0; i < 2000; i++ {
+		master.Insert(randomItems(rng, 6, alphabet))
+	}
+	master.SetCompression(true)
+	// An item off the seed alphabet that hashes to an empty, hence sparse,
+	// slice: setting it in every row promotes that slice to dense.
+	rare, promoted := int32(-1), -1
+	for it := int32(alphabet); rare < 0; it++ {
+		for _, p := range master.Hasher().Positions(it) {
+			if master.slices[p].Ones() == 0 && master.slices[p].Encoding() == bitvec.EncSparse {
+				rare, promoted = it, p
+				break
+			}
+		}
+	}
+	pg := pager.New(1 << 20)
+	if err := master.Tier(pg, filepath.Join(t.TempDir(), "slices.cold"), master.ResidentSliceBytes()/2, nil); err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = master.Untier() }()
+
+	type published struct {
+		snap    *BBS
+		capture []*bitvec.Vector
+	}
+	var (
+		mu   sync.Mutex
+		pubs []published
+		done = make(chan struct{})
+		wg   sync.WaitGroup
+		bad  = make(chan string, 4)
+	)
+	check := func() {
+		mu.Lock()
+		list := pubs
+		mu.Unlock()
+		for i, pub := range list {
+			for p, s := range pub.snap.slices {
+				if !s.Materialize().Equal(pub.capture[p]) {
+					select {
+					case bad <- fmt.Sprintf("snapshot %d (%d rows): slice %d changed after it was published", i, pub.snap.Len(), p):
+					default:
+					}
+					return
+				}
+			}
+		}
+	}
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					check()
+					return
+				default:
+					check()
+				}
+			}
+		}()
+	}
+
+	for batch := 0; batch < 60; batch++ {
+		for rows := 1 + rng.Intn(70); rows > 0; rows-- {
+			master.Insert(append(randomItems(rng, 5, alphabet), rare))
+		}
+		snap := master.Snapshot()
+		pub := published{snap: snap, capture: make([]*bitvec.Vector, m)}
+		for p, s := range snap.slices {
+			pub.capture[p] = s.Materialize()
+		}
+		mu.Lock()
+		pubs = append(pubs, pub)
+		mu.Unlock()
+	}
+	close(done)
+	wg.Wait()
+	select {
+	case msg := <-bad:
+		t.Fatal(msg)
+	default:
+	}
+
+	first, last := pubs[0].snap, pubs[len(pubs)-1].snap
+	if first.slices[promoted].Encoding() != bitvec.EncSparse || last.slices[promoted].Encoding() != bitvec.EncDense {
+		t.Fatalf("slice %d: %v in the first snapshot and %v in the last, want sparse then dense",
+			promoted, first.slices[promoted].Encoding(), last.slices[promoted].Encoding())
+	}
+	thawed := 0
+	for p := range first.slices {
+		if first.slices[p].IsCold() && !last.slices[p].IsCold() {
+			thawed++
+		}
+	}
+	if thawed == 0 {
+		t.Fatal("no slice went from cold in the first snapshot to resident in the last")
 	}
 }

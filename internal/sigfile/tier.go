@@ -156,7 +156,6 @@ func (b *BBS) Tier(pg *pager.Pager, path string, hotBudget int64, touches []uint
 		if b.cow != nil {
 			b.cow[p] = false // fresh header, shared with no snapshot
 		}
-		b.denseVec[p] = nil // cold slices always take the dispatch path
 	}
 	pg.Reserve(hotBytes)
 	b.tierPager = pg
@@ -181,7 +180,6 @@ func (b *BBS) Untier() error {
 		if b.cow != nil {
 			b.cow[p] = false
 		}
-		b.refreshDense(p)
 	}
 	return b.CloseTier()
 }

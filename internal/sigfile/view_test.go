@@ -57,7 +57,6 @@ func reencode(t *testing.T, b *BBS, enc bitvec.Encoding) {
 			}
 		}
 		b.slices[p] = r
-		b.refreshDense(p)
 	}
 }
 
